@@ -13,7 +13,6 @@ import sys
 import numpy as np
 
 from . import __version__, analytic, montecarlo, urns
-from .graphstate import snapshots_to_csv
 from .measure import load_measure
 from .process import replica_rng, run_continuous, run_discrete
 
@@ -45,7 +44,7 @@ def _parser():
 
 def _header(args, spec):
     items = [
-        f"command: {args.command} " + " ".join(sys.argv[2:]),
+        f"command: {args.command} " + " ".join(args.argv[1:]),
         f"config_hash: {spec.config_hash() if spec else 'none'}",
         f"seed: {args.seed}",
         f"window: {args.window if args.window else (spec.n_max if spec else '-')}",
@@ -257,7 +256,9 @@ _COMMANDS = {
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(argv)
+    args.argv = argv
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

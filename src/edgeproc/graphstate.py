@@ -7,7 +7,9 @@ forest with path compression and union by size tracks components exactly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .measure import edge
 
@@ -125,24 +127,41 @@ class GraphState:
 
 
 def replay(trajectory):
-    """Per-event snapshots (|V|, |E|, components, i_event_count)."""
-    state = GraphState()
-    out = []
-    for ev in trajectory.events:
-        state.apply_event(ev.edge)
-        out.append(state.snapshot())
-    return out
+    """Per-event snapshots (|V|, |E|, components, i_event_count).
+
+    Reads the trajectory's columns: vertex and I-event counts are running
+    sums of its new-vertex counts, and only the first arrival of each simple
+    edge can change |E| or the components, so only those enter the
+    union-find.
+    """
+    i, j, nv = trajectory.i, trajectory.j, trajectory.new_vertices
+    if len(i) == 0:
+        return []
+    order = np.lexsort((j, i))  # stable: repeats of an edge keep their order
+    si, sj = i[order], j[order]
+    first = np.empty(len(i), dtype=bool)
+    first[order] = np.concatenate(
+        ([True], (si[1:] != si[:-1]) | (sj[1:] != sj[:-1])))
+    dsu = UnionFind()
+    comps = []
+    for a, b in zip(i[first].tolist(), j[first].tolist()):
+        dsu.add(a)
+        dsu.add(b)
+        dsu.union(a, b)
+        comps.append(dsu.n_components)
+    edges = np.cumsum(first)
+    return list(zip(np.cumsum(nv).tolist(), edges.tolist(),
+                    np.asarray(comps)[edges - 1].tolist(),
+                    np.cumsum(nv == 2).tolist()))
 
 
 def snapshots_to_csv(trajectory, path, header_lines=()):
-    state = GraphState()
+    """Writes ``replay``'s snapshots with each arrival's index and time."""
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         wr = csv.writer(fh)
         wr.writerow(["index", "time", "vertices", "edges", "components",
                      "i_events"])
-        for ev in trajectory.events:
-            state.apply_event(ev.edge)
-            v, e, c, i = state.snapshot()
-            wr.writerow([ev.index, repr(ev.time), v, e, c, i])
+        wr.writerows((k, repr(t), *snap) for k, (t, snap) in enumerate(
+            zip(trajectory.time.tolist(), replay(trajectory)), start=1))

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.special import zeta
 
 __all__ = [
@@ -32,6 +34,8 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 1e-12
+# caches that do not depend on the total mass, so normalize() keeps them
+_SCALE_FREE = ("alias", "index", "vgroups")
 
 
 def edge(i, j):
@@ -142,10 +146,19 @@ class MeasureSpec:
     # -- normalization ---------------------------------------------------
 
     def normalize(self):
-        """Scale total truncated mass to 1.  No-op when already normalized."""
+        """Scale total truncated mass to 1.  No-op when already normalized.
+
+        The copy inherits the scale-free caches (alias table, edge index,
+        vertex groups) and a rescaled copy of cached marginals.
+        """
         if self.normalized:
             return self
         total = self.total_mass
+        cache = {k: v for k, v in self._cache.items() if k in _SCALE_FREE}
+        marg = self._cache.get("marginals")
+        if marg is not None:
+            cache["marginals"] = Marginals(M=marg.M / total,
+                                           total=marg.total / total)
         return MeasureSpec(
             family=self.family,
             params=self.params,
@@ -155,6 +168,7 @@ class MeasureSpec:
             n_max=self.n_max,
             normalized=True,
             off_window_mass=self.off_window_mass / total,
+            _cache=cache,
         )
 
     # -- sampling --------------------------------------------------------
@@ -182,7 +196,7 @@ class MeasureSpec:
     # -- support topology ------------------------------------------------
 
     def support_connected(self):
-        """Union-find verdict over positive-mass edges within the window.
+        """Connectivity verdict over positive-mass edges within the window.
 
         The verdict is truncation-relative: connectedness of the untruncated
         infinite support cannot be decided from a finite window.
@@ -190,21 +204,16 @@ class MeasureSpec:
         pos = self.w > 0
         a = self.ei[pos]
         b = self.ej[pos]
-        parent = np.arange(self.n_max + 1)
-
-        def find(x):
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        for x, y in zip(a, b):
-            parent[find(x)] = find(y)
-        touched = np.unique(np.concatenate([a, b]))
-        roots = {find(v) for v in touched}
-        return "connected-on-truncation" if len(roots) <= 1 else "disconnected"
+        n = self.n_max + 1
+        graph = coo_matrix((np.ones(len(a), dtype=np.int8), (a, b)),
+                           shape=(n, n))
+        n_comp = connected_components(graph, directed=False)[0]
+        touched = np.zeros(n, dtype=bool)
+        touched[a] = True
+        touched[b] = True
+        # every untouched id in 0..n_max is a component of its own
+        n_comp -= n - np.count_nonzero(touched)
+        return "connected-on-truncation" if n_comp <= 1 else "disconnected"
 
     # -- serialization ---------------------------------------------------
 
@@ -220,25 +229,65 @@ class MeasureSpec:
 
 
 def _build_alias(probs):
-    """Vose alias table for a normalized probability vector."""
+    """Alias table (J, q) for a normalized probability vector, in O(K).
+
+    Sweep construction (Hubschle-Schneider & Sanders, "Parallel Weighted
+    Random Sampling", ACM TOMS 48(3), 2022): light items (q < 1) take their
+    deficits, in index order, from heavy items (q >= 1) in index order; a
+    heavy item left below 1 becomes light and takes its own deficit from
+    the next heavy one.  With prefix sums X of heavy excesses and D of
+    light deficits, light l goes to the first heavy k with X_k >= D_{l-1},
+    and heavy k keeps q = 1 + X_k - D, where D is the deficit handed out up
+    to its last light.  Both prefix sums carry their rounding errors
+    (``_prefix_sum``), so those comparisons and differences hold to about
+    1e-16 absolute however large X grows.  The largest heavy item goes
+    last: it absorbs the rounding residue of sum(q) != K.
+    """
     K = len(probs)
     q = probs * K
-    J = np.zeros(K, dtype=np.int64)
-    smaller = [k for k in range(K) if q[k] < 1.0]
-    larger = [k for k in range(K) if q[k] >= 1.0]
-    while smaller and larger:
-        small = smaller.pop()
-        large = larger.pop()
-        J[small] = large
-        q[large] = q[large] - (1.0 - q[small])
-        if q[large] < 1.0:
-            smaller.append(large)
-        else:
-            larger.append(large)
-    # leftovers are 1.0 up to rounding
-    for k in smaller + larger:
-        q[k] = 1.0
+    J = np.arange(K)
+    light = np.flatnonzero(q < 1.0)
+    heavy = np.flatnonzero(q >= 1.0)
+    if len(light) == 0 or len(heavy) == 0:
+        q[:] = 1.0  # every item is 1 up to rounding
+        return J, q
+    top = np.argmax(q[heavy])
+    heavy[[top, -1]] = heavy[[-1, top]]
+    d_hi, d_lo = _prefix_sum(1.0 - q[light])
+    x_hi, x_lo = _prefix_sum(q[heavy] - 1.0)
+    # numpy orders complex numbers lexicographically: (hi, lo) pairs compare
+    # as the exact sums they stand for
+    start = np.zeros(len(light), dtype=complex)
+    start.real[1:] = d_hi[:-1]
+    start.imag[1:] = d_lo[:-1]
+    k = np.searchsorted(x_hi + 1j * x_lo, start)
+    del start
+    np.minimum(k, len(heavy) - 1, out=k)  # rounding overshoot at the end
+    J[light] = heavy[k]
+    last = np.searchsorted(k, np.arange(len(heavy)), side="right") - 1
+    del k
+    left = 1.0 + (x_hi - d_hi[last]) + (x_lo - d_lo[last])
+    q[heavy[:-1]] = np.clip(left[:-1], 0.0, 1.0)
+    J[heavy[:-1]] = heavy[1:]
+    q[heavy[-1]] = 1.0
     return J, q
+
+
+def _prefix_sum(a):
+    """Inclusive prefix sums of a as pairs hi + lo with |lo| <= ulp(hi)/2.
+
+    ``np.cumsum`` adds in sequence; the error of each addition is recovered
+    exactly (Knuth's TwoSum) and accumulated separately.
+    """
+    hi = np.cumsum(a)
+    prev = np.zeros_like(hi)
+    prev[1:] = hi[:-1]
+    b = hi - prev
+    lo = np.cumsum((prev - (hi - b)) + (a - b))
+    del prev, b
+    s = hi + lo
+    lo -= s - hi
+    return s, lo
 
 
 def _canonical_arrays(ei, ej, w):

@@ -1,22 +1,25 @@
 """Trajectory generation for the discrete- and continuous-time graph processes.
 
-Discrete runs draw i.i.d. edges from a normalized measure; continuous runs
+Discrete runs draw i.i.d. edges from the normalized measure; continuous runs
 assign each support edge an exponential first-arrival time with rate equal to
-its (not necessarily normalized) mass.  Both produce a stream of
-``ArrivalEvent`` records annotated with how many new vertices each arrival
-brought.
+its (not necessarily normalized) mass.  Both produce a columnar
+``Trajectory``: arrival times, endpoints and how many new vertices each
+arrival brought.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "ArrivalEvent",
     "Trajectory",
+    "new_vertex_counts",
     "run_discrete",
     "run_continuous",
     "depoissonize",
@@ -34,8 +37,7 @@ def replica_rng(master_seed, replica_index):
     return np.random.default_rng(ss)
 
 
-@dataclass(frozen=True)
-class ArrivalEvent:
+class ArrivalEvent(NamedTuple):
     index: int          # arrival ordinal, from 1
     time: float         # equals index for discrete runs
     edge: tuple         # canonical (i, j)
@@ -43,18 +45,52 @@ class ArrivalEvent:
     new_component: bool  # true iff new_vertices == 2
 
 
-@dataclass
+def new_vertex_counts(i, j):
+    """For each arrival (i[k], j[k]), how many endpoints no earlier arrival had.
+
+    Arrival k's endpoints sit at positions 2k and 2k + 1 of the interleaved
+    sequence; a stable sort puts each vertex's first position at the head
+    of its run.
+    """
+    ends = np.empty(2 * len(i), dtype=np.int64)
+    ends[0::2] = i
+    ends[1::2] = j
+    order = ends.argsort(kind="stable")
+    srt = ends[order]
+    first = np.empty(len(ends), dtype=bool)
+    first[order[:1]] = True
+    first[order[1:]] = srt[1:] != srt[:-1]
+    return np.add(first[0::2], first[1::2], dtype=np.int64)
+
+
+@dataclass(eq=False)
 class Trajectory:
-    events: list
+    """Arrivals as columns: time, endpoints i < j, new-vertex counts."""
+
+    time: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
     horizon_kind: str   # "steps" or "time"
     horizon: float
     seed: object = None
+    new_vertices: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.new_vertices = new_vertex_counts(self.i, self.j)
 
     def __len__(self):
-        return len(self.events)
+        return len(self.time)
+
+    @cached_property
+    def events(self):
+        """The arrivals as ``ArrivalEvent`` records, built on first use."""
+        nv = self.new_vertices.tolist()
+        return list(map(ArrivalEvent._make, zip(
+            range(1, len(nv) + 1), self.time.tolist(), self.edge_sequence(),
+            nv, [v == 2 for v in nv])))
 
     def edge_sequence(self):
-        return [ev.edge for ev in self.events]
+        return list(zip(self.i.tolist(), self.j.tolist()))
 
     def to_csv(self, path, header_lines=()):
         with open(path, "w", newline="") as fh:
@@ -63,22 +99,10 @@ class Trajectory:
             wr = csv.writer(fh)
             wr.writerow(["index", "time", "i", "j", "new_vertices",
                          "new_component"])
-            for ev in self.events:
-                wr.writerow([ev.index, repr(ev.time), ev.edge[0], ev.edge[1],
-                             ev.new_vertices, int(ev.new_component)])
-
-
-def _annotate(times, edge_pairs):
-    """Build events from sorted arrival times, tracking unseen endpoints."""
-    seen = set()
-    events = []
-    for n, (t, (i, j)) in enumerate(zip(times, edge_pairs), start=1):
-        new = (i not in seen) + (j not in seen)
-        seen.add(i)
-        seen.add(j)
-        events.append(ArrivalEvent(index=n, time=float(t), edge=(i, j),
-                                   new_vertices=new, new_component=(new == 2)))
-    return events
+            nv = self.new_vertices.tolist()
+            wr.writerows(zip(range(1, len(nv) + 1),
+                             map(repr, self.time.tolist()), self.i.tolist(),
+                             self.j.tolist(), nv, [int(v == 2) for v in nv]))
 
 
 def run_discrete(spec, n_steps, rng):
@@ -89,11 +113,9 @@ def run_discrete(spec, n_steps, rng):
     """
     if n_steps <= 0:
         raise ValueError("n_steps must be positive")
-    spec = spec.normalize()
     ks = spec.sample_edge_indices(n_steps, rng)
-    pairs = [(int(spec.ei[k]), int(spec.ej[k])) for k in ks]
     times = np.arange(1, n_steps + 1, dtype=float)
-    return Trajectory(_annotate(times, pairs), "steps", n_steps)
+    return Trajectory(times, spec.ei[ks], spec.ej[ks], "steps", n_steps)
 
 
 def run_continuous(spec, horizon_T, rng, full_streams=False):
@@ -117,10 +139,9 @@ def run_continuous(spec, horizon_T, rng, full_streams=False):
         times = times[keep]
         ks = np.nonzero(keep)[0]
     order = np.argsort(times, kind="stable")
-    times = times[order]
     ks = ks[order]
-    pairs = [(int(spec.ei[k]), int(spec.ej[k])) for k in ks]
-    return Trajectory(_annotate(times, pairs), "time", horizon_T)
+    return Trajectory(times[order], spec.ei[ks], spec.ej[ks], "time",
+                      horizon_T)
 
 
 def depoissonize(spec, n, rng):
@@ -138,5 +159,5 @@ def depoissonize(spec, n, rng):
     ks = np.repeat(np.arange(len(w)), n)
     first = np.argpartition(times, n - 1)[:n]
     order = first[np.argsort(times[first], kind="stable")]
-    pairs = [(int(spec.ei[k]), int(spec.ej[k])) for k in ks[order]]
-    return Trajectory(_annotate(times[order], pairs), "steps", n)
+    ks = ks[order]
+    return Trajectory(times[order], spec.ei[ks], spec.ej[ks], "steps", n)

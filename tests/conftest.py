@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from edgeproc.measure import explicit
+from edgeproc.process import (
+    depoissonize,
+    replica_rng,
+    run_continuous,
+    run_discrete,
+)
 
 
 def triangle_spec():
@@ -32,6 +38,21 @@ def random_explicit_spec(rng, max_vertex=8, n_edges=None, min_mass=0.05):
     picks = rng.choice(len(pairs), size=min(n_edges, len(pairs)), replace=False)
     items = [(pairs[k], float(rng.uniform(min_mass, 1.0))) for k in picks]
     return explicit(items)
+
+
+def random_trajectories(seed, count):
+    """Discrete, continuous, full-stream and de-Poissonized trajectories on
+    random small measures."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        spec = random_explicit_spec(rng, max_vertex=10,
+                                    n_edges=int(rng.integers(1, 20)))
+        r = replica_rng(seed, k)
+        yield run_discrete(spec, int(rng.integers(1, 60)), r)
+        yield run_continuous(spec, float(rng.uniform(0.1, 6.0)), r)
+        yield run_continuous(spec, float(rng.uniform(0.1, 6.0)), r,
+                             full_streams=True)
+        yield depoissonize(spec, int(rng.integers(1, 12)), r)
 
 
 @pytest.fixture

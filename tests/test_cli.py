@@ -86,6 +86,14 @@ class TestHeaders:
                     "version:"):
             assert key in hdr
 
+    def test_command_line_is_the_parsed_argv(self, tmp_path, plp_cfg,
+                                             monkeypatch):
+        monkeypatch.setattr("sys.argv", ["host", "--unrelated", "flag"])
+        out = tmp_path / "series.txt"
+        main(["series", "--measure", plp_cfg, "--out", str(out)])
+        assert header_of(out)[0] == (
+            f"# command: series --measure {plp_cfg} --out {out}")
+
 
 class TestConfigErrors:
     def test_missing_measure(self, capsys):

@@ -5,11 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from edgeproc.graphstate import GraphState, UnionFind, replay
+from edgeproc.graphstate import GraphState, UnionFind, replay, snapshots_to_csv
 from edgeproc.measure import explicit
 from edgeproc.process import replica_rng, run_continuous
 
-from conftest import random_explicit_spec
+from conftest import random_explicit_spec, random_trajectories
 
 
 def build(edges):
@@ -123,6 +123,52 @@ class TestReplay:
     def test_bridge_final_snapshot(self):
         state, _ = build([(1, 2), (3, 4), (2, 3)])
         assert state.snapshot() == (4, 3, 1, 2)
+
+    def test_matches_event_by_event_state(self):
+        for traj in random_trajectories(42, 60):
+            state = GraphState()
+            want = []
+            for e in traj.edge_sequence():
+                state.apply_event(e)
+                want.append(state.snapshot())
+            assert replay(traj) == want
+
+    def test_snapshots_csv_rows_are_replay_rows(self, tmp_path):
+        for n, traj in enumerate(random_trajectories(43, 10)):
+            out = tmp_path / f"snap{n}.csv"
+            snapshots_to_csv(traj, out, header_lines=["seed: 43"])
+            lines = out.read_text().splitlines()
+            assert lines[:2] == ["# seed: 43", "index,time,vertices,edges,"
+                                 "components,i_events"]
+            rows = [tuple(map(int, ln.split(",")[2:])) for ln in lines[2:]]
+            assert rows == replay(traj)
+            assert [ln.split(",")[:2] for ln in lines[2:]] == [
+                [str(k), repr(t)] for k, t in enumerate(traj.time.tolist(), 1)]
+
+    def test_snapshots_csv_golden(self, tmp_path):
+        # bytes as written before replay read trajectory columns
+        spec = explicit([((1, 2), 1.0), ((3, 4), 1.0), ((5, 6), 1.0),
+                         ((2, 3), 0.5), ((4, 5), 0.5), ((1, 6), 0.25)])
+        traj = run_continuous(spec, 1.2, replica_rng(34, 1),
+                              full_streams=True)
+        out = tmp_path / "snap.csv"
+        snapshots_to_csv(traj, out, header_lines=["seed: 34"])
+        rows = ["index,time,vertices,edges,components,i_events",
+                "1,0.009743886206026441,2,1,1,1",
+                "2,0.19763429806961502,2,1,1,1",
+                "3,0.30631754292323166,3,2,1,1",
+                "4,0.5701461989370453,5,3,2,2",
+                "5,0.8691969248320486,6,4,2,2",
+                "6,1.0076723819582727,6,5,1,2",
+                "7,1.0444627644841322,6,5,1,2",
+                "8,1.140533798801406,6,5,1,2"]
+        assert out.read_bytes() == (
+            "# seed: 34\n" + "\r\n".join(rows) + "\r\n").encode()
+
+    def test_empty_trajectory(self):
+        traj = run_continuous(explicit([((1, 2), 1e-9)]), 1e-3,
+                              replica_rng(0, 0))
+        assert len(traj) == 0 and replay(traj) == []
 
     def test_no_isolated_vertices(self):
         rng = np.random.default_rng(17)

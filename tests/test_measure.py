@@ -19,9 +19,21 @@ from edgeproc.measure import (
     measure_from_dict,
     power_law_product,
 )
+from edgeproc.montecarlo import _vertex_groups
 from edgeproc.process import replica_rng
 
 from conftest import random_explicit_spec, triangle_spec
+
+
+def alias_rel_error(spec):
+    """Largest relative gap between the alias table's implied edge
+    probabilities and mass / total mass."""
+    J, q = spec._alias()
+    assert q.min() >= 0.0 and q.max() <= 1.0
+    K = len(q)
+    implied = (q + np.bincount(J, weights=1 - q, minlength=K)) / K
+    probs = spec.w / spec.total_mass
+    return float(np.max(np.abs(implied - probs) / probs))
 
 
 class TestEdgeCanonicalization:
@@ -154,6 +166,21 @@ class TestNormalization:
         assert norm.off_window_mass == pytest.approx(
             spec.off_window_mass / spec.total_mass)
 
+    def test_keeps_scale_free_caches(self):
+        spec = power_law_product(2.5, 40)
+        spec.sample_edge_indices(1, replica_rng(0, 0))
+        spec.mass((1, 2))
+        _vertex_groups(spec)
+        marg = spec.marginals
+        norm = spec.normalize()
+        for key in ("alias", "index", "vgroups"):
+            assert norm._cache[key] is spec._cache[key]
+        total = spec.total_mass
+        assert np.allclose(norm.marginals.M, marg.M / total, rtol=1e-15)
+        assert norm.marginals.total == pytest.approx(2.0, rel=1e-12)
+        assert np.array_equal(spec.sample_edge_indices(5000, replica_rng(4, 2)),
+                              norm.sample_edge_indices(5000, replica_rng(4, 2)))
+
 
 class TestSampling:
     def test_single_edge_always_drawn(self):
@@ -193,6 +220,47 @@ class TestSampling:
         assert np.array_equal(a, b)
 
 
+class TestAliasTable:
+    """The sweep build must reproduce mass / total on every edge."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: power_law_product(1.5, 60),
+        lambda: power_law_product(2.5, 200),
+        lambda: power_law_product(4.0, 30),
+        lambda: first_rank(np.arange(1, 101, dtype=float) ** -2),
+        lambda: factorial_max(12),
+        lambda: double_exp(4),
+        lambda: isolated_edges([0.1, 2.0, 0.7, 0.7, 5.0]),
+        lambda: triangle_spec(),
+        lambda: explicit([((1, 2), 1.0)]),
+    ])
+    def test_exact_small_windows(self, make):
+        assert alias_rel_error(make()) < 1e-12
+
+    def test_exact_random_explicit(self):
+        rng = np.random.default_rng(31)
+        for k in range(100):
+            spec = random_explicit_spec(rng, max_vertex=12,
+                                        n_edges=int(rng.integers(1, 40)))
+            if k % 2:  # masses over many orders of magnitude
+                spec = explicit([(e, float(np.exp(rng.normal(0, 8))))
+                                 for e in spec.edges])
+            assert alias_rel_error(spec) < 1e-12
+
+    @pytest.mark.parametrize("make", [
+        lambda: power_law_product(2.5, 2000),
+        lambda: first_rank(np.arange(1, 2001, dtype=float) ** -2),
+    ])
+    def test_exact_wide_windows(self, make):
+        # 2M edges; the smallest power-law probabilities (~8e-17) are below
+        # the float spacing near 1
+        assert alias_rel_error(make()) < 1e-12
+
+    def test_triangle_table_is_all_ones(self):
+        J, q = triangle_spec()._alias()
+        assert np.array_equal(q, np.ones(3))
+
+
 class TestSupportConnected:
     def test_single_edge(self):
         assert explicit([((1, 2), 1.0)]).support_connected() \
@@ -201,6 +269,33 @@ class TestSupportConnected:
     def test_disjoint_pair(self):
         spec = explicit([((1, 2), 0.5), ((3, 4), 0.5)])
         assert spec.support_connected() == "disconnected"
+
+    def test_untouched_window_ids_do_not_count(self):
+        spec = explicit([((3, 5), 1.0), ((5, 6), 2.0)], n_max=9)
+        assert spec.support_connected() == "connected-on-truncation"
+
+    def test_zero_mass_edge_does_not_connect(self):
+        spec = explicit([((1, 2), 1.0), ((2, 3), 0.0), ((3, 4), 1.0)])
+        assert spec.support_connected() == "disconnected"
+
+    def test_against_graph_search(self):
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            spec = random_explicit_spec(rng, max_vertex=9,
+                                        n_edges=int(rng.integers(1, 12)))
+            adj = {}
+            for i, j in spec.edges:
+                adj.setdefault(i, set()).add(j)
+                adj.setdefault(j, set()).add(i)
+            stack, seen = [next(iter(adj))], set()
+            while stack:
+                v = stack.pop()
+                if v not in seen:
+                    seen.add(v)
+                    stack.extend(adj[v] - seen)
+            want = ("connected-on-truncation" if seen == set(adj)
+                    else "disconnected")
+            assert spec.support_connected() == want
 
     @pytest.mark.parametrize("gamma", [1.5, 2.5, 4.0])
     def test_power_law_complete_support(self, gamma):

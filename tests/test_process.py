@@ -7,13 +7,23 @@ from scipy.stats import chi2
 from edgeproc.measure import explicit
 from edgeproc.process import (
     depoissonize,
+    new_vertex_counts,
     replica_rng,
     run_continuous,
     run_discrete,
 )
 from edgeproc.graphstate import replay
 
-from conftest import single_edge_spec, triangle_spec, two_edge_spec
+from conftest import (
+    random_trajectories,
+    single_edge_spec,
+    triangle_spec,
+    two_edge_spec,
+)
+
+# a small measure with disjoint and overlapping edges, for the golden files
+GOLDEN_SPEC = [((1, 2), 1.0), ((2, 3), 2.0), ((1, 4), 0.5), ((3, 5), 0.75),
+               ((4, 5), 1.5)]
 
 
 class TestRunDiscrete:
@@ -160,3 +170,78 @@ class TestTrajectoryExport:
         assert lines[0] == "# seed: 15"
         assert lines[1] == "index,time,i,j,new_vertices,new_component"
         assert len(lines) == 2 + len(traj)
+
+
+class TestNewVertexCounts:
+    def test_against_set_bookkeeping(self):
+        for traj in random_trajectories(40, 60):
+            seen = set()
+            want = []
+            for i, j in traj.edge_sequence():
+                want.append((i not in seen) + (j not in seen))
+                seen.update((i, j))
+            assert traj.new_vertices.tolist() == want
+
+    def test_kernel_on_arrays(self):
+        got = new_vertex_counts(np.array([3, 1, 2, 5, 3]),
+                                np.array([4, 2, 3, 6, 6]))
+        assert got.tolist() == [2, 2, 0, 2, 0]
+        assert new_vertex_counts(np.array([], dtype=np.int64),
+                                 np.array([], dtype=np.int64)).tolist() == []
+
+    def test_events_match_columns(self):
+        for traj in random_trajectories(41, 20):
+            assert len(traj.events) == len(traj)
+            for k, ev in enumerate(traj.events):
+                assert ev.index == k + 1
+                assert ev.time == traj.time[k]
+                assert ev.edge == (traj.i[k], traj.j[k])
+                assert ev.new_vertices == traj.new_vertices[k]
+                assert ev.new_component == (ev.new_vertices == 2)
+            assert traj.edge_sequence() == [ev.edge for ev in traj.events]
+
+
+class TestGoldenCsv:
+    """CSV bytes for fixed seeds, as written before trajectories became
+    columnar (the csv module ends rows with CRLF)."""
+
+    def check(self, traj, tmp_path, rows):
+        out = tmp_path / "traj.csv"
+        traj.to_csv(out, header_lines=["seed: x"])
+        assert out.read_bytes() == ("# seed: x\n" + "\r\n".join(
+            ["index,time,i,j,new_vertices,new_component"] + rows)
+            + "\r\n").encode()
+
+    def test_continuous(self, tmp_path):
+        traj = run_continuous(explicit(GOLDEN_SPEC), 1.0, replica_rng(31, 0))
+        self.check(traj, tmp_path, [
+            "1,0.17356181556026268,4,5,2,1",
+            "2,0.5657018060218281,1,2,2,1",
+            "3,0.7821999715699064,1,4,0,0"])
+
+    def test_full_streams(self, tmp_path):
+        traj = run_continuous(explicit(GOLDEN_SPEC), 0.6, replica_rng(31, 1),
+                              full_streams=True)
+        self.check(traj, tmp_path, [
+            "1,0.0711029981134065,2,3,2,1",
+            "2,0.35199893313803776,2,3,0,0",
+            "3,0.3566007166084328,1,2,1,0",
+            "4,0.43030387352955535,2,3,0,0",
+            "5,0.5217483402049584,3,5,1,0"])
+
+    def test_depoissonize(self, tmp_path):
+        traj = depoissonize(explicit(GOLDEN_SPEC), 6, replica_rng(32, 0))
+        self.check(traj, tmp_path, [
+            "1,0.21409522884509374,4,5,2,1",
+            "2,0.32218437797836963,3,5,1,0",
+            "3,0.3899244937234995,1,2,2,1",
+            "4,0.6696544829832011,2,3,0,0",
+            "5,0.7799984787864884,2,3,0,0",
+            "6,1.02826625873203,4,5,0,0"])
+
+    def test_discrete_triangle(self, tmp_path, triangle):
+        traj = run_discrete(triangle, 8, replica_rng(33, 0))
+        self.check(traj, tmp_path, [
+            "1,1.0,1,2,2,1", "2,2.0,2,3,1,0", "3,3.0,1,3,0,0",
+            "4,4.0,1,2,0,0", "5,5.0,2,3,0,0", "6,6.0,2,3,0,0",
+            "7,7.0,1,3,0,0", "8,8.0,1,2,0,0"])
