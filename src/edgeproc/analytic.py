@@ -248,7 +248,7 @@ def check_ratio_of_sums(a_list, b_list):
     a, b = a[keep], b[keep]
     with np.errstate(divide="ignore", over="ignore"):
         ratios = np.where(b > 0, a / np.where(b > 0, b, 1.0), np.inf)
-    ratio = a.sum() / b.sum() if b.sum() > 0 else np.inf
+        ratio = a.sum() / b.sum() if b.sum() > 0 else np.inf
     lo, hi = float(ratios.min()), float(ratios.max())
     ok = lo <= ratio <= hi
     return lo, float(ratio), hi, ok

@@ -30,13 +30,14 @@ def _parser():
         sp = sub.add_parser(name)
         sp.add_argument("--measure", help="path to a measure config file")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--replicas", type=int, default=10_000)
         sp.add_argument("--horizon-t", type=float, default=None)
         sp.add_argument("--horizon-n", type=int, default=None)
         sp.add_argument("--window", type=int, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=("csv", "text"), default="text")
-        sp.add_argument("--threads", type=int, default=1)
+        if name == "clt":
+            sp.add_argument("--replicas", type=int, default=10_000)
+        if name in ("clt", "verify"):
+            sp.add_argument("--threads", type=int, default=1)
         if name == "verify":
             sp.add_argument("--suite", default="all")
     return p

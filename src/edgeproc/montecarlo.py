@@ -8,6 +8,7 @@ of tail properties target finite-horizon proxies; reports say so.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -162,7 +163,9 @@ def estimate_event(spec, event, horizon, replicas, seed, threads=1):
 
     event is one of ("I", e), ("I_joint", e, f), ("connected",),
     ("essentially_complete",).  The estimate is a finite-horizon proxy for
-    the corresponding limiting statement.
+    the corresponding limiting statement.  ``z_score`` is set whenever the
+    target is known; at an estimate of 0 or 1 it uses the null-hypothesis
+    standard error.
     """
     kind = event[0]
     inv_w = 1.0 / spec.w
@@ -208,8 +211,16 @@ def estimate_event(spec, event, horizon, replicas, seed, threads=1):
     est = hits / replicas
     se = float(np.sqrt(est * (1.0 - est) / replicas))
     z = None
-    if target is not None and se > 0:
-        z = (est - target) / se
+    if target is not None:
+        # at an estimate of 0 or 1 the plug-in error is 0, so the error under
+        # the null hypothesis p = target sets the scale instead
+        scale = se or float(np.sqrt(target * (1.0 - target) / replicas))
+        if scale > 0:
+            z = (est - target) / scale
+        elif est == target:
+            z = 0.0
+        else:
+            z = math.copysign(math.inf, est - target)
     return EstimateReport(estimate=est, replicas=replicas, std_error=se,
                           target=target, z_score=z,
                           proxy=f"event frequency at horizon T={horizon}")

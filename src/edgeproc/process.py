@@ -72,7 +72,6 @@ class Trajectory:
     j: np.ndarray
     horizon_kind: str   # "steps" or "time"
     horizon: float
-    seed: object = None
     new_vertices: np.ndarray = field(init=False)
 
     def __post_init__(self):

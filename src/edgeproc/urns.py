@@ -126,8 +126,46 @@ class CouplingState:
         return bool(np.array_equal(self.in_v, self.in_u))
 
 
+class _EpochTable:
+    """What an epoch reads for one (V, U): lambda, sum(lambda)/3 and, on
+    first use, the urn cumulative sum and the log's (|V|, |U|, V == U)."""
+
+    __slots__ = ("key", "lam", "s3", "_urn_cum", "_counts")
+
+    def __init__(self, key, lam):
+        s_lam = float(lam.sum())
+        if 2.0 / 3.0 - s_lam / 3.0 < -1e-12:
+            raise RuntimeError("null-outcome probability went negative")
+        lam.flags.writeable = False
+        self.key, self.lam, self.s3 = key, lam, s_lam / 3.0
+        self._urn_cum = self._counts = None
+
+    def urn_cum(self):
+        if self._urn_cum is None:
+            self._urn_cum = np.cumsum(self.lam) / 3.0
+        return self._urn_cum
+
+    def counts(self):
+        """The log triple, read off the key: the masks are boolean, so each
+        of their bytes is 1 exactly where the mask holds."""
+        if self._counts is None:
+            half = len(self.key) // 2
+            v, u = self.key[:half], self.key[half:]
+            self._counts = (half - v.count(0), half - u.count(0), v == u)
+        return self._counts
+
+
 class CouplingEngine:
-    """Precomputed tables for stepping the coupling on one normalized measure."""
+    """Precomputed tables for stepping the coupling on one normalized measure.
+
+    Lambda depends on the state only through (V, U), and most epochs are null
+    outcomes that change neither, so the engine keeps the epoch table of the
+    last masks it saw and rebuilds it only when their contents differ.  The
+    masks are public and may be written directly, which is why the table is
+    keyed by their bytes rather than by a step counter.  A built table is
+    never changed (its lambda is read-only), so threads may share an engine;
+    a race on the slot costs only a rebuild.
+    """
 
     def __init__(self, spec):
         spec = spec.normalize()
@@ -138,6 +176,9 @@ class CouplingEngine:
         mat[spec.ej, spec.ei] = spec.w
         self.mat = mat
         self.edge_cum = np.cumsum(spec.w)
+        self._edge_cum3 = self.edge_cum / 3.0
+        self._e3 = self.edge_cum[-1] / 3.0
+        self._table = None
 
     def new_state(self):
         return CouplingState.empty(self.spec.n_max)
@@ -153,6 +194,14 @@ class CouplingEngine:
         lam[state.in_u] = 0.0
         lam[0] = 0.0
         return lam
+
+    def epoch_table(self, state):
+        """The epoch table for the state's current masks (see the class doc)."""
+        key = state.in_v.tobytes() + state.in_u.tobytes()
+        tab = self._table
+        if tab is None or tab.key != key:
+            tab = self._table = _EpochTable(key, self.lambda_vector(state))
+        return tab
 
     def step(self, state, rng, record=False):
         """One exp(3) epoch; mutates and returns the state."""
@@ -206,27 +255,36 @@ class CouplingEngine:
     def _step_with_wait(self, state, wait, rng, record):
         state.clock += wait
         state.step += 1
-        lam = self.lambda_vector(state)
-        s_lam = float(lam.sum())
-        if 2.0 / 3.0 - s_lam / 3.0 < -1e-12:
-            raise RuntimeError("null-outcome probability went negative")
+        tab = self.epoch_table(state)
         eta = rng.random()
         kind, value, color = "null", "", ""
-        if eta < s_lam / 3.0:
-            cum = np.cumsum(lam) / 3.0
-            i = int(np.searchsorted(cum, eta, side="right"))
+        if eta < tab.s3:
+            i = int(np.searchsorted(tab.urn_cum(), eta, side="right"))
             state.in_u[i] = True
             kind, value, color = "urn", str(i), "blue"
-        elif eta < s_lam / 3.0 + self.edge_cum[-1] / 3.0:
-            k = int(np.searchsorted(self.edge_cum / 3.0, eta - s_lam / 3.0,
+        elif eta < tab.s3 + self._e3:
+            k = int(np.searchsorted(self._edge_cum3, eta - tab.s3,
                                     side="right"))
             i, j = int(self.spec.ei[k]), int(self.spec.ej[k])
             color = self._apply_edge(state, i, j, rng)
             kind, value = "edge", f"{i}-{j}"
         if record:
-            state.log.append((state.step, state.clock, kind, value, color,
-                              int(state.in_v.sum()), int(state.in_u.sum()),
-                              state.sets_equal()))
+            if kind != "null":
+                tab = self.epoch_table(state)
+            state.log.append((state.step, state.clock, kind, value, color)
+                             + tab.counts())
+
+
+def _engine(spec):
+    """The one coupling engine of ``spec``, built on first use.
+
+    Its cache key is not one that ``normalize()`` copies, so a normalized copy
+    builds its own.
+    """
+    eng = spec._cache.get("coupling_engine")
+    if eng is None:
+        eng = spec._cache["coupling_engine"] = CouplingEngine(spec)
+    return eng
 
 
 def coupling_lambda(state, spec, i):
@@ -234,15 +292,15 @@ def coupling_lambda(state, spec, i):
     i = int(i)
     if state.in_u[i]:
         raise ValueError(f"vertex {i} is already in the urn set")
-    return float(CouplingEngine(spec).lambda_vector(state)[i])
+    return float(_engine(spec).epoch_table(state).lam[i])
 
 
 def coupling_step(state, spec, rng):
-    return CouplingEngine(spec).step(state, rng)
+    return _engine(spec).step(state, rng)
 
 
 def run_coupling(spec, horizon_t, rng, record=False):
-    return CouplingEngine(spec).run(horizon_t, rng, record=record)
+    return _engine(spec).run(horizon_t, rng, record=record)
 
 
 def coupling_rate_audit(state, spec, i, engine=None):
@@ -251,12 +309,12 @@ def coupling_rate_audit(state, spec, i, engine=None):
     Sums, over the urn outcome and every edge outcome containing i, the
     probability that urn i is filled (coin branches count 1/2).
     """
-    eng = engine or CouplingEngine(spec)
+    eng = engine or _engine(spec)
     i = int(i)
     if state.in_u[i]:
         raise ValueError(f"vertex {i} is already in the urn set")
     in_v, in_u = state.in_v, state.in_u
-    total = float(eng.lambda_vector(state)[i])  # blue
+    total = float(eng.epoch_table(state).lam[i])  # blue
     row = eng.mat[i]
     for j in np.nonzero(row)[0]:
         mu = row[j]
@@ -276,8 +334,7 @@ def coupling_rate_audit(state, spec, i, engine=None):
 
 def prob_urn_without_vertex(state, spec, engine=None):
     """Per-epoch probability of a blue outcome for an i outside the vertex set."""
-    eng = engine or CouplingEngine(spec)
-    lam = eng.lambda_vector(state)
+    lam = (engine or _engine(spec)).epoch_table(state).lam
     mask = ~state.in_v
     mask[0] = False
     return float(lam[mask].sum()) / 3.0
@@ -285,8 +342,7 @@ def prob_urn_without_vertex(state, spec, engine=None):
 
 def prob_double_new_vertices(state, spec, engine=None):
     """Per-epoch probability that an edge outcome brings two new vertices."""
-    eng = engine or CouplingEngine(spec)
-    s = eng.spec
+    s = (engine or _engine(spec)).spec
     both_new = (~state.in_v[s.ei]) & (~state.in_v[s.ej])
     return float(s.w[both_new].sum()) / 3.0
 

@@ -1,5 +1,7 @@
 """Closed-form probabilities, series verdicts, moments and inequalities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -317,6 +319,12 @@ class TestAuxiliaryInequalities:
     def test_ratio_of_sums_zero_denominator(self):
         lo, ratio, hi, ok = check_ratio_of_sums([1, 1], [1, 0])
         assert hi == np.inf and ok
+
+    def test_ratio_of_sums_overflow_is_silent_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, ratio, hi, ok = check_ratio_of_sums([10.0], [5e-324])
+        assert lo == ratio == hi == np.inf and ok
 
     @given(st.lists(st.floats(0, 10), min_size=1, max_size=8),
            st.lists(st.floats(0, 10), min_size=1, max_size=8))

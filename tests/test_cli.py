@@ -48,6 +48,16 @@ class TestSimulate:
                 if ln and not ln.startswith("#")]
         assert len(body) == 4
 
+    @pytest.mark.parametrize("flag", [["--replicas", "5"],
+                                      ["--threads", "2"],
+                                      ["--format", "csv"]])
+    def test_unread_flags_rejected(self, tmp_path, single_edge_cfg, flag):
+        # simulate writes one trajectory; it takes no replica or thread count
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--measure", single_edge_cfg, "--horizon-t",
+                  "1", "--out", str(tmp_path / "traj.csv")] + flag)
+        assert exc.value.code == 2
+
     def test_missing_horizon_is_config_error(self, single_edge_cfg, capsys):
         rc = main(["simulate", "--measure", single_edge_cfg])
         assert rc == 2

@@ -38,6 +38,22 @@ class TestEstimateEvent:
             rep = mc.estimate_event(spec, ("I", e), 500.0, 20_000, 71 + trial)
             assert abs(rep.z_score) < 4
 
+    def test_degenerate_estimate_has_null_z(self, triangle):
+        # no edge arrives by 1e-9, so p-hat = 0 and the plug-in error is 0;
+        # z uses the null error sqrt(p (1 - p) / n) instead
+        rep = mc.estimate_event(triangle, ("I", (1, 2)), 1e-9, 100, 5)
+        assert rep.estimate == 0.0 and rep.std_error == 0.0
+        want = -(1 / 3) / np.sqrt((1 / 3) * (2 / 3) / 100)
+        assert rep.z_score == pytest.approx(want, rel=1e-12)
+        assert rep.z_score == pytest.approx(-7.07, abs=5e-3)
+
+    def test_certain_target_met_has_zero_z(self, single_edge, path):
+        rep = mc.estimate_event(single_edge, ("I", (1, 2)), 100.0, 5_000, 0)
+        assert rep.z_score == 0.0
+        rep = mc.estimate_event(path, ("I_joint", (1, 2), (2, 3)),
+                                200.0, 500, 3)
+        assert rep.z_score == 0.0
+
     def test_unknown_event_rejected(self, triangle):
         with pytest.raises(ValueError):
             mc.estimate_event(triangle, ("nope",), 1.0, 10, 0)

@@ -1,5 +1,6 @@
 """Urn schemes, the coupled vertex/urn construction, and product criteria."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -17,6 +18,7 @@ from edgeproc.urns import (
     UrnScheme,
     coupling_lambda,
     coupling_rate_audit,
+    coupling_step,
     essential_completeness_product,
     prob_double_new_vertices,
     prob_urn_without_vertex,
@@ -234,6 +236,112 @@ class TestRateAudit:
                 i = int(rng.choice(free))
                 assert abs(coupling_rate_audit(state, spec, i, engine=eng)
                            - spec.marginals[i]) < 1e-12
+
+
+def coupling_digest(eng, seeds=(1, 2, 3), runs=100):
+    """Hash of recorded runs to t = 5 and of a recorded 30-step sequence:
+    logs, final masks, clocks and step counts."""
+    h = hashlib.sha256()
+
+    def add(state):
+        h.update(repr(state.log).encode())
+        h.update(state.in_v.tobytes())
+        h.update(state.in_u.tobytes())
+        h.update(repr((state.clock, state.step)).encode())
+    for s in seeds:
+        for r in range(runs):
+            add(eng.run(5.0, replica_rng(s, r), record=True))
+    state, rng = eng.new_state(), replica_rng(9, 0)
+    for _ in range(30):
+        eng.step(state, rng, record=True)
+    add(state)
+    return h.hexdigest()
+
+
+class TestEpochTable:
+    # digests of coupling_digest taken before the engine cached lambda
+    # between epochs; the cache must leave every trajectory bit-identical
+    GOLDEN = {
+        "K6":
+            "f6acf40fb13fbdd6a3975c5985d415cff6d5433b54661eb8b5739c27811e6a9b",
+        "power_law_3.0_12":
+            "2582a1999853e0494f4997f02cc1fdfc108d860a52d36ccf352c6c1241803bd3",
+        "power_law_2.5_200":
+            "0dcad061c903b13529607b6007e50dbbf16111855c34557c0c58b4c712b2f631",
+    }
+    SPECS = {
+        "K6": lambda: k_n_spec(6),
+        "power_law_3.0_12": lambda: power_law_product(3.0, 12, True),
+        "power_law_2.5_200": lambda: power_law_product(2.5, 200, True),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_runs_match_golden(self, name):
+        eng = CouplingEngine(self.SPECS[name]())
+        assert coupling_digest(eng) == self.GOLDEN[name]
+
+    def test_direct_mask_writes_between_steps(self):
+        # writes to the public masks must reach the next epoch exactly as a
+        # fresh state with the same masks on a fresh engine sees them
+        spec = power_law_product(3.0, 12, normalize=True)
+        eng = CouplingEngine(spec)
+        for k in range(200):
+            rng = replica_rng(73, k)
+            state = random_reachable_state(eng, rng)
+            eng.step(state, rng)
+            flip = np.random.default_rng(k).random((2, spec.n_max + 1)) < 0.2
+            flip[:, 0] = False
+            if k % 3 != 1:
+                state.in_v[flip[0]] = True
+            if k % 3 != 2:
+                state.in_u[flip[1]] = True
+            twin = CouplingState(in_v=state.in_v.copy(),
+                                 in_u=state.in_u.copy(),
+                                 step=state.step, clock=state.clock)
+            fresh = CouplingEngine(spec)
+            for _ in range(3):
+                eng.step(state, replica_rng(74, k), record=True)
+                fresh.step(twin, replica_rng(74, k), record=True)
+            assert state.log == twin.log
+            assert np.array_equal(state.in_v, twin.in_v)
+            assert np.array_equal(state.in_u, twin.in_u)
+
+    def test_table_matches_lambda_vector(self):
+        spec = k_n_spec(6)
+        eng = CouplingEngine(spec)
+        rng = replica_rng(75, 0)
+        state = eng.new_state()
+        for _ in range(40):
+            eng.step(state, rng)
+            tab = eng.epoch_table(state)
+            assert np.array_equal(tab.lam, eng.lambda_vector(state))
+            assert not tab.lam.flags.writeable
+
+    def test_wrappers_share_one_engine(self, monkeypatch):
+        built = []
+        init = CouplingEngine.__init__
+
+        def counting(self, spec):
+            built.append(spec)
+            init(self, spec)
+        monkeypatch.setattr(CouplingEngine, "__init__", counting)
+        spec = k_n_spec(4)
+        state = CouplingState.empty(4)
+        assert coupling_lambda(state, spec, 1) == coupling_lambda(state,
+                                                                  spec, 2)
+        assert len(built) == 1
+        run_coupling(spec, 1.0, replica_rng(76, 0))
+        coupling_step(state, spec, replica_rng(76, 1))
+        free = int(np.nonzero(~state.in_u[1:])[0][0]) + 1
+        coupling_rate_audit(state, spec, free)
+        prob_urn_without_vertex(state, spec)
+        prob_double_new_vertices(state, spec)
+        assert len(built) == 1
+        # a normalized copy does not inherit the engine of its source
+        raw = power_law_product(2.5, 10)
+        coupling_lambda(CouplingState.empty(10), raw, 1)
+        coupling_lambda(CouplingState.empty(10), raw.normalize(), 1)
+        assert len(built) == 3
 
 
 class TestDomination:
