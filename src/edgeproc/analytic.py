@@ -151,7 +151,7 @@ def connectedness_series(spec, window=None):
     """
     window = int(window or spec.n_max)
     marg = spec.marginals.M
-    inside = (spec.ei <= window) & (spec.ej <= window) & (spec.w > 0)
+    inside = (spec.ei <= window) & (spec.ej <= window)
     Me = marg[spec.ei[inside]] + marg[spec.ej[inside]] - spec.w[inside]
     partial = float(np.sum(spec.w[inside] / Me))
     if spec.family == "power_law_product":
@@ -214,7 +214,7 @@ def variance_sandwich(spec, t, window=None):
     """
     window = int(window or spec.n_max)
     lower = urn_variance(spec, t)
-    inside = (spec.ei <= window) & (spec.ej <= window) & (spec.w > 0)
+    inside = (spec.ei <= window) & (spec.ej <= window)
     marg = spec.marginals.M
     Mij = marg[spec.ei[inside]] + marg[spec.ej[inside]] - spec.w[inside]
     cov = np.exp(-Mij * t) * -np.expm1(-spec.w[inside] * t)

@@ -21,34 +21,46 @@ EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 
 
+# flags each subcommand reads, besides --seed (which every header records)
+_FLAGS = {
+    "simulate": ("measure", "horizon-t", "horizon-n", "out"),
+    "analytic": ("measure", "horizon-t", "window", "out"),
+    "series": ("measure", "window", "out"),
+    "clt": ("measure", "horizon-t", "replicas", "threads", "out"),
+    "urns": ("measure", "window", "out"),
+    "complete": ("measure", "window", "out"),
+    "couple": ("measure", "horizon-t", "out"),
+    "verify": ("threads",),
+}
+_OPTIONS = {
+    "measure": {"help": "path to a measure config file"},
+    "horizon-t": {"type": float, "default": None},
+    "horizon-n": {"type": int, "default": None},
+    "window": {"type": int, "default": None},
+    "out": {"default": None},
+    "replicas": {"type": int, "default": 10_000},
+    "threads": {"type": int, "default": 1},
+}
+
+
 def _parser():
     p = argparse.ArgumentParser(prog="edgeproc",
                                 description="edge-driven random graph toolkit")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "analytic", "series", "clt", "urns", "complete",
-                 "couple", "verify"):
+    for name, flags in _FLAGS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--measure", help="path to a measure config file")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--horizon-t", type=float, default=None)
-        sp.add_argument("--horizon-n", type=int, default=None)
-        sp.add_argument("--window", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        if name == "clt":
-            sp.add_argument("--replicas", type=int, default=10_000)
-        if name in ("clt", "verify"):
-            sp.add_argument("--threads", type=int, default=1)
-        if name == "verify":
-            sp.add_argument("--suite", default="all")
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **_OPTIONS[flag])
     return p
 
 
 def _header(args, spec):
     items = [
         f"command: {args.command} " + " ".join(args.argv[1:]),
-        f"config_hash: {spec.config_hash() if spec else 'none'}",
+        f"config_hash: {spec.config_hash()}",
         f"seed: {args.seed}",
-        f"window: {args.window if args.window else (spec.n_max if spec else '-')}",
+        f"window: {getattr(args, 'window', None) or spec.n_max}",
         f"version: edgeproc {__version__}",
     ]
     return items

@@ -35,7 +35,7 @@ __all__ = [
 
 NORMALIZATION_TOL = 1e-12
 # caches that do not depend on the total mass, so normalize() keeps them
-_SCALE_FREE = ("alias", "index", "vgroups")
+_SCALE_FREE = ("alias", "index", "vgroups", "vends")
 
 
 def edge(i, j):
@@ -67,9 +67,10 @@ class MeasureSpec:
     """A finitely-truncated edge measure.
 
     ``ei``/``ej``/``w`` are parallel arrays of the support edges (i < j,
-    sorted canonically) and their masses.  Immutable: sampling tables and
-    marginals are cached on first use and the spec can be shared freely
-    across parallel replicas.
+    sorted canonically) and their masses.  Edges given with zero mass never
+    arrive and are dropped on construction, so every stored mass is
+    positive.  Immutable: sampling tables and marginals are cached on first
+    use and the spec can be shared freely across parallel replicas.
     """
 
     family: str
@@ -94,6 +95,11 @@ class MeasureSpec:
             raise ValueError("total mass over the truncated support must be > 0")
         if self.normalized and abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"normalized flag set but total mass is {total!r}")
+        pos = self.w > 0
+        if not pos.all():
+            for name in ("ei", "ej", "w"):
+                object.__setattr__(self, name, getattr(self, name)[pos])
+            self._cache.clear()  # tables built for the unstripped arrays
 
     # -- basic queries ---------------------------------------------------
 
@@ -196,14 +202,12 @@ class MeasureSpec:
     # -- support topology ------------------------------------------------
 
     def support_connected(self):
-        """Connectivity verdict over positive-mass edges within the window.
+        """Connectivity verdict over the support edges within the window.
 
         The verdict is truncation-relative: connectedness of the untruncated
         infinite support cannot be decided from a finite window.
         """
-        pos = self.w > 0
-        a = self.ei[pos]
-        b = self.ej[pos]
+        a, b = self.ei, self.ej
         n = self.n_max + 1
         graph = coo_matrix((np.ones(len(a), dtype=np.int8), (a, b)),
                            shape=(n, n))
@@ -332,9 +336,8 @@ def first_rank(sigma, normalize=False):
     n_max = len(sigma)
     ei, ej = _window_pairs(n_max)
     w = sigma[ei - 1] * sigma[ej - 1]
-    keep = w > 0
-    spec = MeasureSpec("first_rank", {"sigma": sigma.tolist()},
-                       ei[keep], ej[keep], w[keep], n_max)
+    spec = MeasureSpec("first_rank", {"sigma": sigma.tolist()}, ei, ej, w,
+                       n_max)
     return spec.normalize() if normalize else spec
 
 
@@ -360,15 +363,14 @@ def double_exp(n_max, normalize=False):
     """
     ei, ej = _window_pairs(n_max)
     w = np.exp(-(3.0**ei) - (3.0**ej))
-    keep = w > 0
-    if not np.any(keep):
+    if not np.any(w > 0):
         raise ValueError("all masses underflow; reduce n_max")
     # tail over max(e) = m > n_max: exp(-3^m) * sum_{i<m} exp(-3^i)
     s = sum(math.exp(-(3.0**i)) for i in range(1, n_max + 1))
     m = n_max + 1
     first = math.exp(-(3.0**m)) * (s + math.exp(-(3.0**m)))
     off = 2.0 * first  # ratio of consecutive tail terms is astronomically small
-    spec = MeasureSpec("double_exp", {}, ei[keep], ej[keep], w[keep], n_max,
+    spec = MeasureSpec("double_exp", {}, ei, ej, w, n_max,
                        off_window_mass=off)
     return spec.normalize() if normalize else spec
 
@@ -378,9 +380,8 @@ def isolated_edges(weights, normalize=False):
     weights = np.asarray(weights, dtype=np.float64)
     k = np.arange(1, len(weights) + 1)
     ei, ej = 2 * k - 1, 2 * k
-    keep = weights > 0
     spec = MeasureSpec("isolated_edges", {"weights": weights.tolist()},
-                       ei[keep], ej[keep], weights[keep], int(2 * len(weights)))
+                       ei, ej, weights, int(2 * len(weights)))
     return spec.normalize() if normalize else spec
 
 

@@ -1,9 +1,16 @@
 """Replica orchestration and statistical verification.
 
 Every estimator draws per-replica RNG streams with the single splitting rule
-in :mod:`edgeproc.process` and reduces results in replica-index order, so
-reports are byte-identical regardless of worker count.  All empirical checks
-of tail properties target finite-horizon proxies; reports say so.
+in :mod:`edgeproc.process`, so reports are byte-identical regardless of
+worker count.  Replicas are drawn in blocks: row r of a ``(B, E)`` block
+holds replica k's exponential arrival times, exactly the values
+``replica_rng(seed, k).exponential(1 / w)`` returns, and estimators reduce
+whole blocks with array operations.  An edge opens a new component exactly
+when it is the first arrival at both of its endpoints (ties go to the lower
+edge index, as in a stable sort), so I-event estimates need no replay;
+only connectivity and essential completeness replay rows through
+``GraphState``.  All empirical checks of tail properties target
+finite-horizon proxies; reports say so.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ __all__ = [
     "variance_standard_error",
 ]
 
+# arrival times per replica block: B = max(1, _BLOCK_ELEMENTS // E) rows
+_BLOCK_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class EstimateReport:
@@ -59,19 +69,41 @@ class CltReport:
     low_variance_warning: bool
 
 
-def _chunked(replicas, threads, work):
-    """Run work(start, stop) over contiguous replica ranges; keep order."""
+def _draw_block(seed, a, b, scale):
+    """Exponential draws with the given scales for replicas a..b-1, one row
+    each: the same values as ``replica_rng(seed, k).exponential(scale)``."""
+    tau = np.empty((b - a, len(scale)))
+    for k in range(a, b):
+        replica_rng(seed, k).standard_exponential(out=tau[k - a])
+    tau *= scale
+    return tau
+
+
+def _map_blocks(seed, replicas, threads, scale, reduce):
+    """reduce(block) over every replica block, in replica order.
+
+    Threads take contiguous replica ranges; rows come from their own
+    streams, so neither the thread count nor the block size changes a
+    result.
+    """
+    rows = max(1, _BLOCK_ELEMENTS // len(scale))
+
+    def work(a, b):
+        # zero replicas still make one empty block, so outputs keep shape
+        return [reduce(_draw_block(seed, s, min(s + rows, b), scale))
+                for s in range(a, b, rows) or [a]]
+
     threads = max(int(threads), 1)
     if threads == 1:
-        return [work(0, replicas)]
+        return work(0, replicas)
     bounds = np.linspace(0, replicas, threads + 1).astype(int)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futs = [pool.submit(work, int(a), int(b))
                 for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        return [f.result() for f in futs]
+        return [part for f in futs for part in f.result()]
 
 
-# -- raw samples ---------------------------------------------------------
+# -- vertex first arrivals -----------------------------------------------
 
 
 def _vertex_groups(spec):
@@ -89,22 +121,56 @@ def _vertex_groups(spec):
     return g
 
 
+def _endpoint_groups(spec):
+    """Vertex group of each edge's two endpoints: a (2, E) array."""
+    ends = spec._cache.get("vends")
+    if ends is None:
+        ends = np.searchsorted(_vertex_groups(spec)[0],
+                               np.stack([spec.ei, spec.ej]))
+        spec._cache["vends"] = ends
+    return ends
+
+
+def _vertex_minima(groups, tau):
+    """First arrival time at every window vertex, per row: (B, V)."""
+    _, starts, eidx = groups
+    return np.minimum.reduceat(tau[:, eidx], starts, axis=1)
+
+
+def _first_arrivals(groups, ends, tau):
+    """(B, E) mask of I-events: edges that are the first arrival at both of
+    their endpoints, ties going to the lower edge index."""
+    uniq, starts, eidx = groups
+    vmin = _vertex_minima(groups, tau)
+    at_i = tau == vmin[:, ends[0]]
+    at_j = tau == vmin[:, ends[1]]
+    if np.count_nonzero(at_i) + np.count_nonzero(at_j) == vmin.size:
+        return at_i & at_j  # each vertex minimum is attained exactly once
+    # ties: the first arrival at a vertex is its lowest-index edge at the min
+    E = tau.shape[1]
+    group = np.repeat(np.arange(len(uniq)), np.diff(starts, append=2 * E))
+    at_min = tau[:, eidx] == vmin[:, group]
+    first = np.minimum.reduceat(np.where(at_min, eidx, E), starts, axis=1)
+    k = np.arange(E)
+    return (first[:, ends[0]] == k) & (first[:, ends[1]] == k)
+
+
+# -- raw samples ---------------------------------------------------------
+
+
+def _counts_below(x, ts):
+    """(len(ts), B): per row, how many entries of x are <= each t."""
+    return np.stack([np.count_nonzero(x <= t, axis=1) for t in ts])
+
+
 def vertex_count_samples(spec, ts, replicas, seed, threads=1):
     """|V_t| samples: shape (len(ts), replicas), from per-edge arrival draws."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    uniq, starts, eidx = _vertex_groups(spec)
-    inv_w = 1.0 / spec.w
-
-    def work(a, b):
-        out = np.empty((len(ts), b - a), dtype=np.int64)
-        for k in range(a, b):
-            rng = replica_rng(seed, k)
-            tau = rng.exponential(inv_w)
-            vmin = np.minimum.reduceat(tau[eidx], starts)
-            out[:, k - a] = np.sum(vmin[None, :] <= ts[:, None], axis=1)
-        return out
-
-    return np.concatenate(_chunked(replicas, threads, work), axis=1)
+    # built before the draws, so its temporaries never coexist with a block
+    groups = _vertex_groups(spec)
+    return np.concatenate(_map_blocks(
+        seed, replicas, threads, 1.0 / spec.w,
+        lambda tau: _counts_below(_vertex_minima(groups, tau), ts)), axis=1)
 
 
 def urn_count_samples(spec, ts, replicas, seed, threads=1):
@@ -112,50 +178,30 @@ def urn_count_samples(spec, ts, replicas, seed, threads=1):
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     M = spec.marginals.M[1:]
     M = M[M > 0]
-
-    def work(a, b):
-        out = np.empty((len(ts), b - a), dtype=np.int64)
-        for k in range(a, b):
-            rng = replica_rng(seed, k)
-            fill = rng.exponential(1.0 / M)
-            out[:, k - a] = np.sum(fill[None, :] <= ts[:, None], axis=1)
-        return out
-
-    return np.concatenate(_chunked(replicas, threads, work), axis=1)
+    return np.concatenate(_map_blocks(
+        seed, replicas, threads, 1.0 / M,
+        lambda fill: _counts_below(fill, ts)), axis=1)
 
 
 def vertex_presence_samples(spec, t, replicas, seed):
     """Boolean presence of every window vertex at time t: shape (replicas, V)."""
-    uniq, starts, eidx = _vertex_groups(spec)
-    inv_w = 1.0 / spec.w
-    out = np.empty((replicas, len(uniq)), dtype=bool)
-    for k in range(replicas):
-        rng = replica_rng(seed, k)
-        tau = rng.exponential(inv_w)
-        out[k] = np.minimum.reduceat(tau[eidx], starts) <= t
-    return out, uniq
+    groups = _vertex_groups(spec)
+    out = np.concatenate(_map_blocks(
+        seed, replicas, 1, 1.0 / spec.w,
+        lambda tau: _vertex_minima(groups, tau) <= t))
+    return out, groups[0]
 
 
 # -- event estimators ----------------------------------------------------
 
 
-def _replay_events(spec, tau, horizon, targets):
-    """Replay sorted arrivals; returns {edge: brought-two-new-vertices}."""
+def _replayed(spec, tau, horizon):
+    """GraphState after the arrivals of one row up to the horizon."""
     keep = np.nonzero(tau <= horizon)[0]
-    order = keep[np.argsort(tau[keep], kind="stable")]
-    seen = set()
-    hit = {}
-    want = set(targets)
-    for k in order:
-        i, j = int(spec.ei[k]), int(spec.ej[k])
-        new = (i not in seen) + (j not in seen)
-        seen.add(i)
-        seen.add(j)
-        if (i, j) in want and (i, j) not in hit:
-            hit[(i, j)] = new == 2
-            if len(hit) == len(want):
-                break
-    return hit
+    state = GraphState()
+    for kk in keep[np.argsort(tau[keep], kind="stable")]:
+        state.apply_event((int(spec.ei[kk]), int(spec.ej[kk])))
+    return state
 
 
 def estimate_event(spec, event, horizon, replicas, seed, threads=1):
@@ -168,7 +214,6 @@ def estimate_event(spec, event, horizon, replicas, seed, threads=1):
     standard error.
     """
     kind = event[0]
-    inv_w = 1.0 / spec.w
     if kind == "I":
         e = edge(*event[1])
         target = analytic.prob_Ie(spec, e)
@@ -179,35 +224,27 @@ def estimate_event(spec, event, horizon, replicas, seed, threads=1):
         targets = [e, f]
     elif kind in ("connected", "essentially_complete"):
         target = None
-        targets = None
     else:
         raise ValueError(f"unknown event descriptor {event!r}")
 
-    def work(a, b):
-        hits = 0
-        for k in range(a, b):
-            rng = replica_rng(seed, k)
-            tau = rng.exponential(inv_w)
-            if kind == "I":
-                got = _replay_events(spec, tau, horizon, targets)
-                hits += bool(got.get(targets[0], False))
-            elif kind == "I_joint":
-                got = _replay_events(spec, tau, horizon, targets)
-                hits += (got.get(targets[0], False)
-                         and got.get(targets[1], False))
-            else:
-                state = GraphState()
-                keep = np.nonzero(tau <= horizon)[0]
-                order = keep[np.argsort(tau[keep], kind="stable")]
-                for kk in order:
-                    state.apply_event((int(spec.ei[kk]), int(spec.ej[kk])))
-                if kind == "connected":
-                    hits += state.is_connected()
-                else:
-                    hits += state.is_essentially_complete()
-        return hits
+    if target is None:
+        holds = (GraphState.is_connected if kind == "connected"
+                 else GraphState.is_essentially_complete)
 
-    hits = sum(_chunked(replicas, threads, work))
+        def reduce(tau):
+            return sum(holds(_replayed(spec, row, horizon)) for row in tau)
+    else:
+        ks = [spec._index().get(t) for t in targets]
+        groups, ends = _vertex_groups(spec), _endpoint_groups(spec)
+
+        def reduce(tau):
+            if None in ks:  # an edge off the support never arrives
+                return 0
+            hit = (_first_arrivals(groups, ends, tau)[:, ks]
+                   & (tau[:, ks] <= horizon))
+            return int(np.count_nonzero(hit.all(axis=1)))
+
+    hits = sum(_map_blocks(seed, replicas, threads, 1.0 / spec.w, reduce))
     est = hits / replicas
     se = float(np.sqrt(est * (1.0 - est) / replicas))
     z = None
@@ -233,31 +270,27 @@ def connectivity_growth(spec, t_grid, replicas, seed, track_connectivity=True,
                         threads=1):
     """Mean cumulative new-component counts (and connected frequency) per t."""
     t_grid = np.asarray(t_grid, dtype=float)
-    inv_w = 1.0 / spec.w
-    G = len(t_grid)
+    groups, ends = _vertex_groups(spec), _endpoint_groups(spec)
 
-    def work(a, b):
-        i_counts = np.zeros((G,), dtype=np.float64)
-        conn = np.zeros((G,), dtype=np.float64)
-        for k in range(a, b):
-            rng = replica_rng(seed, k)
-            tau = rng.exponential(inv_w)
-            keep = np.nonzero(tau <= t_grid[-1])[0]
-            order = keep[np.argsort(tau[keep], kind="stable")]
-            times = tau[order]
-            state = GraphState()
-            ptr = 0
-            for gi, t in enumerate(t_grid):
-                while ptr < len(order) and times[ptr] <= t:
-                    kk = order[ptr]
-                    state.apply_event((int(spec.ei[kk]), int(spec.ej[kk])))
-                    ptr += 1
-                i_counts[gi] += state.i_event_count
-                if track_connectivity:
+    def reduce(tau):
+        i_times = np.sort(tau[_first_arrivals(groups, ends, tau)])
+        i_counts = np.searchsorted(i_times, t_grid, side="right")
+        conn = np.zeros(len(t_grid), dtype=np.int64)
+        if track_connectivity:
+            for row in tau:
+                keep = np.nonzero(row <= t_grid[-1])[0]
+                order = keep[np.argsort(row[keep], kind="stable")]
+                stops = np.searchsorted(row[order], t_grid, side="right")
+                state, ptr = GraphState(), 0
+                for gi, stop in enumerate(stops):
+                    for kk in order[ptr:stop]:
+                        state.apply_event((int(spec.ei[kk]),
+                                           int(spec.ej[kk])))
+                    ptr = stop
                     conn[gi] += state.is_connected()
         return i_counts, conn
 
-    parts = _chunked(replicas, threads, work)
+    parts = _map_blocks(seed, replicas, threads, 1.0 / spec.w, reduce)
     i_counts = sum(p[0] for p in parts) / replicas
     conn = sum(p[1] for p in parts) / replicas
     return i_counts, conn

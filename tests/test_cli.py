@@ -159,3 +159,24 @@ class TestVerify:
         assert rc == 0
         assert "[FAIL]" not in out
         assert out.count("[PASS]") >= 6
+
+    @pytest.mark.parametrize("flag", [["--suite", "all"],
+                                      ["--measure", "x"]])
+    def test_unread_flags_rejected(self, flag):
+        # verify runs fixed built-in checks: it reads no suite or measure
+        with pytest.raises(SystemExit) as exc:
+            main(["verify"] + flag)
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("series", ["--horizon-t", "1"]),
+    ("urns", ["--horizon-n", "3"]),
+    ("simulate", ["--window", "4"]),
+    ("couple", ["--window", "4"]),
+    ("clt", ["--horizon-n", "3"]),
+])
+def test_flags_only_where_read(command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command] + flag)
+    assert exc.value.code == 2

@@ -344,6 +344,55 @@ class TestFamilies:
         assert 0 < big < small
 
 
+class TestZeroMassEdges:
+    """Edges with zero mass, given or underflowed, are dropped on
+    construction; every stored mass is positive."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: explicit([((1, 2), 1.0), ((2, 3), 0.0), ((3, 4), 1.0)]),
+        lambda: first_rank([1.0, 0.0, 0.5, 0.25]),
+        lambda: isolated_edges([1.0, 0.0, 2.0]),
+        lambda: factorial_max(90),
+        lambda: double_exp(8),
+    ])
+    def test_only_positive_masses_stored(self, make):
+        spec = make()
+        assert np.all(spec.w > 0)
+        assert len(spec.ei) == len(spec.ej) == len(spec.w)
+
+    def test_stripped_edges_leave_the_support(self):
+        spec = first_rank([1.0, 0.0, 0.5, 0.25])
+        assert all(2 not in e for e in spec.edges)
+        assert spec.mass((1, 2)) == 0.0
+        assert spec.n_max == 4 and spec.marginals[2] == 0.0
+
+    def test_underflowed_family_keeps_its_window(self):
+        spec = factorial_max(90)
+        assert spec.n_max == 90
+        assert spec.n_edges < 90 * 89 // 2
+
+    def test_normalized_copy_keeps_positive_masses(self):
+        spec = explicit([((1, 2), 1.0), ((2, 3), 0.0), ((3, 4), 3.0)],
+                        normalize=True)
+        assert spec.edges == [(1, 2), (3, 4)]
+        assert spec.w.tolist() == [0.25, 0.75]
+
+    def test_mass_underflowing_in_normalize_is_dropped_with_caches(self):
+        spec = explicit([((1, 2), 5e-324), ((2, 3), 10.0)])
+        spec.mass((1, 2))
+        spec.sample_edge_indices(1, replica_rng(0, 0))
+        _vertex_groups(spec)
+        norm = spec.normalize()  # 5e-324 / 10 rounds to 0
+        assert norm.edges == [(2, 3)]
+        assert norm.mass((2, 3)) == 1.0 and norm.mass((1, 2)) == 0.0
+        assert np.all(norm.sample_edge_indices(20, replica_rng(0, 1)) == 0)
+        assert len(_vertex_groups(norm)[0]) == 2
+
+    def test_all_zero_rejected(self):
+        with pytest.raises(ValueError, match="total mass"):
+            explicit([((1, 2), 0.0)])
+
+
 class TestConfigFiles:
     def test_round_trip_all_families(self, tmp_path):
         cfgs = [

@@ -1,0 +1,231 @@
+"""Block-vectorized estimators: golden outputs, ties, threads, block size."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from edgeproc import analytic, montecarlo as mc
+from edgeproc.graphstate import GraphState
+from edgeproc.measure import explicit, factorial_max, power_law_product
+from edgeproc.process import replica_rng
+
+from conftest import path_spec, random_explicit_spec, triangle_spec
+
+# spec factory, horizon T, event edges (I target, I_joint pair); the growth
+# grids run to 2T
+SPECS = {
+    "triangle": (triangle_spec, 1.0, (1, 2), ((1, 2), (2, 3))),
+    "path": (path_spec, 1.5, (2, 3), ((1, 2), (3, 4))),
+    "factorial_max_8": (lambda: factorial_max(8), 40.0, (1, 3),
+                        ((1, 2), (3, 4))),
+    "random_explicit": (
+        lambda: random_explicit_spec(np.random.default_rng(404),
+                                     max_vertex=9, n_edges=14),
+        0.8, None, None),
+    "power_law_2.5_30": (lambda: power_law_product(2.5, 30), 6.0, (1, 2),
+                         ((1, 2), (3, 4))),
+}
+
+
+def _digest(value):
+    h = hashlib.sha256()
+    for v in value if isinstance(value, tuple) else (value,):
+        if isinstance(v, np.ndarray):
+            h.update(repr((v.dtype.str, v.shape)).encode())
+            h.update(np.ascontiguousarray(v).tobytes())
+        else:
+            h.update(repr(v).encode())
+    return h.hexdigest()[:20]
+
+
+def estimator_outputs(name, threads):
+    """{estimator: digest} for fixed seeds on one of SPECS."""
+    make, T, e, pair = SPECS[name]
+    spec = make()
+    if e is None:  # the random spec: its first edge and a disjoint edge
+        edges = spec.edges
+        e = edges[0]
+        pair = (e, next(f for f in edges if not set(f) & set(e)))
+    return outputs(spec, T, e, pair, threads)
+
+
+def outputs(spec, T, e, pair, threads):
+    """{estimator: digest} of every estimator on spec at fixed seeds."""
+    grid = np.linspace(0.1, 2.0, 7) * T
+    kw = {"threads": threads}
+    out = {
+        "I": mc.estimate_event(spec, ("I", e), T, 400, 11, **kw),
+        "I_joint": mc.estimate_event(spec, ("I_joint", *pair), T, 400, 12,
+                                     **kw),
+        "connected": mc.estimate_event(spec, ("connected",), T, 150, 13, **kw),
+        "essentially_complete": mc.estimate_event(
+            spec, ("essentially_complete",), T, 150, 14, **kw),
+        "connectivity_growth": mc.connectivity_growth(spec, grid, 150, 15,
+                                                      **kw),
+        "i_event_growth": mc.i_event_growth(spec, grid, 300, 16, **kw),
+        "vertex_count_samples": mc.vertex_count_samples(spec, grid, 300, 17,
+                                                        **kw),
+        "urn_count_samples": mc.urn_count_samples(spec, grid, 300, 18, **kw),
+        "clt_diagnostic": mc.clt_diagnostic(spec, T, 300, 19, **kw),
+    }
+    if threads == 1:  # the only estimator without a thread count
+        out["vertex_presence_samples"] = mc.vertex_presence_samples(
+            spec, T, 300, 20)
+    return {k: _digest(v) for k, v in out.items()}
+
+
+# digests of estimator_outputs taken before the estimators reduced whole
+# replica blocks; every output must stay bit-identical
+GOLDEN = {
+    "factorial_max_8": {
+        "I": "7f14b1725420972c69e8",
+        "I_joint": "fc291f531ba8b0c0ce08",
+        "clt_diagnostic": "ba29aa4f220ea8107eac",
+        "connected": "1e832deb716223db592a",
+        "connectivity_growth": "9a3de145d2836685d3c2",
+        "essentially_complete": "9c38a2fdc1e418bda1e8",
+        "i_event_growth": "4d9cdcd27e01fa6eddc2",
+        "urn_count_samples": "64c33a970997238b175c",
+        "vertex_count_samples": "9da6d2efeb4dfe8a3800",
+        "vertex_presence_samples": "8f3a6e84ae6bb5eb2cac",
+    },
+    "path": {
+        "I": "a1ff4982c42f1eede750",
+        "I_joint": "49ec03736591a8d51299",
+        "clt_diagnostic": "0c5107df529ba1e63121",
+        "connected": "b221d2818854ed4f3045",
+        "connectivity_growth": "2b39ddd02f9d95bc2186",
+        "essentially_complete": "823a40cf247c543e9521",
+        "i_event_growth": "c9809c45fa951624d7e7",
+        "urn_count_samples": "a7055933efdac7c43301",
+        "vertex_count_samples": "604d3dc9e032109875f8",
+        "vertex_presence_samples": "7e937da2d135707c5d12",
+    },
+    "power_law_2.5_30": {
+        "I": "7e9aea464be5144a0e98",
+        "I_joint": "6415596163e86dac018f",
+        "clt_diagnostic": "d9bdaa448ebdcb4038f6",
+        "connected": "dd8d84b553fdba72903a",
+        "connectivity_growth": "80bccd108f3decae8b77",
+        "essentially_complete": "89c716bc66b56eb2fecb",
+        "i_event_growth": "e503881e390911ed9837",
+        "urn_count_samples": "5bd678a2d1e5e2b27bf5",
+        "vertex_count_samples": "a3d9fabdc7fc8ce0cced",
+        "vertex_presence_samples": "e4e6a6ab0f189106ad72",
+    },
+    "random_explicit": {
+        "I": "c1d39dc919dd4a437860",
+        "I_joint": "ba743e4ee68a4d6416ff",
+        "clt_diagnostic": "b0b73ba5268c320cfea0",
+        "connected": "e3fb7c249ed7de2eacac",
+        "connectivity_growth": "494edb0a0596379d7279",
+        "essentially_complete": "8bcbc48859456fa4aa4d",
+        "i_event_growth": "5a95f814735e289e00a7",
+        "urn_count_samples": "733d4e201d70231d6261",
+        "vertex_count_samples": "6f6a0290fc6cb23553e3",
+        "vertex_presence_samples": "57eb381adc0e191f7b27",
+    },
+    "triangle": {
+        "I": "4d7ded8ed5edb8ca4c57",
+        "I_joint": "2f821628335daaa8c90e",
+        "clt_diagnostic": "6ff519e7bd8c29900ccc",
+        "connected": "543e4a6680c2215d7d35",
+        "connectivity_growth": "5697cf9a0788f6b26060",
+        "essentially_complete": "1abd392904f1a0073607",
+        "i_event_growth": "c0b0b82349c0b0650fdd",
+        "urn_count_samples": "2bdbefec36c488b0da62",
+        "vertex_count_samples": "52ff0adee33544a20a78",
+        "vertex_presence_samples": "92de42637d0d2054cd9b",
+    },
+}
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_outputs_match_golden(name, threads):
+    got = estimator_outputs(name, threads)
+    want = {k: v for k, v in GOLDEN[name].items() if k in got}
+    assert got == want
+
+
+def test_outputs_do_not_depend_on_block_size(monkeypatch):
+    # 10 elements: three-row blocks on the path, one-row blocks on the others
+    monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", 10)
+    for name in ("path", "random_explicit", "factorial_max_8"):
+        assert estimator_outputs(name, 1) == GOLDEN[name]
+
+
+def _block_shapes(monkeypatch):
+    shapes = []
+    draw = mc._draw_block
+
+    def spy(*args):
+        tau = draw(*args)
+        shapes.append(tau.shape)
+        return tau
+    monkeypatch.setattr(mc, "_draw_block", spy)
+    return shapes
+
+
+def test_wide_spec_is_drawn_in_one_row_blocks(monkeypatch):
+    spec = power_law_product(2.5, 400)
+    assert spec.n_edges > mc._BLOCK_ELEMENTS
+    shapes = _block_shapes(monkeypatch)
+    mc.vertex_count_samples(spec, [1.0], 3, 5)
+    assert shapes == [(1, spec.n_edges)] * 3
+
+
+def test_small_spec_is_drawn_in_one_block(monkeypatch, triangle):
+    shapes = _block_shapes(monkeypatch)
+    mc.estimate_event(triangle, ("I", (1, 2)), 1.0, 5_000, 5)
+    assert shapes == [(5_000, 3)]
+
+
+def test_block_rows_are_the_replica_draws():
+    spec = power_law_product(2.5, 12)
+    tau = mc._draw_block(3, 5, 25, 1.0 / spec.w)
+    for r, row in enumerate(tau):
+        want = replica_rng(3, 5 + r).exponential(1.0 / spec.w)
+        assert np.array_equal(row, want)
+
+
+def test_first_arrivals_match_stable_replay_with_ties():
+    spec = random_explicit_spec(np.random.default_rng(9), max_vertex=6,
+                                n_edges=10)
+    E = spec.n_edges
+    # arrival times from {1, 2, 3}: most rows tie at some vertex; the first
+    # rows tie everywhere, so edge index alone decides
+    tau = np.random.default_rng(10).integers(1, 4, size=(400, E)) * 1.0
+    tau[0] = 2.0
+    tau[1] = np.repeat([1.0, 2.0], [E // 2, E - E // 2])[::-1]
+    mask = mc._first_arrivals(mc._vertex_groups(spec),
+                              mc._endpoint_groups(spec), tau)
+    edges = spec.edges
+    for row, got in zip(tau, mask):
+        state = GraphState()
+        want = np.zeros(E, dtype=bool)
+        for k in np.argsort(row, kind="stable"):
+            want[k] = state.apply_event(edges[k])[1]
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_mass_edges_change_nothing():
+    items = [((1, 2), 0.7), ((2, 3), 0.4), ((3, 4), 0.9), ((1, 4), 0.2),
+             ((4, 5), 0.5)]
+    zero = [((1, 3), 0.0), ((5, 6), 0.0)]
+    bare = explicit(items, n_max=6)
+    spec = explicit(items + zero)
+    assert spec.n_max == bare.n_max and spec.edges == bare.edges
+    pair = ((1, 2), (3, 4))
+    assert (outputs(spec, 1.5, (2, 3), pair, 1)
+            == outputs(bare, 1.5, (2, 3), pair, 1))
+    assert (analytic.variance_sandwich(spec, 1.5)
+            == analytic.variance_sandwich(bare, 1.5))
+    assert (analytic.connectedness_series(spec)
+            == analytic.connectedness_series(bare))
+    assert spec.support_connected() == bare.support_connected()
+    # a zero-mass target never arrives and has target probability 0
+    rep = mc.estimate_event(spec, ("I", (1, 3)), 5.0, 200, 3)
+    assert rep.estimate == 0.0 and rep.target == 0.0 and rep.z_score == 0.0
