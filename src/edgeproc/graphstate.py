@@ -1,7 +1,8 @@
 """Evolving simple-graph state: connectivity, counts, new-component events.
 
 The state is monotone (vertices and edges only accumulate), so a union-find
-forest with path compression and union by size tracks components exactly.
+forest with path compression and union by size tracks components exactly;
+``replay`` reads whole trajectories with the kernels of ``process`` instead.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import edge
+from .process import component_merges
 
 __all__ = ["UnionFind", "GraphState", "replay", "snapshots_to_csv"]
 
@@ -130,9 +132,8 @@ def replay(trajectory):
     """Per-event snapshots (|V|, |E|, components, i_event_count).
 
     Reads the trajectory's columns: vertex and I-event counts are running
-    sums of its new-vertex counts, and only the first arrival of each simple
-    edge can change |E| or the components, so only those enter the
-    union-find.
+    sums of its new-vertex counts, and components are new vertices less the
+    merges made by the first arrival of each simple edge.
     """
     i, j, nv = trajectory.i, trajectory.j, trajectory.new_vertices
     if len(i) == 0:
@@ -142,16 +143,10 @@ def replay(trajectory):
     first = np.empty(len(i), dtype=bool)
     first[order] = np.concatenate(
         ([True], (si[1:] != si[:-1]) | (sj[1:] != sj[:-1])))
-    dsu = UnionFind()
-    comps = []
-    for a, b in zip(i[first].tolist(), j[first].tolist()):
-        dsu.add(a)
-        dsu.add(b)
-        dsu.union(a, b)
-        comps.append(dsu.n_components)
-    edges = np.cumsum(first)
-    return list(zip(np.cumsum(nv).tolist(), edges.tolist(),
-                    np.asarray(comps)[edges - 1].tolist(),
+    merged = np.zeros(len(i), dtype=bool)
+    merged[first] = component_merges(i[first], j[first])
+    return list(zip(np.cumsum(nv).tolist(), np.cumsum(first).tolist(),
+                    np.cumsum(nv - merged).tolist(),
                     np.cumsum(nv == 2).tolist()))
 
 

@@ -35,7 +35,7 @@ __all__ = [
 
 NORMALIZATION_TOL = 1e-12
 # caches that do not depend on the total mass, so normalize() keeps them
-_SCALE_FREE = ("alias", "index", "vgroups", "vends")
+_SCALE_FREE = ("alias", "index", "vgroups")
 
 
 def edge(i, j):
@@ -361,6 +361,8 @@ def double_exp(n_max, normalize=False):
     Raw double-exponential masses underflow float64 quickly; windows beyond
     n_max ~ 5 lose edges to underflow.
     """
+    if n_max < 2:
+        raise ValueError("double_exp needs a window of at least 2 vertices")
     ei, ej = _window_pairs(n_max)
     w = np.exp(-(3.0**ei) - (3.0**ej))
     if not np.any(w > 0):
@@ -397,7 +399,7 @@ def explicit(items, normalize=False, n_max=None):
     ej = [e[1] for e in seen]
     w = list(seen.values())
     ei, ej, w = _canonical_arrays(ei, ej, w)
-    window = int(max(n_max or 0, ej.max()))
+    window = int(max(n_max or 0, ej.max(initial=0, where=w > 0)))
     spec = MeasureSpec(
         "explicit",
         {"edges": [[int(a), int(b), float(m)] for a, b, m in zip(ei, ej, w)]},

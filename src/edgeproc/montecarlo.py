@@ -5,12 +5,12 @@ in :mod:`edgeproc.process`, so reports are byte-identical regardless of
 worker count.  Replicas are drawn in blocks: row r of a ``(B, E)`` block
 holds replica k's exponential arrival times, exactly the values
 ``replica_rng(seed, k).exponential(1 / w)`` returns, and estimators reduce
-whole blocks with array operations.  An edge opens a new component exactly
-when it is the first arrival at both of its endpoints (ties go to the lower
-edge index, as in a stable sort), so I-event estimates need no replay;
-only connectivity and essential completeness replay rows through
-``GraphState``.  All empirical checks of tail properties target
-finite-horizon proxies; reports say so.
+whole blocks with array operations.  Event estimators take a block's
+arrivals in time order (ties go to the lower edge index, as in a stable
+sort) and count I-events, components and completeness with the arrival
+kernels ``new_vertex_counts`` and ``component_merges``, so no row is
+replayed.  All empirical checks of tail properties target finite-horizon
+proxies; reports say so.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ import numpy as np
 from scipy.stats import kstest
 
 from . import analytic
-from .graphstate import GraphState
 from .measure import edge
-from .process import replica_rng
+from .process import component_merges, new_vertex_counts, replica_rng
 
 __all__ = [
     "EstimateReport",
@@ -103,7 +102,7 @@ def _map_blocks(seed, replicas, threads, scale, reduce):
         return [part for f in futs for part in f.result()]
 
 
-# -- vertex first arrivals -----------------------------------------------
+# -- vertex and edge arrivals --------------------------------------------
 
 
 def _vertex_groups(spec):
@@ -121,38 +120,35 @@ def _vertex_groups(spec):
     return g
 
 
-def _endpoint_groups(spec):
-    """Vertex group of each edge's two endpoints: a (2, E) array."""
-    ends = spec._cache.get("vends")
-    if ends is None:
-        ends = np.searchsorted(_vertex_groups(spec)[0],
-                               np.stack([spec.ei, spec.ej]))
-        spec._cache["vends"] = ends
-    return ends
-
-
 def _vertex_minima(groups, tau):
     """First arrival time at every window vertex, per row: (B, V)."""
     _, starts, eidx = groups
     return np.minimum.reduceat(tau[:, eidx], starts, axis=1)
 
 
-def _first_arrivals(groups, ends, tau):
-    """(B, E) mask of I-events: edges that are the first arrival at both of
-    their endpoints, ties going to the lower edge index."""
-    uniq, starts, eidx = groups
-    vmin = _vertex_minima(groups, tau)
-    at_i = tau == vmin[:, ends[0]]
-    at_j = tau == vmin[:, ends[1]]
-    if np.count_nonzero(at_i) + np.count_nonzero(at_j) == vmin.size:
-        return at_i & at_j  # each vertex minimum is attained exactly once
-    # ties: the first arrival at a vertex is its lowest-index edge at the min
-    E = tau.shape[1]
-    group = np.repeat(np.arange(len(uniq)), np.diff(starts, append=2 * E))
-    at_min = tau[:, eidx] == vmin[:, group]
-    first = np.minimum.reduceat(np.where(at_min, eidx, E), starts, axis=1)
-    k = np.arange(E)
-    return (first[:, ends[0]] == k) & (first[:, ends[1]] == k)
+def _arrivals(spec, tau, t_max):
+    """(rows, edges, times, i, j, new vertices) of the arrivals up to t_max in
+    a (B, E) block, row by row in time order, ties going to the lower edge
+    index.  Vertex v of row r becomes r * (n_max + 1) + v in i and j, so
+    rows share no vertex."""
+    rows, ks = np.nonzero(tau <= t_max)
+    counts = np.bincount(rows, minlength=len(tau))
+    starts = (np.cumsum(counts) - counts)[rows]
+    pos = np.arange(len(rows)) - starts
+    # each row sorts its own arrivals, padded with inf to the longest row
+    pad = np.full((len(tau), counts.max(initial=0)), np.inf)
+    pad[rows, pos] = tau[rows, ks]
+    ks = ks[starts + np.argsort(pad, axis=1, kind="stable")[rows, pos]]
+    off = rows * (spec.n_max + 1)
+    i, j = off + spec.ei[ks], off + spec.ej[ks]
+    return rows, ks, tau[rows, ks], i, j, new_vertex_counts(i, j)
+
+
+def _components(rows, t, i, j, nv, B, ts):
+    """(len(ts), B): the components of each row's graph at each time in ts."""
+    grow = nv - component_merges(i, j)
+    return np.stack([np.bincount(rows, weights=grow * (t <= s), minlength=B)
+                     for s in ts])
 
 
 # -- raw samples ---------------------------------------------------------
@@ -195,13 +191,26 @@ def vertex_presence_samples(spec, t, replicas, seed):
 # -- event estimators ----------------------------------------------------
 
 
-def _replayed(spec, tau, horizon):
-    """GraphState after the arrivals of one row up to the horizon."""
-    keep = np.nonzero(tau <= horizon)[0]
-    state = GraphState()
-    for kk in keep[np.argsort(tau[keep], kind="stable")]:
-        state.apply_event((int(spec.ei[kk]), int(spec.ej[kk])))
-    return state
+def _event_holds(spec, kind, ks, tau, horizon):
+    """Per row of a (B, E) block, whether the event holds at the horizon;
+    ks are the indices of the target edges of "I" and "I_joint"."""
+    rows, k, t, i, j, nv = _arrivals(spec, tau, horizon)
+    B = len(tau)
+    if kind == "connected":
+        return _components(rows, t, i, j, nv, B, [horizon])[0] == 1
+    if kind in ("I", "I_joint"):
+        first = np.zeros(tau.shape, dtype=bool)
+        first[rows[nv == 2], k[nv == 2]] = True
+        return first[:, ks].all(axis=1)
+    # the arrived vertices are {1..m}, m >= 2, and {1..m} or {1..m-1} is
+    # complete; either way every edge at vertex m joins it to the rest
+    m = np.bincount(rows, weights=nv, minlength=B)
+    top = np.zeros(B, dtype=np.int64)
+    np.maximum.at(top, rows, spec.ej[k])
+    n_edges = np.bincount(rows, minlength=B)
+    at_top = np.bincount(rows[spec.ej[k] == top[rows]], minlength=B)
+    return ((m >= 2) & (top == m) & ((n_edges == m * (m - 1) / 2)
+            | (n_edges - at_top == (m - 1) * (m - 2) / 2)))
 
 
 def estimate_event(spec, event, horizon, replicas, seed, threads=1):
@@ -223,28 +232,17 @@ def estimate_event(spec, event, horizon, replicas, seed, threads=1):
         target = analytic.prob_Ie_and_If(spec, e, f)
         targets = [e, f]
     elif kind in ("connected", "essentially_complete"):
-        target = None
+        target, targets = None, []
     else:
         raise ValueError(f"unknown event descriptor {event!r}")
 
-    if target is None:
-        holds = (GraphState.is_connected if kind == "connected"
-                 else GraphState.is_essentially_complete)
-
-        def reduce(tau):
-            return sum(holds(_replayed(spec, row, horizon)) for row in tau)
-    else:
-        ks = [spec._index().get(t) for t in targets]
-        groups, ends = _vertex_groups(spec), _endpoint_groups(spec)
-
-        def reduce(tau):
-            if None in ks:  # an edge off the support never arrives
-                return 0
-            hit = (_first_arrivals(groups, ends, tau)[:, ks]
-                   & (tau[:, ks] <= horizon))
-            return int(np.count_nonzero(hit.all(axis=1)))
-
-    hits = sum(_map_blocks(seed, replicas, threads, 1.0 / spec.w, reduce))
+    ks = [spec._index().get(t) for t in targets]
+    hits = 0  # an edge off the support never arrives
+    if None not in ks:
+        hits = int(sum(_map_blocks(
+            seed, replicas, threads, 1.0 / spec.w,
+            lambda tau: np.count_nonzero(_event_holds(
+                spec, kind, ks, tau, horizon)))))
     est = hits / replicas
     se = float(np.sqrt(est * (1.0 - est) / replicas))
     z = None
@@ -270,24 +268,14 @@ def connectivity_growth(spec, t_grid, replicas, seed, track_connectivity=True,
                         threads=1):
     """Mean cumulative new-component counts (and connected frequency) per t."""
     t_grid = np.asarray(t_grid, dtype=float)
-    groups, ends = _vertex_groups(spec), _endpoint_groups(spec)
 
     def reduce(tau):
-        i_times = np.sort(tau[_first_arrivals(groups, ends, tau)])
-        i_counts = np.searchsorted(i_times, t_grid, side="right")
+        rows, _, t, i, j, nv = _arrivals(spec, tau, t_grid.max())
+        i_counts = np.searchsorted(np.sort(t[nv == 2]), t_grid, side="right")
         conn = np.zeros(len(t_grid), dtype=np.int64)
         if track_connectivity:
-            for row in tau:
-                keep = np.nonzero(row <= t_grid[-1])[0]
-                order = keep[np.argsort(row[keep], kind="stable")]
-                stops = np.searchsorted(row[order], t_grid, side="right")
-                state, ptr = GraphState(), 0
-                for gi, stop in enumerate(stops):
-                    for kk in order[ptr:stop]:
-                        state.apply_event((int(spec.ei[kk]),
-                                           int(spec.ej[kk])))
-                    ptr = stop
-                    conn[gi] += state.is_connected()
+            conn = np.count_nonzero(
+                _components(rows, t, i, j, nv, len(tau), t_grid) == 1, axis=1)
         return i_counts, conn
 
     parts = _map_blocks(seed, replicas, threads, 1.0 / spec.w, reduce)
@@ -362,8 +350,7 @@ def depoissonization_agreement(spec, n, replicas, seed):
     if E > 10 or n > 3:
         raise ValueError("tuple histogramming needs <= 10 edges and n <= 3")
     norm = spec.normalize()
-    rng_d = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    rng_c = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    rng_d, rng_c = replica_rng(seed, 0), replica_rng(seed, 1)
     # discrete route: i.i.d. draws from the normalized measure
     draws = norm.sample_edge_indices(n * replicas, rng_d).reshape(replicas, n)
     # continuous route: full Poisson streams stopped at the n-th arrival

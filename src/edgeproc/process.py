@@ -15,11 +15,14 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 __all__ = [
     "ArrivalEvent",
     "Trajectory",
     "new_vertex_counts",
+    "component_merges",
     "run_discrete",
     "run_continuous",
     "depoissonize",
@@ -61,6 +64,20 @@ def new_vertex_counts(i, j):
     first[order[:1]] = True
     first[order[1:]] = srt[1:] != srt[:-1]
     return np.add(first[0::2], first[1::2], dtype=np.int64)
+
+
+def component_merges(i, j):
+    """For distinct edges (i[k], j[k]) in arrival order, whether arrival k
+    joins two components: the minimum spanning forest under weights 1..n
+    (Kruskal 1956; csgraph reads a stored 0 as no edge).  Vertex ids are
+    relabelled densely first, so large ids cost nothing."""
+    n = len(i)
+    ids, ends = np.unique(np.concatenate([i, j]), return_inverse=True)
+    forest = minimum_spanning_tree(coo_matrix(
+        (np.arange(1.0, n + 1), (ends[:n], ends[n:])), shape=(len(ids),) * 2))
+    merged = np.zeros(n, dtype=bool)
+    merged[forest.data.astype(np.int64) - 1] = True
+    return merged
 
 
 @dataclass(eq=False)

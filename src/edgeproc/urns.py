@@ -68,9 +68,6 @@ class UrnTrajectory:
     def occupied_count(self, t):
         return int(np.sum(self.fill_times <= t))
 
-    def occupied_set(self, t):
-        return set((np.nonzero(self.fill_times <= t)[0] + 1).tolist())
-
     def first_k_in_order(self, k):
         """True iff the first k distinct urns filled are urns 1..k in order."""
         order = np.argsort(self.fill_times, kind="stable")

@@ -136,6 +136,14 @@ class TestOtherCommands:
         assert rc == 0
         assert "partial_product" in out.read_text()
 
+    def test_urns_ignores_zero_mass_edges(self, tmp_path):
+        cfg = tmp_path / "explicit.json"
+        cfg.write_text(json.dumps({"family": "explicit", "edges": [
+            [1, 2, 1.0], [2, 3, 1.0], [3, 9, 0.0]]}))
+        out = tmp_path / "urns.txt"
+        assert main(["urns", "--measure", str(cfg), "--out", str(out)]) == 0
+        assert "partial_product" in out.read_text()
+
     def test_complete(self, tmp_path, plp_cfg):
         out = tmp_path / "complete.txt"
         rc = main(["complete", "--measure", plp_cfg, "--window", "8",

@@ -322,6 +322,11 @@ class TestFamilies:
         assert spec.mass((1, 2)) == pytest.approx(np.exp(-3.0) * np.exp(-9.0))
         assert spec.off_window_mass > 0
 
+    @pytest.mark.parametrize("n_max", [0, 1])
+    def test_double_exp_window_without_pairs_rejected(self, n_max):
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            double_exp(n_max)
+
     def test_isolated_edges_disjoint_support(self):
         spec = isolated_edges([1.0, 2.0, 3.0])
         assert spec.edges == [(1, 2), (3, 4), (5, 6)]
@@ -365,6 +370,11 @@ class TestZeroMassEdges:
         assert all(2 not in e for e in spec.edges)
         assert spec.mass((1, 2)) == 0.0
         assert spec.n_max == 4 and spec.marginals[2] == 0.0
+
+    def test_explicit_window_ends_at_the_last_positive_mass(self):
+        items = [((1, 2), 1.0), ((2, 3), 1.0), ((3, 9), 0.0)]
+        assert explicit(items).n_max == 3
+        assert explicit(items, n_max=9).n_max == 9
 
     def test_underflowed_family_keeps_its_window(self):
         spec = factorial_max(90)

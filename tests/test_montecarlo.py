@@ -175,6 +175,14 @@ class TestDepoissonization:
         d = mc.depoissonization_agreement(triangle, 1, 100_000, 18)
         assert d < 0.02
 
+    def test_golden_values(self, triangle, two_edges):
+        # taken when both routes built their SeedSequence streams by hand;
+        # replica streams 0 and 1 are the same streams
+        assert (mc.depoissonization_agreement(triangle, 3, 5_000, 21)
+                == 0.06680000000000001)
+        assert (mc.depoissonization_agreement(two_edges, 2, 3_000, 22)
+                == 0.02066666666666664)
+
     def test_rejects_large_supports(self):
         spec = power_law_product(2.5, 10)
         with pytest.raises(ValueError):

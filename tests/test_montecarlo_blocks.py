@@ -7,7 +7,12 @@ import pytest
 
 from edgeproc import analytic, montecarlo as mc
 from edgeproc.graphstate import GraphState
-from edgeproc.measure import explicit, factorial_max, power_law_product
+from edgeproc.measure import (
+    explicit,
+    factorial_max,
+    isolated_edges,
+    power_law_product,
+)
 from edgeproc.process import replica_rng
 
 from conftest import path_spec, random_explicit_spec, triangle_spec
@@ -190,24 +195,97 @@ def test_block_rows_are_the_replica_draws():
         assert np.array_equal(row, want)
 
 
+def _tie_block(spec, seed, rows=400):
+    """Arrival times from {1, 2, 3}: most rows tie at some vertex; the first
+    rows tie everywhere, so edge index alone decides."""
+    E = spec.n_edges
+    tau = np.random.default_rng(seed).integers(1, 4, size=(rows, E)) * 1.0
+    tau[0] = 2.0
+    tau[1] = np.repeat([1.0, 2.0], [E // 2, E - E // 2])[::-1]
+    return tau
+
+
+def _replay(spec, row, horizon=np.inf):
+    """Stable-sort GraphState replay of one row's arrivals up to the
+    horizon, and the mask of the arrivals that opened a component."""
+    state, opened = GraphState(), np.zeros(len(row), dtype=bool)
+    edges = spec.edges
+    for k in np.argsort(row, kind="stable"):
+        if row[k] <= horizon:
+            opened[k] = state.apply_event(edges[k])[1]
+    return state, opened
+
+
 def test_first_arrivals_match_stable_replay_with_ties():
     spec = random_explicit_spec(np.random.default_rng(9), max_vertex=6,
                                 n_edges=10)
-    E = spec.n_edges
-    # arrival times from {1, 2, 3}: most rows tie at some vertex; the first
-    # rows tie everywhere, so edge index alone decides
-    tau = np.random.default_rng(10).integers(1, 4, size=(400, E)) * 1.0
-    tau[0] = 2.0
-    tau[1] = np.repeat([1.0, 2.0], [E // 2, E - E // 2])[::-1]
-    mask = mc._first_arrivals(mc._vertex_groups(spec),
-                              mc._endpoint_groups(spec), tau)
-    edges = spec.edges
+    tau = _tie_block(spec, 10)
+    rows, ks, _, _, _, nv = mc._arrivals(spec, tau, np.inf)
+    mask = np.zeros(tau.shape, dtype=bool)
+    mask[rows[nv == 2], ks[nv == 2]] = True
     for row, got in zip(tau, mask):
-        state = GraphState()
-        want = np.zeros(E, dtype=bool)
-        for k in np.argsort(row, kind="stable"):
-            want[k] = state.apply_event(edges[k])[1]
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, _replay(spec, row)[1])
+
+
+# vertex gaps ({1, 2}, {3, 4}, {5, 6} and {1, 2}, {5, 6}), a complete
+# support and a random one
+EVENT_SPECS = {
+    "isolated_edges": lambda: isolated_edges([1.0, 0.5, 2.0]),
+    "gap": lambda: explicit([((1, 2), 1.0), ((5, 6), 1.0)]),
+    "factorial_max_5": lambda: factorial_max(5),
+    "random_explicit": lambda: random_explicit_spec(
+        np.random.default_rng(9), max_vertex=6, n_edges=10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVENT_SPECS))
+def test_event_flags_match_stable_replay(name):
+    spec = EVENT_SPECS[name]()
+    tau = _tie_block(spec, 11)
+    tau[2] = 4.0  # a row with no arrivals at any horizon below
+    subcases = set()
+    # the horizons equal arrival times, and 0.5 precedes every arrival
+    for horizon in (0.5, 1.0, 2.0, 3.0):
+        states, opened = zip(*(_replay(spec, row, horizon) for row in tau))
+        for kind in ("connected", "essentially_complete"):
+            want = [getattr(state, "is_" + kind)() for state in states]
+            got = mc._event_holds(spec, kind, [], tau, horizon)
+            assert got.tolist() == want, (kind, horizon)
+        for k in range(spec.n_edges):
+            got = mc._event_holds(spec, "I", [k], tau, horizon)
+            assert np.array_equal(got, np.array(opened)[:, k])
+        subcases |= {state.essential_completeness()[1] for state in states}
+    if name == "factorial_max_5":
+        assert {"exact-prefix", "extra-vertex"} <= subcases
+
+
+def test_growth_and_estimates_match_stable_replay(monkeypatch):
+    spec = EVENT_SPECS["random_explicit"]()
+    tau = _tie_block(spec, 12)
+    monkeypatch.setattr(mc, "_draw_block", lambda seed, a, b, scale: tau[a:b])
+    grid = [0.5, 1.0, 1.5, 2.0, 3.0]
+    states = [[_replay(spec, row, t)[0] for row in tau] for t in grid]
+    R = len(tau)
+    i_means, conn = mc.connectivity_growth(spec, grid, R, 0)
+    assert i_means.tolist() == [sum(s.i_event_count for s in row) / R
+                                for row in states]
+    want = [sum(s.is_connected() for s in row) / R for row in states]
+    assert conn.tolist() == want
+    assert [mc.estimate_event(spec, ("connected",), t, R, 0).estimate
+            for t in grid] == want
+    assert [mc.estimate_event(spec, ("essentially_complete",), t, R, 0)
+            .estimate for t in grid] == [
+        sum(s.is_essentially_complete() for s in row) / R for row in states]
+
+
+def test_growth_on_an_unsorted_grid():
+    spec = factorial_max(6)
+    grid = np.array([40.0, 5.0, 20.0])
+    rank = np.argsort(np.argsort(grid))
+    got = mc.connectivity_growth(spec, grid, 200, 3)
+    want = mc.connectivity_growth(spec, np.sort(grid), 200, 3)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w[rank])
 
 
 @pytest.mark.filterwarnings("error")
@@ -215,7 +293,7 @@ def test_zero_mass_edges_change_nothing():
     items = [((1, 2), 0.7), ((2, 3), 0.4), ((3, 4), 0.9), ((1, 4), 0.2),
              ((4, 5), 0.5)]
     zero = [((1, 3), 0.0), ((5, 6), 0.0)]
-    bare = explicit(items, n_max=6)
+    bare = explicit(items)
     spec = explicit(items + zero)
     assert spec.n_max == bare.n_max and spec.edges == bare.edges
     pair = ((1, 2), (3, 4))

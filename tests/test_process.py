@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from edgeproc.measure import explicit
 from edgeproc.process import (
+    component_merges,
     depoissonize,
     new_vertex_counts,
     replica_rng,
     run_continuous,
     run_discrete,
 )
-from edgeproc.graphstate import replay
+from edgeproc.graphstate import UnionFind, replay
 
 from conftest import (
     random_trajectories,
@@ -199,6 +202,39 @@ class TestNewVertexCounts:
                 assert ev.new_vertices == traj.new_vertices[k]
                 assert ev.new_component == (ev.new_vertices == 2)
             assert traj.edge_sequence() == [ev.edge for ev in traj.events]
+
+
+# distinct canonical edges on few vertices, so components merge often
+EDGE_LISTS = st.lists(
+    st.tuples(st.integers(1, 12), st.integers(1, 12))
+    .filter(lambda e: e[0] != e[1]).map(lambda e: (min(e), max(e))),
+    unique=True, max_size=40)
+
+
+class TestComponentMerges:
+    @staticmethod
+    def union_find(edges):
+        dsu = UnionFind()
+        merged = []
+        for a, b in edges:
+            dsu.add(a)
+            dsu.add(b)
+            merged.append(dsu.union(a, b))
+        return merged
+
+    @given(EDGE_LISTS, st.sampled_from([0, 10**12 - 6]))
+    @settings(max_examples=200, deadline=None)
+    def test_against_union_find(self, edges, shift):
+        edges = [(a + shift, b + shift) for a, b in edges]
+        i = np.array([a for a, _ in edges], dtype=np.int64)
+        j = np.array([b for _, b in edges], dtype=np.int64)
+        assert component_merges(i, j).tolist() == self.union_find(edges)
+
+    def test_single_edge_and_empty(self):
+        big = np.array([10**12], dtype=np.int64)
+        assert component_merges(big, big + 1).tolist() == [True]
+        empty = np.array([], dtype=np.int64)
+        assert component_merges(empty, empty).tolist() == []
 
 
 class TestGoldenCsv:
