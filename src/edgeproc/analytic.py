@@ -104,9 +104,12 @@ def prob_Ie_and_If(spec, e, f):
     if spec.mass(e) * spec.mass(f) == 0.0:
         return 0.0
     t = JointProbTerms.from_spec(spec, e, f)
-    b = t.b_ef
-    return t.c_e * t.c_f * (
-        1.0 - b / (t.a_e + b) - b / (t.a_f + b) + b / (t.a_e + t.a_f + b))
+    a, c, b = t.a_e, t.a_f, t.b_ef
+    # c_e c_f (1 - b/(a+b) - b/(c+b) + b/(a+c+b)) in positive terms: that
+    # sum cancels to below zero when b dominates, and these three factors
+    # are each scale-free, so unnormalized masses neither over- nor underflow
+    return ((t.mu_e / (a + b)) * (t.mu_f / (c + b))
+            * ((a + c + 2.0 * b) / (a + c + b)))
 
 
 def joint_ratio(spec, e, f):
@@ -141,6 +144,17 @@ class SeriesReport:
 _FINITE_FAMILIES = {"explicit", "isolated_edges", "first_rank"}
 
 
+def _edge_masses(spec, window):
+    """(mu_e, M_e) over the support edges inside {1, ..., window}; a window
+    that covers n_max selects every edge without copying one."""
+    ei, ej, w = spec.ei, spec.ej, spec.w
+    if window < spec.n_max:
+        inside = (ei <= window) & (ej <= window)
+        ei, ej, w = ei[inside], ej[inside], w[inside]
+    marg = spec.marginals.M
+    return w, marg[ei] + marg[ej] - w
+
+
 def connectedness_series(spec, window=None):
     """Partial sum of mass(e) / M_e over support edges within the window.
 
@@ -150,10 +164,8 @@ def connectedness_series(spec, window=None):
     families report "inconclusive".
     """
     window = int(window or spec.n_max)
-    marg = spec.marginals.M
-    inside = (spec.ei <= window) & (spec.ej <= window)
-    Me = marg[spec.ei[inside]] + marg[spec.ej[inside]] - spec.w[inside]
-    partial = float(np.sum(spec.w[inside] / Me))
+    w, Me = _edge_masses(spec, window)
+    partial = float(np.sum(w / Me))
     if spec.family == "power_law_product":
         gamma = spec.params["gamma"]
         if gamma > 2:
@@ -164,7 +176,7 @@ def connectedness_series(spec, window=None):
         verdict, basis = "converges-analytic", "finite support"
     else:
         verdict, basis = "inconclusive", "no analytic criterion for this family"
-    return SeriesReport(partial_sum=partial, terms_used=int(inside.sum()),
+    return SeriesReport(partial_sum=partial, terms_used=len(w),
                         window=window, verdict=verdict, verdict_basis=basis,
                         truncation_residue=spec.off_window_mass)
 
@@ -212,14 +224,11 @@ def variance_sandwich(spec, t, window=None):
     (ordered pairs i != j, i.e. each support edge twice); upper adds the
     connectedness partial sum instead.
     """
-    window = int(window or spec.n_max)
     lower = urn_variance(spec, t)
-    inside = (spec.ei <= window) & (spec.ej <= window)
-    marg = spec.marginals.M
-    Mij = marg[spec.ei[inside]] + marg[spec.ej[inside]] - spec.w[inside]
-    cov = np.exp(-Mij * t) * -np.expm1(-spec.w[inside] * t)
+    w, Mij = _edge_masses(spec, int(window or spec.n_max))
+    cov = np.exp(-Mij * t) * -np.expm1(-w * t)
     exact = lower + 2.0 * float(np.sum(cov))
-    upper = lower + float(np.sum(spec.w[inside] / Mij))
+    upper = lower + float(np.sum(w / Mij))
     return lower, exact, upper
 
 

@@ -163,11 +163,15 @@ def _respect_body(rep):
 def _cmd_urns(args):
     spec = _need_measure(args)
     window = args.window or spec.n_max
+    if not 1 <= window <= spec.n_max:
+        raise ConfigError(f"--window {window} is outside 1..{spec.n_max}")
     M = spec.marginals.M[1:window + 1]
     if np.any(M <= 0):
         raise ConfigError("urns needs positive marginal rates on the window; "
                           "shrink --window")
-    rep = urns.urns_in_order(M, tail_sum=spec.off_window_mass)
+    # the urns past the window still compete: their rates join the tail
+    tail = float(spec.marginals.M[window + 1:].sum()) + spec.off_window_mass
+    rep = urns.urns_in_order(M, tail_sum=tail)
     _write(args.out or "urns_report.txt", _header(args, spec),
            _respect_body(rep))
     return EXIT_OK
@@ -176,7 +180,10 @@ def _cmd_urns(args):
 def _cmd_complete(args):
     spec = _need_measure(args)
     blocks = (args.window or spec.n_max) - 1
-    rep = urns.essential_completeness_product(spec, blocks)
+    try:
+        rep = urns.essential_completeness_product(spec, blocks)
+    except ValueError as exc:
+        raise ConfigError(f"--window: {exc}")
     _write(args.out or "complete_report.txt", _header(args, spec),
            _respect_body(rep))
     return EXIT_OK

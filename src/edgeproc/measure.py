@@ -35,7 +35,7 @@ __all__ = [
 
 NORMALIZATION_TOL = 1e-12
 # caches that do not depend on the total mass, so normalize() keeps them
-_SCALE_FREE = ("alias", "index", "vgroups")
+_SCALE_FREE = ("alias", "index")
 
 
 def edge(i, j):
@@ -154,8 +154,8 @@ class MeasureSpec:
     def normalize(self):
         """Scale total truncated mass to 1.  No-op when already normalized.
 
-        The copy inherits the scale-free caches (alias table, edge index,
-        vertex groups) and a rescaled copy of cached marginals.
+        The copy inherits the scale-free caches (alias table and edge
+        index) and a rescaled copy of cached marginals.
         """
         if self.normalized:
             return self

@@ -9,8 +9,9 @@ whole blocks with array operations.  Event estimators take a block's
 arrivals in time order (ties go to the lower edge index, as in a stable
 sort) and count I-events, components and completeness with the arrival
 kernels ``new_vertex_counts`` and ``component_merges``, so no row is
-replayed.  All empirical checks of tail properties target finite-horizon
-proxies; reports say so.
+replayed.  Vertex presence scatters the endpoints of the arrivals into
+one column per support vertex, and vertex counts count it.  All empirical
+checks of tail properties target finite-horizon proxies; reports say so.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ def _map_blocks(seed, replicas, threads, scale, reduce):
     streams, so neither the thread count nor the block size changes a
     result.
     """
+    _check_replicas(replicas, 0)
     rows = max(1, _BLOCK_ELEMENTS // len(scale))
 
     def work(a, b):
@@ -102,28 +104,20 @@ def _map_blocks(seed, replicas, threads, scale, reduce):
         return [part for f in futs for part in f.result()]
 
 
+def _check_replicas(replicas, least):
+    if replicas < least:
+        raise ValueError(f"replicas must be at least {least}, got {replicas}")
+
+
+def _grid(ts, name):
+    """A time grid as a non-empty 1-d float array."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if ts.size == 0:
+        raise ValueError(f"{name} is empty: no time to sample at")
+    return ts
+
+
 # -- vertex and edge arrivals --------------------------------------------
-
-
-def _vertex_groups(spec):
-    """Edge indices grouped by endpoint, for reduceat vertex-arrival minima."""
-    g = spec._cache.get("vgroups")
-    if g is None:
-        E = len(spec.w)
-        verts = np.concatenate([spec.ei, spec.ej])
-        eidx = np.concatenate([np.arange(E), np.arange(E)])
-        order = np.argsort(verts, kind="stable")
-        verts, eidx = verts[order], eidx[order]
-        uniq, starts = np.unique(verts, return_index=True)
-        g = (uniq, starts, eidx)
-        spec._cache["vgroups"] = g
-    return g
-
-
-def _vertex_minima(groups, tau):
-    """First arrival time at every window vertex, per row: (B, V)."""
-    _, starts, eidx = groups
-    return np.minimum.reduceat(tau[:, eidx], starts, axis=1)
 
 
 def _arrivals(spec, tau, t_max):
@@ -154,6 +148,18 @@ def _components(rows, t, i, j, nv, B, ts):
 # -- raw samples ---------------------------------------------------------
 
 
+def _presence(spec, col, tau, t):
+    """(B, V): which support vertices an edge has reached by time t, per row
+    of a (B, E) block.  ``col`` is cumsum(M > 0) - 1 over the ids, so the
+    support ids (M_i > 0) take columns 0..V-1 in ascending order."""
+    rows, ks = np.divmod(np.flatnonzero(tau <= t), tau.shape[1])
+    pres = np.zeros((len(tau), col[-1] + 1), dtype=bool)
+    rows *= pres.shape[1]
+    pres.reshape(-1)[rows + col[spec.ei[ks]]] = True
+    pres.reshape(-1)[rows + col[spec.ej[ks]]] = True
+    return pres
+
+
 def _counts_below(x, ts):
     """(len(ts), B): per row, how many entries of x are <= each t."""
     return np.stack([np.count_nonzero(x <= t, axis=1) for t in ts])
@@ -161,17 +167,17 @@ def _counts_below(x, ts):
 
 def vertex_count_samples(spec, ts, replicas, seed, threads=1):
     """|V_t| samples: shape (len(ts), replicas), from per-edge arrival draws."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    # built before the draws, so its temporaries never coexist with a block
-    groups = _vertex_groups(spec)
+    ts = _grid(ts, "ts")
+    col = np.cumsum(spec.marginals.M > 0) - 1
     return np.concatenate(_map_blocks(
         seed, replicas, threads, 1.0 / spec.w,
-        lambda tau: _counts_below(_vertex_minima(groups, tau), ts)), axis=1)
+        lambda tau: np.stack([np.count_nonzero(_presence(spec, col, tau, t),
+                                               axis=1) for t in ts])), axis=1)
 
 
 def urn_count_samples(spec, ts, replicas, seed, threads=1):
     """|U_t| samples for the urn scheme with rates M_i."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ts = _grid(ts, "ts")
     M = spec.marginals.M[1:]
     M = M[M > 0]
     return np.concatenate(_map_blocks(
@@ -180,12 +186,13 @@ def urn_count_samples(spec, ts, replicas, seed, threads=1):
 
 
 def vertex_presence_samples(spec, t, replicas, seed):
-    """Boolean presence of every window vertex at time t: shape (replicas, V)."""
-    groups = _vertex_groups(spec)
+    """Presence of every support vertex at time t: a (replicas, V) boolean
+    array and the V vertex ids of its columns, ascending."""
+    col = np.cumsum(spec.marginals.M > 0) - 1
     out = np.concatenate(_map_blocks(
         seed, replicas, 1, 1.0 / spec.w,
-        lambda tau: _vertex_minima(groups, tau) <= t))
-    return out, groups[0]
+        lambda tau: _presence(spec, col, tau, t)))
+    return out, np.flatnonzero(spec.marginals.M)
 
 
 # -- event estimators ----------------------------------------------------
@@ -222,6 +229,7 @@ def estimate_event(spec, event, horizon, replicas, seed, threads=1):
     target is known; at an estimate of 0 or 1 it uses the null-hypothesis
     standard error.
     """
+    _check_replicas(replicas, 1)
     kind = event[0]
     if kind == "I":
         e = edge(*event[1])
@@ -267,7 +275,8 @@ def estimate_event(spec, event, horizon, replicas, seed, threads=1):
 def connectivity_growth(spec, t_grid, replicas, seed, track_connectivity=True,
                         threads=1):
     """Mean cumulative new-component counts (and connected frequency) per t."""
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _grid(t_grid, "t_grid")
+    _check_replicas(replicas, 1)
 
     def reduce(tau):
         rows, _, t, i, j, nv = _arrivals(spec, tau, t_grid.max())
@@ -318,6 +327,7 @@ def clt_diagnostic(spec, t, replicas, seed, normalization="exact", threads=1):
     either the exact analytic vertex-count variance ("exact") or the urn
     variance ("urn"), as requested.
     """
+    _check_replicas(replicas, 2)
     mean_a = analytic.expected_vertices(spec, t)
     if normalization == "exact":
         _, var_a, _ = analytic.variance_sandwich(spec, t)
@@ -325,6 +335,9 @@ def clt_diagnostic(spec, t, replicas, seed, normalization="exact", threads=1):
         var_a = analytic.urn_variance(spec, t)
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
+    if not var_a > 0:
+        raise ValueError(f"the analytic variance at t={t} is 0, so the counts "
+                         "cannot be standardized")
     counts = vertex_count_samples(spec, [t], replicas, seed, threads=threads)[0]
     std = (counts - mean_a) / np.sqrt(var_a)
     ks = float(kstest(std, "norm").statistic)

@@ -373,8 +373,12 @@ def respect_factor(block_lambdas, tail_mass, method=None):
     """P(every rate in the block beats an independent Exp(tail_mass) clock).
 
     Evaluates the integral of prod(1 - e^{-lambda t}) against the tail's
-    exponential density.  Subset inclusion-exclusion is exact and preferred
-    for blocks of <= 20 rates; adaptive quadrature is the fallback.
+    exponential density.  Subset inclusion-exclusion is the default for
+    blocks of <= 20 rates and adaptive quadrature the fallback.  Neither is
+    exact: the expansion's 2^k alternating terms cancel, and on rates in
+    (0.05, 0.3) with tail 4 its relative error measured 5e-8 at k = 8,
+    1.6e-4 at k = 14 and 2.2e-3 at k = 16 (quadrature: 3.8e-6, 1.4e-4 and
+    3.7e-4).  Small factors fare worst; a result below 0 is clamped to 0.
     """
     lam = np.asarray(block_lambdas, dtype=float)
     if tail_mass <= 0:
@@ -458,6 +462,8 @@ def _in_order_verdict(lam, n, tail_sum, factors):
 
 
 _COMPLETENESS_SUFFICIENT = {"factorial_max", "double_exp"}
+# families whose every pair has positive mass, so a missing pair underflowed
+_ALL_PAIRS = _COMPLETENESS_SUFFICIENT | {"power_law_product"}
 
 
 def essential_completeness_product(spec, blocks_used):
@@ -465,19 +471,22 @@ def essential_completeness_product(spec, blocks_used):
 
     Block n holds the masses of edges {i, n}, i < n; the tail rate is all
     mass on edges whose max endpoint exceeds n (window sum plus the family's
-    off-window bound).
+    off-window bound).  Blocks run over n = 2..blocks_used + 1, so they must
+    stay inside the window.  A pair of a block missing from the support has
+    zero mass, unless the family gives every pair positive mass: then it
+    underflowed, the family's verdict stands and the basis names the block.
     """
     blocks_used = int(blocks_used)
-    if blocks_used < 1:
-        raise ValueError("blocks_used must be at least 1")
-    factors, methods = [], []
-    zero_block = False
+    if not 1 <= blocks_used <= spec.n_max - 1:
+        raise ValueError(f"blocks_used must be in 1..{spec.n_max - 1} (the "
+                         f"window has {spec.n_max} vertices), got {blocks_used}")
+    factors, methods, zero_blocks = [], [], []
     for n in range(2, blocks_used + 2):
         lam = np.array([spec.mass((i, n)) for i in range(1, n)])
         tail = float(spec.w[np.maximum(spec.ei, spec.ej) > n].sum()) \
             + spec.off_window_mass
         if np.any(lam == 0):
-            zero_block = True
+            zero_blocks.append(n)
         if tail <= 0:
             factors.append(1.0 if np.all(lam > 0) else 0.0)
             methods.append("closed-form")
@@ -486,7 +495,7 @@ def essential_completeness_product(spec, blocks_used):
         factors.append(respect_factor(lam, tail, method=method))
         methods.append(method)
     product = float(np.prod(factors))
-    if zero_block:
+    if zero_blocks and spec.family not in _ALL_PAIRS:
         verdict = "zero-analytic"
         basis = "a block has zero mass; that vertex can never complete in order"
     elif spec.family in _COMPLETENESS_SUFFICIENT:
@@ -502,6 +511,9 @@ def essential_completeness_product(spec, blocks_used):
     else:
         verdict = "inconclusive"
         basis = "no analytic tail argument for this family"
+    if zero_blocks and spec.family in _ALL_PAIRS:
+        basis += (f"; pairs {{i, n}} of blocks n = {zero_blocks} underflow "
+                  "to 0 in float64, so their factors and the product read 0")
     return RespectReport(factors=tuple(factors), partial_product=product,
                          blocks_used=blocks_used, methods=tuple(methods),
                          verdict=verdict, verdict_basis=basis)

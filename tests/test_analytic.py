@@ -23,7 +23,7 @@ from edgeproc.analytic import (
     variance_sandwich,
     vertex_pair_cov,
 )
-from edgeproc.measure import explicit, power_law_product
+from edgeproc.measure import double_exp, explicit, power_law_product
 from edgeproc.process import replica_rng
 
 from conftest import random_explicit_spec, triangle_spec, path_spec
@@ -69,6 +69,23 @@ class TestProbJoint:
         got = prob_Ie_and_If(two_edges, (1, 2), (3, 4))
         want = prob_Ie(two_edges, (1, 2)) * prob_Ie(two_edges, (3, 4))
         assert abs(got - want) < 1e-12
+
+    def test_dominant_bridge_does_not_cancel(self):
+        # b_ef ~ e^-30 dwarfs mu_f = e^-108: the alternating-sign form gave
+        # -3.1e-19 here
+        spec = double_exp(5)
+        e, f = (1, 2), (3, 4)
+        joint = prob_Ie_and_If(spec, e, f)
+        assert joint > 0
+        assert joint == pytest.approx(
+            prob_Ie(spec, e) * prob_Ie(spec, f)
+            / joint_ratio_closed_form(spec, e, f), rel=1e-12)
+        assert 0.5 < joint_ratio(spec, e, f) <= 1.0
+
+    def test_unnormalized_masses_do_not_overflow(self, path):
+        big = explicit([((1, 2), 1e300), ((2, 3), 1e300), ((3, 4), 1e300)])
+        assert prob_Ie_and_If(big, (1, 2), (3, 4)) \
+            == prob_Ie_and_If(path, (1, 2), (3, 4))
 
     def test_independence_limit_random_specs(self):
         rng = np.random.default_rng(31)

@@ -144,6 +144,33 @@ class TestOtherCommands:
         assert main(["urns", "--measure", str(cfg), "--out", str(out)]) == 0
         assert "partial_product" in out.read_text()
 
+    @pytest.fixture
+    def path5_cfg(self, tmp_path):
+        p = tmp_path / "path5.json"
+        p.write_text(json.dumps({"family": "explicit", "edges": [
+            [1, 2, 1.0], [2, 3, 1.0], [3, 4, 1.0], [4, 5, 1.0]]}))
+        return str(p)
+
+    def test_urns_window_keeps_the_tail(self, tmp_path, path5_cfg):
+        # M = (1, 2, 2, 2, 1): the rates past the window stay in the tail
+        text = {}
+        for w in ("2", "5"):
+            out = tmp_path / f"urns{w}.txt"
+            assert main(["urns", "--measure", path5_cfg, "--window", w,
+                         "--out", str(out)]) == 0
+            text[w] = out.read_text()
+        for body in text.values():
+            assert "factor[1] = 0.125 (closed-form)" in body
+        assert "factor[2] = 0.2857142857142857" in text["2"]
+        assert "finite scheme" not in text["2"]
+        assert "finite scheme" in text["5"]
+
+    @pytest.mark.parametrize("command", ["urns", "complete"])
+    def test_window_past_the_measure_is_config_error(self, command,
+                                                     path5_cfg, capsys):
+        assert main([command, "--measure", path5_cfg, "--window", "6"]) == 2
+        assert "--window" in capsys.readouterr().err
+
     def test_complete(self, tmp_path, plp_cfg):
         out = tmp_path / "complete.txt"
         rc = main(["complete", "--measure", plp_cfg, "--window", "8",

@@ -19,7 +19,7 @@ from edgeproc.measure import (
     measure_from_dict,
     power_law_product,
 )
-from edgeproc.montecarlo import _vertex_groups
+from edgeproc.montecarlo import vertex_presence_samples
 from edgeproc.process import replica_rng
 
 from conftest import random_explicit_spec, triangle_spec
@@ -170,11 +170,12 @@ class TestNormalization:
         spec = power_law_product(2.5, 40)
         spec.sample_edge_indices(1, replica_rng(0, 0))
         spec.mass((1, 2))
-        _vertex_groups(spec)
         marg = spec.marginals
         norm = spec.normalize()
-        for key in ("alias", "index", "vgroups"):
+        for key in ("alias", "index"):
             assert norm._cache[key] is spec._cache[key]
+        assert np.array_equal(vertex_presence_samples(norm, 1.0, 2, 0)[1],
+                              vertex_presence_samples(spec, 1.0, 2, 0)[1])
         total = spec.total_mass
         assert np.allclose(norm.marginals.M, marg.M / total, rtol=1e-15)
         assert norm.marginals.total == pytest.approx(2.0, rel=1e-12)
@@ -391,12 +392,13 @@ class TestZeroMassEdges:
         spec = explicit([((1, 2), 5e-324), ((2, 3), 10.0)])
         spec.mass((1, 2))
         spec.sample_edge_indices(1, replica_rng(0, 0))
-        _vertex_groups(spec)
+        assert spec.marginals[1] > 0
         norm = spec.normalize()  # 5e-324 / 10 rounds to 0
         assert norm.edges == [(2, 3)]
         assert norm.mass((2, 3)) == 1.0 and norm.mass((1, 2)) == 0.0
         assert np.all(norm.sample_edge_indices(20, replica_rng(0, 1)) == 0)
-        assert len(_vertex_groups(norm)[0]) == 2
+        pres, verts = vertex_presence_samples(norm, 1.0, 3, 0)
+        assert verts.tolist() == [2, 3] and pres.shape == (3, 2)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="total mass"):

@@ -207,3 +207,37 @@ class TestDeterminism:
         a = mc.vertex_count_samples(triangle, [1.0], 1_000, 21, threads=1)
         b = mc.vertex_count_samples(triangle, [1.0], 1_000, 21, threads=5)
         assert np.array_equal(a, b)
+
+
+DEGENERATE = {
+    "event_no_replicas": (
+        lambda s: mc.estimate_event(s, ("I", (1, 2)), 1.0, 0, 0), "replicas"),
+    "growth_no_replicas": (
+        lambda s: mc.connectivity_growth(s, [1.0], 0, 0), "replicas"),
+    "growth_empty_grid": (
+        lambda s: mc.connectivity_growth(s, [], 10, 0), "t_grid"),
+    "counts_empty_grid": (
+        lambda s: mc.vertex_count_samples(s, [], 10, 0), "ts"),
+    "urns_empty_grid": (
+        lambda s: mc.urn_count_samples(s, [], 10, 0), "ts"),
+    "counts_negative_replicas": (
+        lambda s: mc.vertex_count_samples(s, [1.0], -1, 0), "replicas"),
+    "clt_zero_variance": (
+        lambda s: mc.clt_diagnostic(s, 0.0, 100, 0), "variance at t=0"),
+    "clt_one_replica": (
+        lambda s: mc.clt_diagnostic(s, 1.0, 1, 0), "replicas"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_inputs_name_the_bad_input(name, triangle):
+    call, match = DEGENERATE[name]
+    with pytest.raises(ValueError, match=match):
+        call(triangle)
+
+
+def test_samples_of_no_replicas_are_empty(triangle):
+    assert mc.vertex_count_samples(triangle, [0.5, 1.0], 0, 0).shape == (2, 0)
+    assert mc.urn_count_samples(triangle, [0.5, 1.0], 0, 0).shape == (2, 0)
+    pres, verts = mc.vertex_presence_samples(triangle, 1.0, 0, 0)
+    assert pres.shape == (0, 3) and verts.tolist() == [1, 2, 3]

@@ -81,11 +81,14 @@ def outputs(spec, T, e, pair, threads):
 
 
 # digests of estimator_outputs taken before the estimators reduced whole
-# replica blocks; every output must stay bit-identical
+# replica blocks; every output must stay bit-identical.  The "I_joint"
+# digests of factorial_max_8, power_law_2.5_30 and random_explicit were
+# re-taken when prob_Ie_and_If moved to its positive-term form: their
+# target and z_score changed in the last bits, their estimates did not
 GOLDEN = {
     "factorial_max_8": {
         "I": "7f14b1725420972c69e8",
-        "I_joint": "fc291f531ba8b0c0ce08",
+        "I_joint": "f5a24605b3401b3a36b6",
         "clt_diagnostic": "ba29aa4f220ea8107eac",
         "connected": "1e832deb716223db592a",
         "connectivity_growth": "9a3de145d2836685d3c2",
@@ -109,7 +112,7 @@ GOLDEN = {
     },
     "power_law_2.5_30": {
         "I": "7e9aea464be5144a0e98",
-        "I_joint": "6415596163e86dac018f",
+        "I_joint": "e271e71ba4caaed469f9",
         "clt_diagnostic": "d9bdaa448ebdcb4038f6",
         "connected": "dd8d84b553fdba72903a",
         "connectivity_growth": "80bccd108f3decae8b77",
@@ -121,7 +124,7 @@ GOLDEN = {
     },
     "random_explicit": {
         "I": "c1d39dc919dd4a437860",
-        "I_joint": "ba743e4ee68a4d6416ff",
+        "I_joint": "620e0ddf56ed607b9d55",
         "clt_diagnostic": "b0b73ba5268c320cfea0",
         "connected": "e3fb7c249ed7de2eacac",
         "connectivity_growth": "494edb0a0596379d7279",
@@ -225,6 +228,23 @@ def test_first_arrivals_match_stable_replay_with_ties():
     mask[rows[nv == 2], ks[nv == 2]] = True
     for row, got in zip(tau, mask):
         assert np.array_equal(got, _replay(spec, row)[1])
+
+
+def test_presence_columns_are_support_vertices():
+    # the window runs to 10^6, the support has four vertices
+    big = 10**6
+    spec = explicit([((1, 2), 1.0), ((2, big), 0.5), ((7, big), 0.3)])
+    grid = [0.2, 1.0, 3.0]
+    R = 60
+    pres, verts = mc.vertex_presence_samples(spec, grid[1], R, 8)
+    assert verts.tolist() == [1, 2, 7, big] and pres.shape == (R, 4)
+    counts = mc.vertex_count_samples(spec, grid, R, 8)
+    for k in range(R):
+        row = replica_rng(8, k).exponential(1.0 / spec.w)
+        states = [_replay(spec, row, t)[0] for t in grid]
+        assert counts[:, k].tolist() == [len(s.vertices) for s in states]
+        assert pres[k].tolist() == [v in states[1].vertices for v in verts]
+    assert len(set(counts[1])) > 1  # the grid point splits the replicas
 
 
 # vertex gaps ({1, 2}, {3, 4}, {5, 6} and {1, 2}, {5, 6}), a complete

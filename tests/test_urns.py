@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from edgeproc import analytic
-from edgeproc.measure import explicit, factorial_max, power_law_product
+from edgeproc.measure import (
+    double_exp,
+    explicit,
+    factorial_max,
+    power_law_product,
+)
 from edgeproc.process import replica_rng, run_continuous
 from edgeproc.urns import (
     CouplingEngine,
@@ -517,6 +522,24 @@ class TestEssentialCompletenessProduct:
         rep = essential_completeness_product(spec, 2)
         assert rep.partial_product == 0.0
         assert rep.verdict == "zero-analytic"
+
+    @pytest.mark.parametrize("blocks", [0, 5, 6])
+    def test_blocks_must_stay_in_the_window(self, blocks):
+        with pytest.raises(ValueError, match="blocks_used"):
+            essential_completeness_product(factorial_max(5), blocks)
+
+    def test_underflowed_pairs_keep_the_family_verdict(self):
+        # exp(-3^4 - 3^6) and exp(-3^5 - 3^6) underflow, so block 6 misses
+        # pairs that the family gives positive mass
+        spec = double_exp(6)
+        assert spec.mass((5, 6)) == 0.0
+        rep = essential_completeness_product(spec, 5)
+        assert rep.verdict == "positive-analytic"
+        assert "blocks n = [6] underflow" in rep.verdict_basis
+        full = essential_completeness_product(factorial_max(5), 4)
+        assert full.verdict == "positive-analytic"
+        assert "underflow" not in full.verdict_basis
+        assert full.partial_product == pytest.approx(0.9385, abs=1e-4)
 
     def test_chebyshev_ordering_monte_carlo(self):
         # frequency of "first arrivals are exactly the edges with max
