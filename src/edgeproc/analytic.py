@@ -53,34 +53,24 @@ class JointProbTerms:
     def a_f(self):
         return self.r_f + self.mu_f
 
-    @property
-    def c_e(self):
-        return self.mu_e / self.a_e
-
-    @property
-    def c_f(self):
-        return self.mu_f / self.a_f
-
     @classmethod
     def from_spec(cls, spec, e, f):
         e, f = edge(*e), edge(*f)
         if set(e) & set(f):
             raise ValueError("e and f must be vertex-disjoint")
-        es, fs = set(e), set(f)
-        ti = np.isin(spec.ei, list(es)) | np.isin(spec.ej, list(es))
-        tf = np.isin(spec.ei, list(fs)) | np.isin(spec.ej, list(fs))
-        is_e = (spec.ei == e[0]) & (spec.ej == e[1])
-        is_f = (spec.ei == f[0]) & (spec.ej == f[1])
-        both = ti & tf & ~is_e & ~is_f
-        only_e = ti & ~tf & ~is_e
-        only_f = tf & ~ti & ~is_f
-        return cls(
-            mu_e=spec.mass(e),
-            mu_f=spec.mass(f),
-            b_ef=float(spec.w[both].sum()),
-            r_e=float(spec.w[only_e].sum()),
-            r_f=float(spec.w[only_f].sum()),
-        )
+        (te, is_e), (tf, is_f) = _touching(spec, e), _touching(spec, f)
+        w = spec.w
+        # no edge touches both of two disjoint edges and is one of them
+        return cls(mu_e=float(w[is_e].sum()), mu_f=float(w[is_f].sum()),
+                   b_ef=float(w[te & tf].sum()),
+                   r_e=float(w[te & ~tf & ~is_e].sum()),
+                   r_f=float(w[tf & ~te & ~is_f].sum()))
+
+
+def _touching(spec, e):
+    """Masks of the support edges that share a vertex with e, and of e."""
+    i0, j1 = spec.ei == e[0], spec.ej == e[1]
+    return i0 | j1 | (spec.ei == e[1]) | (spec.ej == e[0]), i0 & j1
 
 
 def prob_Ie(spec, e):
@@ -101,13 +91,13 @@ def prob_Ie_and_If(spec, e, f):
         return prob_Ie(spec, e)
     if shared == 1:
         return 0.0
-    if spec.mass(e) * spec.mass(f) == 0.0:
-        return 0.0
     t = JointProbTerms.from_spec(spec, e, f)
+    if t.mu_e * t.mu_f == 0.0:
+        return 0.0
     a, c, b = t.a_e, t.a_f, t.b_ef
-    # c_e c_f (1 - b/(a+b) - b/(c+b) + b/(a+c+b)) in positive terms: that
-    # sum cancels to below zero when b dominates, and these three factors
-    # are each scale-free, so unnormalized masses neither over- nor underflow
+    # (mu_e/a)(mu_f/c)(1 - b/(a+b) - b/(c+b) + b/(a+c+b)) in positive terms;
+    # that sum cancels below zero when b dominates.  Each factor is scale-free,
+    # so unnormalized masses neither over- nor underflow
     return ((t.mu_e / (a + b)) * (t.mu_f / (c + b))
             * ((a + c + 2.0 * b) / (a + c + b)))
 
@@ -145,14 +135,15 @@ _FINITE_FAMILIES = {"explicit", "isolated_edges", "first_rank"}
 
 
 def _edge_masses(spec, window):
-    """(mu_e, M_e) over the support edges inside {1, ..., window}; a window
-    that covers n_max selects every edge without copying one."""
+    """(spec.window(window), mu_e, M_e) over the support edges inside it; a
+    window that covers n_max selects every edge without copying one."""
+    window = spec.window(window)
     ei, ej, w = spec.ei, spec.ej, spec.w
     if window < spec.n_max:
         inside = (ei <= window) & (ej <= window)
         ei, ej, w = ei[inside], ej[inside], w[inside]
     marg = spec.marginals.M
-    return w, marg[ei] + marg[ej] - w
+    return window, w, marg[ei] + marg[ej] - w
 
 
 def connectedness_series(spec, window=None):
@@ -163,8 +154,7 @@ def connectedness_series(spec, window=None):
     the gamma > 2 threshold.  Partial sums alone prove nothing, so other
     families report "inconclusive".
     """
-    window = int(window or spec.n_max)
-    w, Me = _edge_masses(spec, window)
+    window, w, Me = _edge_masses(spec, window)
     partial = float(np.sum(w / Me))
     if spec.family == "power_law_product":
         gamma = spec.params["gamma"]
@@ -225,7 +215,7 @@ def variance_sandwich(spec, t, window=None):
     connectedness partial sum instead.
     """
     lower = urn_variance(spec, t)
-    w, Mij = _edge_masses(spec, int(window or spec.n_max))
+    _, w, Mij = _edge_masses(spec, window)
     cov = np.exp(-Mij * t) * -np.expm1(-w * t)
     exact = lower + 2.0 * float(np.sum(cov))
     upper = lower + float(np.sum(w / Mij))

@@ -86,6 +86,14 @@ class ConfigError(Exception):
     pass
 
 
+def _window(args, spec):
+    """--window by the measure's window rule; a bad one is a config error."""
+    try:
+        return spec.window(args.window)
+    except ValueError as exc:
+        raise ConfigError(f"--window: {exc}")
+
+
 def _cmd_simulate(args):
     spec = _need_measure(args)
     rng = replica_rng(args.seed, 0)
@@ -105,7 +113,7 @@ def _cmd_analytic(args):
     if args.horizon_t is None:
         raise ConfigError("analytic needs --horizon-t")
     t = args.horizon_t
-    lo, ex, up = analytic.variance_sandwich(spec, t, window=args.window)
+    lo, ex, up = analytic.variance_sandwich(spec, t, _window(args, spec))
     body = "\n".join([
         f"t = {t:.17g}",
         f"expected_vertices = {analytic.expected_vertices(spec, t):.17g}",
@@ -120,7 +128,7 @@ def _cmd_analytic(args):
 
 def _cmd_series(args):
     spec = _need_measure(args)
-    rep = analytic.connectedness_series(spec, window=args.window)
+    rep = analytic.connectedness_series(spec, window=_window(args, spec))
     _write(args.out or "series_report.txt", _header(args, spec),
            analytic.series_report_text(rep))
     return EXIT_OK
@@ -162,9 +170,7 @@ def _respect_body(rep):
 
 def _cmd_urns(args):
     spec = _need_measure(args)
-    window = args.window or spec.n_max
-    if not 1 <= window <= spec.n_max:
-        raise ConfigError(f"--window {window} is outside 1..{spec.n_max}")
+    window = _window(args, spec)
     M = spec.marginals.M[1:window + 1]
     if np.any(M <= 0):
         raise ConfigError("urns needs positive marginal rates on the window; "
@@ -179,7 +185,7 @@ def _cmd_urns(args):
 
 def _cmd_complete(args):
     spec = _need_measure(args)
-    blocks = (args.window or spec.n_max) - 1
+    blocks = _window(args, spec) - 1
     try:
         rep = urns.essential_completeness_product(spec, blocks)
     except ValueError as exc:

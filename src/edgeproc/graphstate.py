@@ -8,7 +8,6 @@ forest with path compression and union by size tracks components exactly;
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,25 +52,19 @@ class UnionFind:
         return True
 
 
-@dataclass
 class GraphState:
     """Simple graph built from an arrival stream."""
 
-    track_multiplicities: bool = False
-
-    def __post_init__(self):
+    def __init__(self):
         self.vertices = set()
         self.simple_edges = set()
         self.dsu = UnionFind()
         self.components = 0
         self.i_event_count = 0
-        self.multiplicities = {} if self.track_multiplicities else None
 
     def apply_event(self, e):
         """Apply one arrival; returns (new_vertices, new_component)."""
         i, j = edge(*e)
-        if self.multiplicities is not None:
-            self.multiplicities[(i, j)] = self.multiplicities.get((i, j), 0) + 1
         new = (i not in self.vertices) + (j not in self.vertices)
         self.vertices.add(i)
         self.vertices.add(j)

@@ -34,8 +34,6 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 1e-12
-# caches that do not depend on the total mass, so normalize() keeps them
-_SCALE_FREE = ("alias", "index")
 
 
 def edge(i, j):
@@ -67,10 +65,10 @@ class MeasureSpec:
     """A finitely-truncated edge measure.
 
     ``ei``/``ej``/``w`` are parallel arrays of the support edges (i < j,
-    sorted canonically) and their masses.  Edges given with zero mass never
-    arrive and are dropped on construction, so every stored mass is
-    positive.  Immutable: sampling tables and marginals are cached on first
-    use and the spec can be shared freely across parallel replicas.
+    sorted by (i, j) without repeats, searched by lookups) and their
+    masses, all positive: zero-mass edges never arrive and are dropped on
+    construction.  Immutable: sampling tables and marginals are cached on
+    first use and the spec can be shared freely across parallel replicas.
     """
 
     family: str
@@ -90,6 +88,9 @@ class MeasureSpec:
             raise ValueError("negative edge mass")
         if not np.all(self.ei < self.ej):
             raise ValueError("edges must be stored canonically (i < j)")
+        a, b = self.ei, self.ej
+        if not np.all((a[1:] > a[:-1]) | ((a[1:] == a[:-1]) & (b[1:] > b[:-1]))):
+            raise ValueError("edges must be sorted by (i, j), without repeats")
         total = float(np.sum(self.w))
         if not (total > 0):
             raise ValueError("total mass over the truncated support must be > 0")
@@ -116,21 +117,27 @@ class MeasureSpec:
         """Support edges as a list of canonical (i, j) tuples."""
         return list(zip(self.ei.tolist(), self.ej.tolist()))
 
-    def _index(self):
-        idx = self._cache.get("index")
-        if idx is None:
-            idx = {
-                (int(a), int(b)): k
-                for k, (a, b) in enumerate(zip(self.ei, self.ej))
-            }
-            self._cache["index"] = idx
-        return idx
+    def edge_index(self, e):
+        """Position of edge e in the stored arrays; None off the support."""
+        i, j = edge(*e)
+        lo, hi = self.ei.searchsorted((i, i + 1))
+        k = lo + self.ej[lo:hi].searchsorted(j)
+        return int(k) if k < hi and self.ej[k] == j else None
 
     def mass(self, e):
         """Mass of edge e; 0 for pairs off the stored support."""
-        e = edge(*e)
-        k = self._index().get(e)
+        k = self.edge_index(e)
         return float(self.w[k]) if k is not None else 0.0
+
+    def window(self, window=None):
+        """The vertex window {1..window} asked for: n_max for None, and a
+        ValueError outside 1..n_max."""
+        if window is None:
+            return self.n_max
+        window = int(window)
+        if not 1 <= window <= self.n_max:
+            raise ValueError(f"window must be in 1..{self.n_max}, got {window}")
+        return window
 
     @property
     def marginals(self):
@@ -154,13 +161,13 @@ class MeasureSpec:
     def normalize(self):
         """Scale total truncated mass to 1.  No-op when already normalized.
 
-        The copy inherits the scale-free caches (alias table and edge
-        index) and a rescaled copy of cached marginals.
+        The copy inherits the scale-free alias table and a rescaled copy of
+        cached marginals.
         """
         if self.normalized:
             return self
         total = self.total_mass
-        cache = {k: v for k, v in self._cache.items() if k in _SCALE_FREE}
+        cache = {k: v for k, v in self._cache.items() if k == "alias"}
         marg = self._cache.get("marginals")
         if marg is not None:
             cache["marginals"] = Marginals(M=marg.M / total,

@@ -25,7 +25,8 @@ from scipy.stats import kstest
 
 from . import analytic
 from .measure import edge
-from .process import component_merges, new_vertex_counts, replica_rng
+from .process import (component_merges, exponential_scales,
+                      new_vertex_counts, replica_rng)
 
 __all__ = [
     "EstimateReport",
@@ -79,14 +80,15 @@ def _draw_block(seed, a, b, scale):
     return tau
 
 
-def _map_blocks(seed, replicas, threads, scale, reduce):
-    """reduce(block) over every replica block, in replica order.
+def _map_blocks(seed, replicas, threads, rates, reduce):
+    """reduce(block) over every replica block drawn at rates, in replica order.
 
     Threads take contiguous replica ranges; rows come from their own
     streams, so neither the thread count nor the block size changes a
     result.
     """
     _check_replicas(replicas, 0)
+    scale = exponential_scales(rates)
     rows = max(1, _BLOCK_ELEMENTS // len(scale))
 
     def work(a, b):
@@ -170,7 +172,7 @@ def vertex_count_samples(spec, ts, replicas, seed, threads=1):
     ts = _grid(ts, "ts")
     col = np.cumsum(spec.marginals.M > 0) - 1
     return np.concatenate(_map_blocks(
-        seed, replicas, threads, 1.0 / spec.w,
+        seed, replicas, threads, spec.w,
         lambda tau: np.stack([np.count_nonzero(_presence(spec, col, tau, t),
                                                axis=1) for t in ts])), axis=1)
 
@@ -181,7 +183,7 @@ def urn_count_samples(spec, ts, replicas, seed, threads=1):
     M = spec.marginals.M[1:]
     M = M[M > 0]
     return np.concatenate(_map_blocks(
-        seed, replicas, threads, 1.0 / M,
+        seed, replicas, threads, M,
         lambda fill: _counts_below(fill, ts)), axis=1)
 
 
@@ -190,7 +192,7 @@ def vertex_presence_samples(spec, t, replicas, seed):
     array and the V vertex ids of its columns, ascending."""
     col = np.cumsum(spec.marginals.M > 0) - 1
     out = np.concatenate(_map_blocks(
-        seed, replicas, 1, 1.0 / spec.w,
+        seed, replicas, 1, spec.w,
         lambda tau: _presence(spec, col, tau, t)))
     return out, np.flatnonzero(spec.marginals.M)
 
@@ -244,11 +246,11 @@ def estimate_event(spec, event, horizon, replicas, seed, threads=1):
     else:
         raise ValueError(f"unknown event descriptor {event!r}")
 
-    ks = [spec._index().get(t) for t in targets]
+    ks = [spec.edge_index(t) for t in targets]
     hits = 0  # an edge off the support never arrives
     if None not in ks:
         hits = int(sum(_map_blocks(
-            seed, replicas, threads, 1.0 / spec.w,
+            seed, replicas, threads, spec.w,
             lambda tau: np.count_nonzero(_event_holds(
                 spec, kind, ks, tau, horizon)))))
     est = hits / replicas
@@ -287,7 +289,7 @@ def connectivity_growth(spec, t_grid, replicas, seed, track_connectivity=True,
                 _components(rows, t, i, j, nv, len(tau), t_grid) == 1, axis=1)
         return i_counts, conn
 
-    parts = _map_blocks(seed, replicas, threads, 1.0 / spec.w, reduce)
+    parts = _map_blocks(seed, replicas, threads, spec.w, reduce)
     i_counts = sum(p[0] for p in parts) / replicas
     conn = sum(p[1] for p in parts) / replicas
     return i_counts, conn
@@ -304,16 +306,20 @@ def i_event_growth(spec, t_grid, replicas, seed, threads=1):
     return means
 
 
-def plateaued(t_grid, means, last_frac=0.25, rel_tol=0.01):
+_PLATEAU_FRAC, _PLATEAU_REL_TOL = 0.25, 0.01
+
+
+def plateaued(t_grid, means):
     """Declares a plateau when the last quarter of the grid moved < 1% relative."""
     t_grid = np.asarray(t_grid, dtype=float)
     means = np.asarray(means, dtype=float)
-    cut = np.searchsorted(t_grid, t_grid[-1] - last_frac * (t_grid[-1] - t_grid[0]))
+    cut = np.searchsorted(
+        t_grid, t_grid[-1] - _PLATEAU_FRAC * (t_grid[-1] - t_grid[0]))
     cut = min(cut, len(means) - 1)
     base = means[cut]
     if base == 0:
         return bool(means[-1] == 0)
-    return bool((means[-1] - base) / base < rel_tol)
+    return bool((means[-1] - base) / base < _PLATEAU_REL_TOL)
 
 
 # -- CLT diagnostics -----------------------------------------------------
@@ -339,6 +345,9 @@ def clt_diagnostic(spec, t, replicas, seed, normalization="exact", threads=1):
         raise ValueError(f"the analytic variance at t={t} is 0, so the counts "
                          "cannot be standardized")
     counts = vertex_count_samples(spec, [t], replicas, seed, threads=threads)[0]
+    if np.all(counts == counts[0]):
+        raise ValueError(f"all {replicas} sampled vertex counts at t={t} equal "
+                         f"{counts[0]}, so the skewness is undefined")
     std = (counts - mean_a) / np.sqrt(var_a)
     ks = float(kstest(std, "norm").statistic)
     m = float(np.mean(std))
@@ -371,7 +380,7 @@ def depoissonization_agreement(spec, n, replicas, seed):
     batch = 2000
     for a in range(0, replicas, batch):
         b = min(a + batch, replicas)
-        gaps = rng_c.exponential(1.0 / spec.w[None, :, None],
+        gaps = rng_c.exponential(exponential_scales(spec.w)[None, :, None],
                                  size=(b - a, E, n))
         times = np.cumsum(gaps, axis=2).reshape(b - a, E * n)
         first = np.argsort(times, axis=1)[:, :n]

@@ -27,6 +27,7 @@ __all__ = [
     "run_continuous",
     "depoissonize",
     "replica_rng",
+    "exponential_scales",
 ]
 
 
@@ -38,6 +39,13 @@ def replica_rng(master_seed, replica_index):
     """
     ss = np.random.SeedSequence(master_seed, spawn_key=(replica_index,))
     return np.random.default_rng(ss)
+
+
+def exponential_scales(rates):
+    """Scales 1 / rate of exponential waits: inf, with no warning, where the
+    reciprocal overflows (a subnormal rate), so that clock never rings."""
+    with np.errstate(over="ignore"):
+        return 1.0 / np.asarray(rates, dtype=float)
 
 
 class ArrivalEvent(NamedTuple):
@@ -150,7 +158,7 @@ def run_continuous(spec, horizon_T, rng, full_streams=False):
         times = rng.random(total) * horizon_T
         ks = np.repeat(np.arange(len(w)), counts)
     else:
-        times = rng.exponential(1.0 / w)
+        times = rng.exponential(exponential_scales(w))
         keep = times <= horizon_T
         times = times[keep]
         ks = np.nonzero(keep)[0]
@@ -170,7 +178,7 @@ def depoissonize(spec, n, rng):
     if n <= 0:
         raise ValueError("n must be positive")
     w = spec.w
-    gaps = rng.exponential(1.0 / w[:, None], size=(len(w), n))
+    gaps = rng.exponential(exponential_scales(w)[:, None], size=(len(w), n))
     times = np.cumsum(gaps, axis=1).ravel()
     ks = np.repeat(np.arange(len(w)), n)
     first = np.argpartition(times, n - 1)[:n]

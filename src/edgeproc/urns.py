@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .measure import edge
+from .process import exponential_scales
 
 __all__ = [
     "UrnScheme",
@@ -80,7 +80,7 @@ def run_urn(scheme, horizon, rng):
     if scheme.mode == "continuous":
         fill = np.full(len(lam), np.inf)
         pos = lam > 0
-        fill[pos] = rng.exponential(1.0 / lam[pos])
+        fill[pos] = rng.exponential(exponential_scales(lam[pos]))
         fill[fill > horizon] = np.inf
         return UrnTrajectory(fill, "continuous", float(horizon))
     # discrete: one ball per step
@@ -284,11 +284,19 @@ def _engine(spec):
     return eng
 
 
-def coupling_lambda(state, spec, i):
-    """Urn-only intensity for vertex i; i must be outside the urn set."""
+def _free_vertex(state, spec, i):
+    """Vertex id i, checked to lie in 1..n_max and outside the urn set."""
     i = int(i)
+    if not 1 <= i <= spec.n_max:
+        raise ValueError(f"vertex {i} is outside 1..{spec.n_max}")
     if state.in_u[i]:
         raise ValueError(f"vertex {i} is already in the urn set")
+    return i
+
+
+def coupling_lambda(state, spec, i):
+    """Urn-only intensity for vertex i; i must be outside the urn set."""
+    i = _free_vertex(state, spec, i)
     return float(_engine(spec).epoch_table(state).lam[i])
 
 
@@ -307,9 +315,7 @@ def coupling_rate_audit(state, spec, i, engine=None):
     probability that urn i is filled (coin branches count 1/2).
     """
     eng = engine or _engine(spec)
-    i = int(i)
-    if state.in_u[i]:
-        raise ValueError(f"vertex {i} is already in the urn set")
+    i = _free_vertex(state, spec, i)
     in_v, in_u = state.in_v, state.in_u
     total = float(eng.epoch_table(state).lam[i])  # blue
     row = eng.mat[i]
@@ -424,9 +430,9 @@ def urns_in_order(lambdas, blocks_used=None, tail_sum=0.0):
     (product positive).
     """
     lam = np.asarray(lambdas, dtype=float)
-    n = int(blocks_used or len(lam))
-    if n > len(lam):
-        raise ValueError("blocks_used exceeds the listed rates")
+    n = len(lam) if blocks_used is None else int(blocks_used)
+    if not 1 <= n <= len(lam):
+        raise ValueError(f"blocks_used must be in 1..{len(lam)}, got {n}")
     if np.any(lam[:n] <= 0):
         raise ValueError("evaluated prefix must have positive rates")
     suffix = np.concatenate([np.cumsum(lam[::-1])[::-1], [0.0]]) + tail_sum
@@ -482,9 +488,10 @@ def essential_completeness_product(spec, blocks_used):
                          f"window has {spec.n_max} vertices), got {blocks_used}")
     factors, methods, zero_blocks = [], [], []
     for n in range(2, blocks_used + 2):
-        lam = np.array([spec.mass((i, n)) for i in range(1, n)])
-        tail = float(spec.w[np.maximum(spec.ei, spec.ej) > n].sum()) \
-            + spec.off_window_mass
+        # block n is the stored edges {i, n}, i < n: scatter them by i
+        lam, at_n = np.zeros(n - 1), spec.ej == n
+        lam[spec.ei[at_n] - 1] = spec.w[at_n]
+        tail = float(spec.w[spec.ej > n].sum()) + spec.off_window_mass
         if np.any(lam == 0):
             zero_blocks.append(n)
         if tail <= 0:

@@ -136,7 +136,7 @@ class TestJointTerms:
         assert t.b_ef == pytest.approx(1 / 3)
         assert t.r_e == 0.0 and t.r_f == 0.0
         assert t.a_e == pytest.approx(1 / 3)
-        assert t.c_e == pytest.approx(1.0)
+        assert t.mu_e / t.a_e == pytest.approx(1.0)
 
     def test_neighborhood_mass_identity(self):
         # M_e = a_e + b_ef for every disjoint pair
@@ -221,6 +221,20 @@ class TestConnectednessSeries:
     def test_truncation_residue_reported(self):
         rep = connectedness_series(power_law_product(2.5, 30))
         assert rep.truncation_residue > 0
+
+    def test_window_defaults_to_n_max(self):
+        spec = power_law_product(2.5, 30)
+        assert connectedness_series(spec).window == 30
+        assert connectedness_series(spec, window=30) \
+            == connectedness_series(spec)
+
+    @pytest.mark.parametrize("window", [0, -3, 31, 10**6])
+    def test_window_outside_the_measure_rejected(self, window):
+        spec = power_law_product(2.5, 30)
+        with pytest.raises(ValueError, match=r"1\.\.30"):
+            connectedness_series(spec, window=window)
+        with pytest.raises(ValueError, match=r"1\.\.30"):
+            variance_sandwich(spec, 1.0, window=window)
 
 
 class TestMoments:

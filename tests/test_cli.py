@@ -165,11 +165,18 @@ class TestOtherCommands:
         assert "finite scheme" not in text["2"]
         assert "finite scheme" in text["5"]
 
-    @pytest.mark.parametrize("command", ["urns", "complete"])
-    def test_window_past_the_measure_is_config_error(self, command,
+    @pytest.mark.parametrize("command",
+                             ["urns", "complete", "analytic", "series"])
+    def test_window_past_the_measure_is_config_error(self, command, tmp_path,
                                                      path5_cfg, capsys):
-        assert main([command, "--measure", path5_cfg, "--window", "6"]) == 2
-        assert "--window" in capsys.readouterr().err
+        # one rule for every subcommand: 1..n_max, and 0 is not "all"
+        extra = ["--horizon-t", "1"] if command == "analytic" else []
+        out = tmp_path / "report.txt"
+        for window in ("6", "0", "-3"):
+            assert main([command, "--measure", path5_cfg, "--window", window,
+                         "--out", str(out)] + extra) == 2
+            assert "--window" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_complete(self, tmp_path, plp_cfg):
         out = tmp_path / "complete.txt"

@@ -41,12 +41,6 @@ class TestApplyEvent:
         assert state.apply_event((1, 2)) == (0, False)
         assert state.snapshot() == snap
 
-    def test_multiplicities_optional(self):
-        state = GraphState(track_multiplicities=True)
-        state.apply_event((1, 2))
-        state.apply_event((2, 1))
-        assert state.multiplicities[(1, 2)] == 2
-
 
 class TestIsConnected:
     def test_one_edge(self):

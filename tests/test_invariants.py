@@ -66,3 +66,19 @@ def test_joint_ratio_in_half_open_interval(spec, data):
     if disjoint:
         e, f = data.draw(st.sampled_from(disjoint))
         assert 0.5 < analytic.joint_ratio(spec, e, f) <= 1.0
+
+
+@examples
+@given(specs)
+def test_lookup_matches_a_dict_of_the_support(spec):
+    ref = dict(zip(zip(spec.ei.tolist(), spec.ej.tolist()), spec.w.tolist()))
+    # every ordered pair of ids up to n_max + 2: support pairs both ways,
+    # pairs off the support inside the window, and pairs past it
+    for i, j in itertools.permutations(range(1, spec.n_max + 3), 2):
+        e = (min(i, j), max(i, j))
+        assert spec.mass((i, j)) == ref.get(e, 0.0)
+        k = spec.edge_index((i, j))
+        if e in ref:
+            assert (spec.ei[k], spec.ej[k]) == e
+        else:
+            assert k is None

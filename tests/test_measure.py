@@ -1,6 +1,7 @@
 """Measure construction, marginals, normalization, sampling, support queries."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,31 @@ class TestMass:
         spec = explicit([((1, 2), 1.0)])
         with pytest.raises(ValueError):
             spec.mass((2, 2))
+
+    @pytest.mark.parametrize("ei, ej", [
+        ([1, 1], [3, 2]),        # unsorted in j
+        ([2, 1], [3, 2]),        # unsorted in i
+        ([1, 1], [2, 2]),        # repeated
+        ([1, 2, 1], [2, 3, 2]),  # repeated after a later edge
+    ])
+    def test_unsorted_or_repeated_edges_rejected(self, ei, ej):
+        from edgeproc.measure import MeasureSpec
+        with pytest.raises(ValueError, match="sorted"):
+            MeasureSpec("explicit", {}, np.array(ei), np.array(ej),
+                        np.ones(len(ei)), 3)
+
+    def test_lookup_builds_no_per_edge_table(self):
+        spec = power_law_product(2.5, 500)  # 124,750 edges
+        tracemalloc.start()
+        try:
+            assert spec.mass((3, 400)) == pytest.approx(1200.0**-2.5,
+                                                        rel=1e-15)
+            assert spec.mass((400, 3)) == spec.mass((3, 400))
+            assert spec.mass((499, 501)) == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestEdgeMass:
@@ -169,11 +195,9 @@ class TestNormalization:
     def test_keeps_scale_free_caches(self):
         spec = power_law_product(2.5, 40)
         spec.sample_edge_indices(1, replica_rng(0, 0))
-        spec.mass((1, 2))
         marg = spec.marginals
         norm = spec.normalize()
-        for key in ("alias", "index"):
-            assert norm._cache[key] is spec._cache[key]
+        assert norm._cache["alias"] is spec._cache["alias"]
         assert np.array_equal(vertex_presence_samples(norm, 1.0, 2, 0)[1],
                               vertex_presence_samples(spec, 1.0, 2, 0)[1])
         total = spec.total_mass

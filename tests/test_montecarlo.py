@@ -1,10 +1,19 @@
 """Replica orchestration: event estimates, growth curves, CLT, de-Poissonization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from edgeproc import analytic, montecarlo as mc
-from edgeproc.measure import explicit, isolated_edges, power_law_product
+from edgeproc.measure import (
+    double_exp,
+    explicit,
+    isolated_edges,
+    power_law_product,
+)
+from edgeproc.process import depoissonize, replica_rng, run_continuous
+from edgeproc.urns import UrnScheme, run_urn
 
 from conftest import random_explicit_spec
 
@@ -226,6 +235,8 @@ DEGENERATE = {
         lambda s: mc.clt_diagnostic(s, 0.0, 100, 0), "variance at t=0"),
     "clt_one_replica": (
         lambda s: mc.clt_diagnostic(s, 1.0, 1, 0), "replicas"),
+    "clt_equal_counts": (
+        lambda s: mc.clt_diagnostic(s, 1e-6, 20, 0), "20 sampled.*t=1e-06"),
 }
 
 
@@ -241,3 +252,37 @@ def test_samples_of_no_replicas_are_empty(triangle):
     assert mc.urn_count_samples(triangle, [0.5, 1.0], 0, 0).shape == (2, 0)
     pres, verts = mc.vertex_presence_samples(triangle, 1.0, 0, 0)
     assert pres.shape == (0, 3) and verts.tolist() == [1, 2, 3]
+
+
+SUBNORMAL = {
+    # masses down to 3e-321 (the pair (5, 6) underflows to 0 at build)
+    "double_exp_6": lambda: double_exp(6),
+    "explicit_5e-324": lambda: explicit([((1, 2), 5e-324), ((2, 3), 10.0)]),
+}
+SAMPLERS = {
+    "vertex_count_samples": lambda s: mc.vertex_count_samples(s, [1.0], 3, 0),
+    "urn_count_samples": lambda s: mc.urn_count_samples(s, [1.0], 3, 0),
+    "estimate_event": lambda s: mc.estimate_event(s, ("I", (1, 2)), 1.0,
+                                                  3, 0),
+    "run_continuous": lambda s: run_continuous(s, 1.0, replica_rng(0, 0)),
+    "depoissonize": lambda s: depoissonize(s, 2, replica_rng(0, 0)),
+    "run_urn": lambda s: run_urn(UrnScheme(tuple(s.marginals.M[1:]),
+                                           "continuous"), 1.0,
+                                 replica_rng(0, 0)),
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+@pytest.mark.parametrize("name", sorted(SUBNORMAL))
+def test_subnormal_masses_sample_without_warnings(name, sampler):
+    # a subnormal rate's scale overflows to inf: that edge never arrives
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        SAMPLERS[sampler](SUBNORMAL[name]())
+
+
+def test_subnormal_edge_never_arrives():
+    spec = SUBNORMAL["explicit_5e-324"]()
+    traj = run_continuous(spec, 1e6, replica_rng(0, 0))
+    assert traj.edge_sequence() == [(2, 3)]
+    assert mc.vertex_count_samples(spec, [1e6], 50, 0).max() == 2

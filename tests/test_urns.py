@@ -574,3 +574,29 @@ class TestCouplingTrace:
         assert lines[0] == "# seed: 69"
         assert lines[1].startswith("step,clock,chi_kind")
         assert len(lines) == 2 + len(state.log)
+
+
+OUT_OF_RANGE = {
+    "lambda_negative": (lambda st, s: coupling_lambda(st, s, -1), "1..6"),
+    "lambda_zero": (lambda st, s: coupling_lambda(st, s, 0), "1..6"),
+    "lambda_past_window": (lambda st, s: coupling_lambda(st, s, 7), "1..6"),
+    "audit_negative": (lambda st, s: coupling_rate_audit(st, s, -1), "1..6"),
+    "audit_zero": (lambda st, s: coupling_rate_audit(st, s, 0), "1..6"),
+    "audit_past_window": (lambda st, s: coupling_rate_audit(st, s, 7),
+                          "1..6"),
+    "in_order_no_blocks": (
+        lambda st, s: urns_in_order(s.marginals.M[1:], blocks_used=0),
+        "1..6"),
+    "in_order_past_rates": (
+        lambda st, s: urns_in_order(s.marginals.M[1:], blocks_used=7),
+        "1..6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_out_of_range_ids_and_prefixes_rejected(name):
+    # numpy would read a negative id as vertex n_max + 1 + i
+    spec = power_law_product(3.0, 6, normalize=True)
+    call, match = OUT_OF_RANGE[name]
+    with pytest.raises(ValueError, match=match):
+        call(CouplingState.empty(spec.n_max), spec)
