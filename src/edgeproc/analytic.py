@@ -26,7 +26,6 @@ __all__ = [
     "variance_sandwich",
     "check_exp_bound",
     "check_ratio_of_sums",
-    "series_report_text",
 ]
 
 
@@ -134,16 +133,11 @@ class SeriesReport:
 _FINITE_FAMILIES = {"explicit", "isolated_edges", "first_rank"}
 
 
-def _edge_masses(spec, window):
-    """(spec.window(window), mu_e, M_e) over the support edges inside it; a
-    window that covers n_max selects every edge without copying one."""
-    window = spec.window(window)
-    ei, ej, w = spec.ei, spec.ej, spec.w
-    if window < spec.n_max:
-        inside = (ei <= window) & (ej <= window)
-        ei, ej, w = ei[inside], ej[inside], w[inside]
+def _edge_masses(spec, inside=slice(None)):
+    """(mu_e, M_e) over the support edges selected by ``inside``."""
+    ei, ej, w = spec.ei[inside], spec.ej[inside], spec.w[inside]
     marg = spec.marginals.M
-    return window, w, marg[ei] + marg[ej] - w
+    return w, marg[ei] + marg[ej] - w
 
 
 def connectedness_series(spec, window=None):
@@ -152,9 +146,15 @@ def connectedness_series(spec, window=None):
     Convergence verdicts are issued only on analytic grounds: finite-support
     families are trivially convergent and the power-law product family has
     the gamma > 2 threshold.  Partial sums alone prove nothing, so other
-    families report "inconclusive".
+    families report "inconclusive".  The truncation residue is the mass of
+    the edges left out: those past the window, stored or not.
     """
-    window, w, Me = _edge_masses(spec, window)
+    window = spec.window(window)
+    inside, residue = slice(None), spec.off_window_mass
+    if window < spec.n_max:
+        inside = spec.ej <= window  # ei < ej
+        residue += float(spec.w[~inside].sum())
+    w, Me = _edge_masses(spec, inside)
     partial = float(np.sum(w / Me))
     if spec.family == "power_law_product":
         gamma = spec.params["gamma"]
@@ -168,7 +168,7 @@ def connectedness_series(spec, window=None):
         verdict, basis = "inconclusive", "no analytic criterion for this family"
     return SeriesReport(partial_sum=partial, terms_used=len(w),
                         window=window, verdict=verdict, verdict_basis=basis,
-                        truncation_residue=spec.off_window_mass)
+                        truncation_residue=residue)
 
 
 def expected_vertices(spec, t):
@@ -207,7 +207,7 @@ def prob_both_vertices(spec, i, j, t):
                  + np.exp(-Mij * t))
 
 
-def variance_sandwich(spec, t, window=None):
+def variance_sandwich(spec, t):
     """(lower, exact, upper) for the variance of the vertex count at t.
 
     lower is the urn variance; exact adds the pairwise presence covariances
@@ -215,7 +215,7 @@ def variance_sandwich(spec, t, window=None):
     connectedness partial sum instead.
     """
     lower = urn_variance(spec, t)
-    _, w, Mij = _edge_masses(spec, window)
+    w, Mij = _edge_masses(spec)
     cov = np.exp(-Mij * t) * -np.expm1(-w * t)
     exact = lower + 2.0 * float(np.sum(cov))
     upper = lower + float(np.sum(w / Mij))
@@ -251,16 +251,3 @@ def check_ratio_of_sums(a_list, b_list):
     lo, hi = float(ratios.min()), float(ratios.max())
     ok = lo <= ratio <= hi
     return lo, float(ratio), hi, ok
-
-
-def series_report_text(report):
-    """Structured-text rendering; reals carry 17 significant digits."""
-    lines = [
-        f"partial_sum = {report.partial_sum:.17g}",
-        f"terms_used = {report.terms_used}",
-        f"window = {report.window}",
-        f"verdict = {report.verdict}",
-        f"verdict_basis = {report.verdict_basis}",
-        f"truncation_residue = {report.truncation_residue:.17g}",
-    ]
-    return "\n".join(lines) + "\n"

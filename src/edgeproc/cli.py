@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -24,7 +25,7 @@ EXIT_CONFIG = 2
 # flags each subcommand reads, besides --seed (which every header records)
 _FLAGS = {
     "simulate": ("measure", "horizon-t", "horizon-n", "out"),
-    "analytic": ("measure", "horizon-t", "window", "out"),
+    "analytic": ("measure", "horizon-t", "out"),
     "series": ("measure", "window", "out"),
     "clt": ("measure", "horizon-t", "replicas", "threads", "out"),
     "urns": ("measure", "window", "out"),
@@ -66,11 +67,16 @@ def _header(args, spec):
     return items
 
 
-def _write(path, header_lines, body):
+def _text(value):
+    """A report value as text; reals carry 17 significant digits."""
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def _write(path, header_lines, fields):
+    """Writes a ``# `` line per header entry, then ``key = value`` per field."""
     with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(body)
+        fh.writelines(f"# {line}\n" for line in header_lines)
+        fh.writelines(f"{key} = {_text(value)}\n" for key, value in fields)
 
 
 def _need_measure(args):
@@ -113,16 +119,15 @@ def _cmd_analytic(args):
     if args.horizon_t is None:
         raise ConfigError("analytic needs --horizon-t")
     t = args.horizon_t
-    lo, ex, up = analytic.variance_sandwich(spec, t, _window(args, spec))
-    body = "\n".join([
-        f"t = {t:.17g}",
-        f"expected_vertices = {analytic.expected_vertices(spec, t):.17g}",
-        f"urn_variance = {analytic.urn_variance(spec, t):.17g}",
-        f"vertex_variance_lower = {lo:.17g}",
-        f"vertex_variance_exact = {ex:.17g}",
-        f"vertex_variance_upper = {up:.17g}",
-    ]) + "\n"
-    _write(args.out or "analytic_report.txt", _header(args, spec), body)
+    lo, ex, up = analytic.variance_sandwich(spec, t)
+    _write(args.out or "analytic_report.txt", _header(args, spec), [
+        ("t", t),
+        ("expected_vertices", analytic.expected_vertices(spec, t)),
+        ("urn_variance", analytic.urn_variance(spec, t)),
+        ("vertex_variance_lower", lo),
+        ("vertex_variance_exact", ex),
+        ("vertex_variance_upper", up),
+    ])
     return EXIT_OK
 
 
@@ -130,7 +135,7 @@ def _cmd_series(args):
     spec = _need_measure(args)
     rep = analytic.connectedness_series(spec, window=_window(args, spec))
     _write(args.out or "series_report.txt", _header(args, spec),
-           analytic.series_report_text(rep))
+           asdict(rep).items())
     return EXIT_OK
 
 
@@ -140,32 +145,26 @@ def _cmd_clt(args):
         raise ConfigError("clt needs --horizon-t")
     rep = montecarlo.clt_diagnostic(spec, args.horizon_t, args.replicas,
                                     args.seed, threads=args.threads)
-    body = "\n".join([
-        f"t = {rep.t:.17g}",
-        f"replicas = {rep.replicas}",
-        f"standardized_mean = {rep.mean:.17g}",
-        f"standardized_variance = {rep.variance:.17g}",
-        f"standardized_skewness = {rep.skewness:.17g}",
-        f"ks_statistic = {rep.ks_statistic:.17g}",
-        f"normalization_mean = {rep.normalization[0]:.17g}",
-        f"normalization_variance = {rep.normalization[1]:.17g}",
-        f"normalization_kind = {rep.normalization[2]}",
-        f"low_variance_warning = {rep.low_variance_warning}",
-    ]) + "\n"
-    _write(args.out or "clt_report.txt", _header(args, spec), body)
+    _write(args.out or "clt_report.txt", _header(args, spec), [
+        ("t", rep.t),
+        ("replicas", rep.replicas),
+        ("standardized_mean", rep.mean),
+        ("standardized_variance", rep.variance),
+        ("standardized_skewness", rep.skewness),
+        ("ks_statistic", rep.ks_statistic),
+        ("normalization_mean", rep.normalization[0]),
+        ("normalization_variance", rep.normalization[1]),
+        ("normalization_kind", rep.normalization[2]),
+        ("low_variance_warning", rep.low_variance_warning),
+    ])
     return EXIT_OK
 
 
-def _respect_body(rep):
-    lines = [
-        f"partial_product = {rep.partial_product:.17g}",
-        f"blocks_used = {rep.blocks_used}",
-        f"verdict = {rep.verdict}",
-        f"verdict_basis = {rep.verdict_basis}",
-    ]
-    for k, (f, m) in enumerate(zip(rep.factors, rep.methods), start=1):
-        lines.append(f"factor[{k}] = {f:.17g} ({m})")
-    return "\n".join(lines) + "\n"
+def _respect_fields(rep):
+    return [(key, getattr(rep, key)) for key in (
+        "partial_product", "blocks_used", "verdict", "verdict_basis")] + [
+        (f"factor[{k}]", f"{_text(f)} ({m})")
+        for k, (f, m) in enumerate(zip(rep.factors, rep.methods), start=1)]
 
 
 def _cmd_urns(args):
@@ -179,7 +178,7 @@ def _cmd_urns(args):
     tail = float(spec.marginals.M[window + 1:].sum()) + spec.off_window_mass
     rep = urns.urns_in_order(M, tail_sum=tail)
     _write(args.out or "urns_report.txt", _header(args, spec),
-           _respect_body(rep))
+           _respect_fields(rep))
     return EXIT_OK
 
 
@@ -191,7 +190,7 @@ def _cmd_complete(args):
     except ValueError as exc:
         raise ConfigError(f"--window: {exc}")
     _write(args.out or "complete_report.txt", _header(args, spec),
-           _respect_body(rep))
+           _respect_fields(rep))
     return EXIT_OK
 
 

@@ -1,55 +1,21 @@
 """Evolving simple-graph state: connectivity, counts, new-component events.
 
-The state is monotone (vertices and edges only accumulate), so a union-find
-forest with path compression and union by size tracks components exactly;
-``replay`` reads whole trajectories with the kernels of ``process`` instead.
+The state is monotone (vertices and edges only accumulate), so scipy's
+incremental ``DisjointSet`` tracks components exactly; ``replay`` reads
+whole trajectories with the kernels of ``process`` instead.
 """
 
 from __future__ import annotations
 
-import csv
+from itertools import combinations
 
 import numpy as np
+from scipy.cluster.hierarchy import DisjointSet
 
 from .measure import edge
-from .process import component_merges
+from .process import component_merges, write_table
 
-__all__ = ["UnionFind", "GraphState", "replay", "snapshots_to_csv"]
-
-
-class UnionFind:
-    """Disjoint sets over arbitrary hashable ids; no un-union ever needed."""
-
-    def __init__(self):
-        self.parent = {}
-        self.size = {}
-        self.n_components = 0
-
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-            self.size[x] = 1
-            self.n_components += 1
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        """Returns True when two components merged."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.n_components -= 1
-        return True
+__all__ = ["GraphState", "replay", "snapshots_to_csv"]
 
 
 class GraphState:
@@ -58,7 +24,7 @@ class GraphState:
     def __init__(self):
         self.vertices = set()
         self.simple_edges = set()
-        self.dsu = UnionFind()
+        self.dsu = DisjointSet()
         self.components = 0
         self.i_event_count = 0
 
@@ -71,8 +37,8 @@ class GraphState:
         self.simple_edges.add((i, j))
         self.dsu.add(i)
         self.dsu.add(j)
-        self.dsu.union(i, j)
-        self.components = self.dsu.n_components
+        self.dsu.merge(i, j)
+        self.components = self.dsu.n_subsets
         new_component = new == 2
         if new_component:
             self.i_event_count += 1
@@ -105,13 +71,8 @@ class GraphState:
         return False, None
 
     def _prefix_complete(self, n):
-        if n < 1:
-            return False
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 1):
-                if (a, b) not in self.simple_edges:
-                    return False
-        return True
+        return n >= 1 and all(e in self.simple_edges
+                              for e in combinations(range(1, n + 1), 2))
 
     def is_essentially_complete(self):
         return self.essential_completeness()[0]
@@ -145,11 +106,9 @@ def replay(trajectory):
 
 def snapshots_to_csv(trajectory, path, header_lines=()):
     """Writes ``replay``'s snapshots with each arrival's index and time."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        wr = csv.writer(fh)
-        wr.writerow(["index", "time", "vertices", "edges", "components",
-                     "i_events"])
-        wr.writerows((k, repr(t), *snap) for k, (t, snap) in enumerate(
-            zip(trajectory.time.tolist(), replay(trajectory)), start=1))
+    write_table(path, header_lines,
+                ["index", "time", "vertices", "edges", "components",
+                 "i_events"],
+                ((k, repr(t), *snap) for k, (t, snap) in enumerate(
+                    zip(trajectory.time.tolist(), replay(trajectory)),
+                    start=1)))

@@ -26,7 +26,7 @@ from scipy.stats import kstest
 from . import analytic
 from .measure import edge
 from .process import (component_merges, exponential_scales,
-                      new_vertex_counts, replica_rng)
+                      full_stream_arrivals, new_vertex_counts, replica_rng)
 
 __all__ = [
     "EstimateReport",
@@ -83,27 +83,23 @@ def _draw_block(seed, a, b, scale):
 def _map_blocks(seed, replicas, threads, rates, reduce):
     """reduce(block) over every replica block drawn at rates, in replica order.
 
-    Threads take contiguous replica ranges; rows come from their own
-    streams, so neither the thread count nor the block size changes a
-    result.
+    Blocks start at replicas 0, rows, 2 rows, ...; threads take whole
+    blocks.  Rows come from their own streams, so neither the thread count
+    nor the block size changes a result.
     """
     _check_replicas(replicas, 0)
     scale = exponential_scales(rates)
     rows = max(1, _BLOCK_ELEMENTS // len(scale))
 
-    def work(a, b):
-        # zero replicas still make one empty block, so outputs keep shape
-        return [reduce(_draw_block(seed, s, min(s + rows, b), scale))
-                for s in range(a, b, rows) or [a]]
+    def work(a):
+        return reduce(_draw_block(seed, a, min(a + rows, replicas), scale))
 
-    threads = max(int(threads), 1)
-    if threads == 1:
-        return work(0, replicas)
-    bounds = np.linspace(0, replicas, threads + 1).astype(int)
+    # zero replicas still make one empty block, so outputs keep shape
+    starts = range(0, replicas, rows) or [0]
+    if threads <= 1:
+        return list(map(work, starts))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futs = [pool.submit(work, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        return [part for f in futs for part in f.result()]
+        return list(pool.map(work, starts))
 
 
 def _check_replicas(replicas, least):
@@ -379,12 +375,8 @@ def depoissonization_agreement(spec, n, replicas, seed):
     codes_c = np.empty((replicas, n), dtype=np.int64)
     batch = 2000
     for a in range(0, replicas, batch):
-        b = min(a + batch, replicas)
-        gaps = rng_c.exponential(exponential_scales(spec.w)[None, :, None],
-                                 size=(b - a, E, n))
-        times = np.cumsum(gaps, axis=2).reshape(b - a, E * n)
-        first = np.argsort(times, axis=1)[:, :n]
-        codes_c[a:b] = first // n  # edge index of each of the first n arrivals
+        codes_c[a:a + batch] = full_stream_arrivals(
+            spec.w, n, min(batch, replicas - a), rng_c)[1]
     base = E ** np.arange(n)
     hist_d = np.bincount(draws @ base, minlength=E**n) / replicas
     hist_c = np.bincount(codes_c @ base, minlength=E**n) / replicas

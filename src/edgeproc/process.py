@@ -26,8 +26,10 @@ __all__ = [
     "run_discrete",
     "run_continuous",
     "depoissonize",
+    "full_stream_arrivals",
     "replica_rng",
     "exponential_scales",
+    "write_table",
 ]
 
 
@@ -46,6 +48,15 @@ def exponential_scales(rates):
     reciprocal overflows (a subnormal rate), so that clock never rings."""
     with np.errstate(over="ignore"):
         return 1.0 / np.asarray(rates, dtype=float)
+
+
+def write_table(path, header_lines, columns, rows):
+    """Writes a ``# `` line per header entry, then a CSV table of rows."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(f"# {line}\n" for line in header_lines)
+        wr = csv.writer(fh)
+        wr.writerow(columns)
+        wr.writerows(rows)
 
 
 class ArrivalEvent(NamedTuple):
@@ -95,8 +106,6 @@ class Trajectory:
     time: np.ndarray
     i: np.ndarray
     j: np.ndarray
-    horizon_kind: str   # "steps" or "time"
-    horizon: float
     new_vertices: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -117,16 +126,13 @@ class Trajectory:
         return list(zip(self.i.tolist(), self.j.tolist()))
 
     def to_csv(self, path, header_lines=()):
-        with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            wr = csv.writer(fh)
-            wr.writerow(["index", "time", "i", "j", "new_vertices",
-                         "new_component"])
-            nv = self.new_vertices.tolist()
-            wr.writerows(zip(range(1, len(nv) + 1),
-                             map(repr, self.time.tolist()), self.i.tolist(),
-                             self.j.tolist(), nv, [int(v == 2) for v in nv]))
+        nv = self.new_vertices.tolist()
+        write_table(path, header_lines,
+                    ["index", "time", "i", "j", "new_vertices",
+                     "new_component"],
+                    zip(range(1, len(nv) + 1), map(repr, self.time.tolist()),
+                        self.i.tolist(), self.j.tolist(), nv,
+                        [int(v == 2) for v in nv]))
 
 
 def run_discrete(spec, n_steps, rng):
@@ -139,7 +145,7 @@ def run_discrete(spec, n_steps, rng):
         raise ValueError("n_steps must be positive")
     ks = spec.sample_edge_indices(n_steps, rng)
     times = np.arange(1, n_steps + 1, dtype=float)
-    return Trajectory(times, spec.ei[ks], spec.ej[ks], "steps", n_steps)
+    return Trajectory(times, spec.ei[ks], spec.ej[ks])
 
 
 def run_continuous(spec, horizon_T, rng, full_streams=False):
@@ -164,24 +170,26 @@ def run_continuous(spec, horizon_T, rng, full_streams=False):
         ks = np.nonzero(keep)[0]
     order = np.argsort(times, kind="stable")
     ks = ks[order]
-    return Trajectory(times[order], spec.ei[ks], spec.ej[ks], "time",
-                      horizon_T)
+    return Trajectory(times[order], spec.ei[ks], spec.ej[ks])
+
+
+def full_stream_arrivals(rates, n, size, rng):
+    """Times and stream indices of the first n arrivals of full Poisson
+    streams at the given rates: two (size, n) arrays, one row per replica,
+    drawn in turn from rng.  No stream has more than n of them, so n
+    cumulative exponential waits per stream are enough; ties go to the
+    lower stream position, as in a stable sort."""
+    gaps = rng.exponential(exponential_scales(rates)[:, None],
+                           size=(size, len(rates), n))
+    times = np.cumsum(gaps, axis=2).reshape(size, -1)
+    first = np.argsort(times, axis=1, kind="stable")[:, :n]
+    return np.take_along_axis(times, first, axis=1), first // n
 
 
 def depoissonize(spec, n, rng):
-    """First n arrivals of the continuous process with full Poisson streams.
-
-    The induced edge-order law coincides with ``run_discrete``'s.  Each edge
-    can contribute at most n of the first n events, so n arrivals per edge
-    (cumulative exponential waits) are enough to determine them.
-    """
+    """First n arrivals of the continuous process with full Poisson streams;
+    the induced edge-order law coincides with ``run_discrete``'s."""
     if n <= 0:
         raise ValueError("n must be positive")
-    w = spec.w
-    gaps = rng.exponential(exponential_scales(w)[:, None], size=(len(w), n))
-    times = np.cumsum(gaps, axis=1).ravel()
-    ks = np.repeat(np.arange(len(w)), n)
-    first = np.argpartition(times, n - 1)[:n]
-    order = first[np.argsort(times[first], kind="stable")]
-    ks = ks[order]
-    return Trajectory(times[order], spec.ei[ks], spec.ej[ks], "steps", n)
+    (times,), (ks,) = full_stream_arrivals(spec.w, n, 1, rng)
+    return Trajectory(times, spec.ei[ks], spec.ej[ks])

@@ -8,13 +8,12 @@ index, then edges canonically, then the null outcome).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
 
-from .process import exponential_scales
+from .process import exponential_scales, write_table
 
 __all__ = [
     "UrnScheme",
@@ -62,8 +61,6 @@ class UrnTrajectory:
     """First-fill time (or step) per urn; inf for urns never filled."""
 
     fill_times: np.ndarray
-    mode: str
-    horizon: float
 
     def occupied_count(self, t):
         return int(np.sum(self.fill_times <= t))
@@ -82,7 +79,7 @@ def run_urn(scheme, horizon, rng):
         pos = lam > 0
         fill[pos] = rng.exponential(exponential_scales(lam[pos]))
         fill[fill > horizon] = np.inf
-        return UrnTrajectory(fill, "continuous", float(horizon))
+        return UrnTrajectory(fill)
     # discrete: one ball per step
     n_steps = int(horizon)
     cum = np.cumsum(lam)
@@ -90,7 +87,7 @@ def run_urn(scheme, horizon, rng):
     fill = np.full(len(lam), np.inf)
     steps = np.arange(1, n_steps + 1, dtype=float)
     np.minimum.at(fill, draws, steps)
-    return UrnTrajectory(fill, "discrete", float(n_steps))
+    return UrnTrajectory(fill)
 
 
 # -- the exp(3) vertex/urn coupling --------------------------------------
@@ -351,15 +348,11 @@ def prob_double_new_vertices(state, spec, engine=None):
 
 
 def coupling_trace_to_csv(state, path, header_lines=()):
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        wr = csv.writer(fh)
-        wr.writerow(["step", "clock", "chi_kind", "chi_value", "branch_color",
-                     "V_size", "U_size", "V_eq_U"])
-        for rec in state.log:
-            wr.writerow([rec[0], repr(rec[1]), rec[2], rec[3], rec[4],
-                         rec[5], rec[6], int(rec[7])])
+    write_table(path, header_lines,
+                ["step", "clock", "chi_kind", "chi_value", "branch_color",
+                 "V_size", "U_size", "V_eq_U"],
+                ([rec[0], repr(rec[1]), *rec[2:7], int(rec[7])]
+                 for rec in state.log))
 
 
 # -- respect factors and infinite products -------------------------------

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeproc import analytic
 from edgeproc.analytic import (
     JointProbTerms,
     check_exp_bound,
@@ -233,8 +232,19 @@ class TestConnectednessSeries:
         spec = power_law_product(2.5, 30)
         with pytest.raises(ValueError, match=r"1\.\.30"):
             connectedness_series(spec, window=window)
-        with pytest.raises(ValueError, match=r"1\.\.30"):
-            variance_sandwich(spec, 1.0, window=window)
+
+    def test_windowed_residue_is_the_mass_past_the_window(self):
+        # the mass past {1..3}, stored or not, does not depend on n_max
+        res = [connectedness_series(power_law_product(2.5, n), window=3)
+               .truncation_residue for n in (25, 30, 200)]
+        assert res[0] == pytest.approx(0.1290632, abs=1e-7)
+        assert res[0] == pytest.approx(res[2], rel=2e-15)
+        assert res[1] == pytest.approx(res[2], rel=2e-15)
+
+    def test_full_window_residue_is_the_off_window_mass(self):
+        spec = power_law_product(2.5, 30)
+        assert (connectedness_series(spec, window=30).truncation_residue
+                == spec.off_window_mass)
 
 
 class TestMoments:
@@ -367,11 +377,3 @@ class TestAuxiliaryInequalities:
             return
         lo, ratio, hi, ok = check_ratio_of_sums(a, b)
         assert ok
-
-
-class TestReportText:
-    def test_seventeen_digit_rendering(self):
-        rep = connectedness_series(power_law_product(2.5, 20))
-        text = analytic.series_report_text(rep)
-        assert f"partial_sum = {rep.partial_sum:.17g}" in text
-        assert "verdict = converges-analytic" in text

@@ -165,16 +165,14 @@ class TestOtherCommands:
         assert "finite scheme" not in text["2"]
         assert "finite scheme" in text["5"]
 
-    @pytest.mark.parametrize("command",
-                             ["urns", "complete", "analytic", "series"])
+    @pytest.mark.parametrize("command", ["urns", "complete", "series"])
     def test_window_past_the_measure_is_config_error(self, command, tmp_path,
                                                      path5_cfg, capsys):
         # one rule for every subcommand: 1..n_max, and 0 is not "all"
-        extra = ["--horizon-t", "1"] if command == "analytic" else []
         out = tmp_path / "report.txt"
         for window in ("6", "0", "-3"):
             assert main([command, "--measure", path5_cfg, "--window", window,
-                         "--out", str(out)] + extra) == 2
+                         "--out", str(out)]) == 2
             assert "--window" in capsys.readouterr().err
         assert not out.exists()
 
@@ -217,8 +215,113 @@ class TestVerify:
     ("simulate", ["--window", "4"]),
     ("couple", ["--window", "4"]),
     ("clt", ["--horizon-n", "3"]),
+    ("analytic", ["--window", "4"]),
 ])
 def test_flags_only_where_read(command, flag):
     with pytest.raises(SystemExit) as exc:
         main([command] + flag)
     assert exc.value.code == 2
+
+
+# The whole output of each subcommand on one config, bar the "# command:"
+# line (it names the paths); written by the code before reports shared a
+# renderer.  CSV rows end with CRLF, as the csv module writes them.
+PINNED_ARGS = {
+    "simulate": ["--horizon-t", "3"],
+    "analytic": ["--horizon-t", "1.5"],
+    "series": [],
+    "clt": ["--horizon-t", "1", "--replicas", "200"],
+    "urns": ["--window", "4"],
+    "complete": [],
+    "couple": ["--horizon-t", "2"],
+}
+PINNED_BODIES = {
+    "simulate": [
+        'index,time,i,j,new_vertices,new_component\r\n',
+        '1,0.5887785307209231,1,4,2,1\r\n',
+        '2,0.9869649345839899,1,2,1,0\r\n',
+        '3,2.93255523295413,1,5,1,0\r\n',
+    ],
+    "analytic": [
+        't = 1.5\n',
+        'expected_vertices = 1.9782634688794176\n',
+        'urn_variance = 0.92938659406280077\n',
+        'vertex_variance_lower = 0.92938659406280077\n',
+        'vertex_variance_exact = 1.5244103418186901\n',
+        'vertex_variance_upper = 2.0224106514772586\n',
+    ],
+    "series": [
+        'partial_sum = 1.0930240574144581\n',
+        'terms_used = 15\n',
+        'window = 6\n',
+        'verdict = converges-analytic\n',
+        'verdict_basis = gamma threshold: 2.5 > 2\n',
+        'truncation_residue = 0.16105939554578885\n',
+    ],
+    "clt": [
+        't = 1\n',
+        'replicas = 200\n',
+        'standardized_mean = 0.1257821785288353\n',
+        'standardized_variance = 1.0408560427051665\n',
+        'standardized_skewness = -0.040121248603550728\n',
+        'ks_statistic = 0.33853829099984728\n',
+        'normalization_mean = 1.4942711397628969\n',
+        'normalization_variance = 1.5328511546976811\n',
+        'normalization_kind = exact\n',
+        'low_variance_warning = False\n',
+    ],
+    "urns": [
+        'partial_product = 0.023876218723354995\n',
+        'blocks_used = 4\n',
+        'verdict = inconclusive\n',
+        'verdict_basis = no analytic tail argument on this window\n',
+        'factor[1] = 0.4246564824160235 (closed-form)\n',
+        'factor[2] = 0.4868482072072664 (closed-form)\n',
+        'factor[3] = 0.37876492657162686 (closed-form)\n',
+        'factor[4] = 0.30490493864994811 (closed-form)\n',
+    ],
+    "complete": [
+        'partial_product = 9.7937943145928734e-17\n',
+        'blocks_used = 5\n',
+        'verdict = zero-analytic\n',
+        'verdict_basis = every factor is at most 1/(1 + 2^-gamma) = 0.849779'
+        ' < 1, since the tail always contains the edge {1, n+1}\n',
+        'factor[1] = 0.4635791160341235 (subset-expansion)\n',
+        'factor[2] = 0.043736605136155515 (subset-expansion)\n',
+        'factor[3] = 0.0013908809103422293 (subset-expansion)\n',
+        'factor[4] = 2.0559127850372505e-05 (subset-expansion)\n',
+        'factor[5] = 1.6892246579303105e-07 (subset-expansion)\n',
+    ],
+    "couple": [
+        'step,clock,chi_kind,chi_value,branch_color,V_size,U_size,V_eq_U\r\n',
+        '1,0.1770756189973955,null,,,0,0,1\r\n',
+        '2,0.1957494756992538,urn,1,blue,0,1,0\r\n',
+        '3,0.33779138263940645,null,,,0,1,0\r\n',
+        '4,0.38368432682992093,edge,1-5,orange,2,2,1\r\n',
+        '5,0.541414252281283,edge,1-2,yellow,3,3,1\r\n',
+        '6,0.6674411548681592,null,,,3,3,1\r\n',
+        '7,1.0836780216863318,edge,1-2,pass,3,3,1\r\n',
+        '8,1.106017877207079,null,,,3,3,1\r\n',
+        '9,1.1957585512974451,null,,,3,3,1\r\n',
+        '10,1.294974264810883,edge,1-2,pass,3,3,1\r\n',
+        '11,1.3409333815600037,null,,,3,3,1\r\n',
+        '12,1.890839735079444,edge,1-2,pass,3,3,1\r\n',
+        '13,1.9046610601315404,null,,,3,3,1\r\n',
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_ARGS))
+def test_report_bytes_pinned(command, tmp_path):
+    cfg = tmp_path / "plp6.json"
+    cfg.write_text(json.dumps({"family": "power_law_product", "gamma": 2.5,
+                               "n_max": 6, "normalize": True}))
+    out = tmp_path / "out"
+    assert main([command, "--measure", str(cfg), "--seed", "5",
+                 "--out", str(out)] + PINNED_ARGS[command]) == 0
+    window = 4 if command == "urns" else 6
+    header = ("# config_hash: cde36868af64937c\n# seed: 5\n"
+              f"# window: {window}\n# version: edgeproc 0.1.0\n")
+    first, rest = out.read_bytes().split(b"\n", 1)
+    assert first.startswith(b"# command: ")
+    assert rest == (header + "".join(PINNED_BODIES[command])).encode()

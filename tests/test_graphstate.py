@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from edgeproc.graphstate import GraphState, UnionFind, replay, snapshots_to_csv
+from edgeproc.graphstate import GraphState, replay, snapshots_to_csv
 from edgeproc.measure import explicit
 from edgeproc.process import replica_rng, run_continuous
 
@@ -242,20 +242,3 @@ class TestUnionFindAgainstBruteForce:
                 if was_connected and not state.is_connected():
                     assert ev.new_vertices == 2
                 was_connected = state.is_connected()
-
-
-class TestUnionFindUnit:
-    def test_union_reports_merges(self):
-        dsu = UnionFind()
-        for x in (1, 2, 3):
-            dsu.add(x)
-        assert dsu.union(1, 2) is True
-        assert dsu.union(1, 2) is False
-        assert dsu.union(2, 3) is True
-        assert dsu.n_components == 1
-
-    def test_add_is_idempotent(self):
-        dsu = UnionFind()
-        dsu.add(1)
-        dsu.add(1)
-        assert dsu.n_components == 1

@@ -248,8 +248,11 @@ def test_degenerate_inputs_name_the_bad_input(name, triangle):
 
 
 def test_samples_of_no_replicas_are_empty(triangle):
-    assert mc.vertex_count_samples(triangle, [0.5, 1.0], 0, 0).shape == (2, 0)
-    assert mc.urn_count_samples(triangle, [0.5, 1.0], 0, 0).shape == (2, 0)
+    for threads in (1, 2, 3):
+        assert mc.vertex_count_samples(triangle, [0.5, 1.0], 0, 0,
+                                       threads=threads).shape == (2, 0)
+        assert mc.urn_count_samples(triangle, [0.5, 1.0], 0, 0,
+                                    threads=threads).shape == (2, 0)
     pres, verts = mc.vertex_presence_samples(triangle, 1.0, 0, 0)
     assert pres.shape == (0, 3) and verts.tolist() == [1, 2, 3]
 

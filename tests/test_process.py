@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.cluster.hierarchy import DisjointSet
 from scipy.stats import chi2
 
 from edgeproc.measure import explicit
@@ -15,7 +16,7 @@ from edgeproc.process import (
     run_continuous,
     run_discrete,
 )
-from edgeproc.graphstate import UnionFind, replay
+from edgeproc.graphstate import replay
 
 from conftest import (
     random_trajectories,
@@ -214,12 +215,12 @@ EDGE_LISTS = st.lists(
 class TestComponentMerges:
     @staticmethod
     def union_find(edges):
-        dsu = UnionFind()
+        dsu = DisjointSet()
         merged = []
         for a, b in edges:
             dsu.add(a)
             dsu.add(b)
-            merged.append(dsu.union(a, b))
+            merged.append(dsu.merge(a, b))
         return merged
 
     @given(EDGE_LISTS, st.sampled_from([0, 10**12 - 6]))

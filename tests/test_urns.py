@@ -98,8 +98,7 @@ class TestRunUrn:
 
     def test_first_k_in_order(self):
         import edgeproc.urns as urns
-        traj = urns.UrnTrajectory(np.array([0.1, 0.2, 0.5, 0.3]),
-                                  "continuous", 1.0)
+        traj = urns.UrnTrajectory(np.array([0.1, 0.2, 0.5, 0.3]))
         assert traj.first_k_in_order(2)
         assert not traj.first_k_in_order(3)
 
