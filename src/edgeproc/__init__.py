@@ -14,6 +14,6 @@ from .measure import (
     power_law_product,
 )
 from .process import Trajectory, depoissonize, replica_rng, run_continuous, run_discrete
-from .graphstate import GraphState, replay
+from .graphstate import replay
 
 __version__ = "0.1.0"

@@ -114,12 +114,6 @@ def joint_ratio(spec, e, f):
     return min(ratio, 1.0)
 
 
-def joint_ratio_closed_form(spec, e, f):
-    """Simplified expression (a_e + a_f + b) / (a_e + a_f + 2b)."""
-    t = JointProbTerms.from_spec(spec, e, f)
-    return (t.a_e + t.a_f + t.b_ef) / (t.a_e + t.a_f + 2.0 * t.b_ef)
-
-
 @dataclass(frozen=True)
 class SeriesReport:
     partial_sum: float

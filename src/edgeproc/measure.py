@@ -193,11 +193,6 @@ class MeasureSpec:
             self._cache["alias"] = tab
         return tab
 
-    def sample_edge(self, rng):
-        """One edge drawn with probability mass / total mass."""
-        k = self.sample_edge_indices(1, rng)[0]
-        return (int(self.ei[k]), int(self.ej[k]))
-
     def sample_edge_indices(self, n, rng):
         """n i.i.d. support-edge indices via the alias table."""
         J, q = self._alias()

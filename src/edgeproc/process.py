@@ -148,29 +148,19 @@ def run_discrete(spec, n_steps, rng):
     return Trajectory(times, spec.ei[ks], spec.ej[ks])
 
 
-def run_continuous(spec, horizon_T, rng, full_streams=False):
-    """Arrivals in [0, T] of the poissonized process.
+def run_continuous(spec, horizon_T, rng):
+    """First arrivals in [0, T] of the poissonized process.
 
-    Default mode draws one exponential first-arrival per support edge, which
-    is sufficient for every simple-graph property.  ``full_streams`` draws
-    complete per-edge Poisson streams instead, so parallel edges re-arrive.
+    One exponential first-arrival per support edge is sufficient for every
+    simple-graph property; ties go to the lower edge index.  Full streams,
+    in which parallel edges re-arrive, come from ``depoissonize``.
     """
     if horizon_T <= 0:
         raise ValueError("horizon must be positive")
-    w = spec.w
-    if full_streams:
-        counts = rng.poisson(w * horizon_T)
-        total = int(counts.sum())
-        times = rng.random(total) * horizon_T
-        ks = np.repeat(np.arange(len(w)), counts)
-    else:
-        times = rng.exponential(exponential_scales(w))
-        keep = times <= horizon_T
-        times = times[keep]
-        ks = np.nonzero(keep)[0]
-    order = np.argsort(times, kind="stable")
-    ks = ks[order]
-    return Trajectory(times[order], spec.ei[ks], spec.ej[ks])
+    times = rng.exponential(exponential_scales(spec.w))
+    ks = np.flatnonzero(times <= horizon_T)
+    ks = ks[np.argsort(times[ks], kind="stable")]
+    return Trajectory(times[ks], spec.ei[ks], spec.ej[ks])
 
 
 def full_stream_arrivals(rates, n, size, rng):

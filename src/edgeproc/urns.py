@@ -314,22 +314,18 @@ def coupling_rate_audit(state, spec, i, engine=None):
     eng = engine or _engine(spec)
     i = _free_vertex(state, spec, i)
     in_v, in_u = state.in_v, state.in_u
-    total = float(eng.epoch_table(state).lam[i])  # blue
-    row = eng.mat[i]
-    for j in np.nonzero(row)[0]:
-        mu = row[j]
-        if not in_v[i] and not in_v[j]:
-            p_add = 1.0 if in_u[j] else 0.5          # orange / brown
-        elif in_v[i] and in_v[j]:
-            p_add = 1.0 if in_u[j] else 0.5          # green / magenta
-        elif not in_v[i]:
-            p_add = 1.0                              # yellow: i is the new one
-        else:
-            # i in V, j not in V: yellow fires for j unless j already urned,
-            # in which case violet adds i
-            p_add = 1.0 if in_u[j] else 0.0
-        total += mu * p_add
-    return total
+    # chance that edge outcome {i, j} urns i, for every neighbour j at once
+    # (the row is 0 off the support, so other entries add nothing)
+    if in_v[i]:
+        # j urned: green (j in V) or violet (j new); j not urned: magenta's
+        # coin (j in V), or yellow urns the new j instead
+        p_add = np.where(in_u, 1.0, np.where(in_v, 0.5, 0.0))
+    else:
+        # j in V: yellow, i is the new vertex; j new: orange if j is urned,
+        # else brown's coin
+        p_add = np.where(in_v | in_u, 1.0, 0.5)
+    blue = float(eng.epoch_table(state).lam[i])
+    return blue + float(eng.mat[i] @ p_add)
 
 
 def prob_urn_without_vertex(state, spec, engine=None):
@@ -411,9 +407,9 @@ def respect_factor(block_lambdas, tail_mass, method=None):
     return min(max(val, 0.0), 1.0)
 
 
-def urns_in_order(lambdas, blocks_used=None, tail_sum=0.0):
-    """Partial product of lambda_n / (sum of rates from n on) for the event
-    that the urns are filled in index order.
+def urns_in_order(lambdas, tail_sum=0.0):
+    """Product of lambda_n / (sum of rates from n on) over every listed urn,
+    for the event that the urns are filled in index order.
 
     ``tail_sum`` is the total rate beyond the listed urns (0 for a genuinely
     finite scheme).  Verdicts are issued only with an analytic basis:
@@ -423,22 +419,18 @@ def urns_in_order(lambdas, blocks_used=None, tail_sum=0.0):
     (product positive).
     """
     lam = np.asarray(lambdas, dtype=float)
-    n = len(lam) if blocks_used is None else int(blocks_used)
-    if not 1 <= n <= len(lam):
-        raise ValueError(f"blocks_used must be in 1..{len(lam)}, got {n}")
-    if np.any(lam[:n] <= 0):
-        raise ValueError("evaluated prefix must have positive rates")
-    suffix = np.concatenate([np.cumsum(lam[::-1])[::-1], [0.0]]) + tail_sum
-    factors = lam[:n] / suffix[:n]
-    product = float(np.prod(factors))
-    verdict, basis = _in_order_verdict(lam, n, tail_sum, factors)
-    return RespectReport(factors=tuple(float(f) for f in factors),
-                         partial_product=product, blocks_used=n,
-                         methods=("closed-form",) * n,
+    if len(lam) == 0 or np.any(lam <= 0):
+        raise ValueError("urns_in_order needs at least one rate, all positive")
+    factors = lam / (np.cumsum(lam[::-1])[::-1] + tail_sum)
+    verdict, basis = _in_order_verdict(lam, tail_sum, factors)
+    return RespectReport(factors=tuple(factors.tolist()),
+                         partial_product=float(np.prod(factors)),
+                         blocks_used=len(lam),
+                         methods=("closed-form",) * len(lam),
                          verdict=verdict, verdict_basis=basis)
 
 
-def _in_order_verdict(lam, n, tail_sum, factors):
+def _in_order_verdict(lam, tail_sum, factors):
     if tail_sum == 0.0:
         return ("positive-analytic",
                 "finite scheme: finitely many positive factors")

@@ -1,9 +1,12 @@
 """Shared fixtures and helpers for the test suite."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from scipy.cluster.hierarchy import DisjointSet
 
-from edgeproc.measure import explicit
+from edgeproc.measure import edge, explicit
 from edgeproc.process import (
     depoissonize,
     replica_rng,
@@ -41,8 +44,8 @@ def random_explicit_spec(rng, max_vertex=8, n_edges=None, min_mass=0.05):
 
 
 def random_trajectories(seed, count):
-    """Discrete, continuous, full-stream and de-Poissonized trajectories on
-    random small measures."""
+    """Discrete, continuous and de-Poissonized trajectories on random small
+    measures."""
     rng = np.random.default_rng(seed)
     for k in range(count):
         spec = random_explicit_spec(rng, max_vertex=10,
@@ -50,9 +53,80 @@ def random_trajectories(seed, count):
         r = replica_rng(seed, k)
         yield run_discrete(spec, int(rng.integers(1, 60)), r)
         yield run_continuous(spec, float(rng.uniform(0.1, 6.0)), r)
-        yield run_continuous(spec, float(rng.uniform(0.1, 6.0)), r,
-                             full_streams=True)
         yield depoissonize(spec, int(rng.integers(1, 12)), r)
+
+
+# -- the independent oracle: one arrival at a time -----------------------
+
+
+class GraphState:
+    """Simple graph built from an arrival stream, one arrival at a time.
+
+    The state is monotone (vertices and edges only accumulate), so scipy's
+    incremental ``DisjointSet`` tracks components exactly.  The package
+    reads whole trajectories with the kernels of ``process``; this is the
+    independent oracle the tests compare them with.
+    """
+
+    def __init__(self):
+        self.vertices = set()
+        self.simple_edges = set()
+        self.dsu = DisjointSet()
+        self.components = 0
+        self.i_event_count = 0
+
+    def apply_event(self, e):
+        """Apply one arrival; returns (new_vertices, new_component)."""
+        i, j = edge(*e)
+        new = (i not in self.vertices) + (j not in self.vertices)
+        self.vertices.add(i)
+        self.vertices.add(j)
+        self.simple_edges.add((i, j))
+        self.dsu.add(i)
+        self.dsu.add(j)
+        self.dsu.merge(i, j)
+        self.components = self.dsu.n_subsets
+        new_component = new == 2
+        if new_component:
+            self.i_event_count += 1
+        return new, new_component
+
+    @property
+    def is_empty(self):
+        return not self.vertices
+
+    def is_connected(self):
+        """True iff exactly one component; the empty graph reports False."""
+        return self.components == 1
+
+    def essential_completeness(self):
+        """(flag, subcase): complete prefix {1..n} plus at most one extra vertex.
+
+        Subcase "extra-vertex" is the strict definition (V = {1..n+1} with
+        {1..n} complete); "exact-prefix" is the degenerate moment where
+        V = {1..n} itself is complete and vertex n+1 has not yet arrived.
+        """
+        m = len(self.vertices)
+        if m < 2 or not self.is_connected():
+            return False, None
+        if self.vertices != set(range(1, m + 1)):
+            return False, None
+        if self._prefix_complete(m):
+            return True, "exact-prefix"
+        if self._prefix_complete(m - 1):
+            return True, "extra-vertex"
+        return False, None
+
+    def _prefix_complete(self, n):
+        return n >= 1 and all(e in self.simple_edges
+                              for e in combinations(range(1, n + 1), 2))
+
+    def is_essentially_complete(self):
+        return self.essential_completeness()[0]
+
+    def snapshot(self):
+        return (len(self.vertices), len(self.simple_edges), self.components,
+                self.i_event_count)
 
 
 @pytest.fixture

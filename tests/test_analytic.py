@@ -14,7 +14,6 @@ from edgeproc.analytic import (
     connectedness_series,
     expected_vertices,
     joint_ratio,
-    joint_ratio_closed_form,
     prob_both_vertices,
     prob_Ie,
     prob_Ie_and_If,
@@ -26,6 +25,12 @@ from edgeproc.measure import double_exp, explicit, power_law_product
 from edgeproc.process import replica_rng
 
 from conftest import random_explicit_spec, triangle_spec, path_spec
+
+
+def joint_ratio_closed_form(spec, e, f):
+    """Simplified expression (a_e + a_f + b) / (a_e + a_f + 2b)."""
+    t = JointProbTerms.from_spec(spec, e, f)
+    return (t.a_e + t.a_f + t.b_ef) / (t.a_e + t.a_f + 2.0 * t.b_ef)
 
 
 class TestProbIe:

@@ -1,15 +1,17 @@
 """Graph state evolution: connectivity, essential completeness, replay."""
 
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from edgeproc.graphstate import GraphState, replay, snapshots_to_csv
+from edgeproc.graphstate import replay, snapshots_to_csv
 from edgeproc.measure import explicit
-from edgeproc.process import replica_rng, run_continuous
+from edgeproc.process import Trajectory, replica_rng, run_continuous
 
-from conftest import random_explicit_spec, random_trajectories
+from conftest import GraphState, random_explicit_spec, random_trajectories
 
 
 def build(edges):
@@ -140,11 +142,15 @@ class TestReplay:
                 [str(k), repr(t)] for k, t in enumerate(traj.time.tolist(), 1)]
 
     def test_snapshots_csv_golden(self, tmp_path):
-        # bytes as written before replay read trajectory columns
-        spec = explicit([((1, 2), 1.0), ((3, 4), 1.0), ((5, 6), 1.0),
-                         ((2, 3), 0.5), ((4, 5), 0.5), ((1, 6), 0.25)])
-        traj = run_continuous(spec, 1.2, replica_rng(34, 1),
-                              full_streams=True)
+        # bytes as written before replay read trajectory columns, for the
+        # full-stream trajectory those bytes came from: edge (3, 4) repeats
+        traj = Trajectory(
+            np.array([0.009743886206026441, 0.19763429806961502,
+                      0.30631754292323166, 0.5701461989370453,
+                      0.8691969248320486, 1.0076723819582727,
+                      1.0444627644841322, 1.140533798801406]),
+            np.array([3, 3, 2, 1, 5, 1, 3, 3]),
+            np.array([4, 4, 3, 6, 6, 2, 4, 4]))
         out = tmp_path / "snap.csv"
         snapshots_to_csv(traj, out, header_lines=["seed: 34"])
         rows = ["index,time,vertices,edges,components,i_events",
@@ -242,3 +248,14 @@ class TestUnionFindAgainstBruteForce:
                 if was_connected and not state.is_connected():
                     assert ev.new_vertices == 2
                 was_connected = state.is_connected()
+
+
+def test_package_import_loads_no_scipy_cluster():
+    # the incremental union-find oracle lives in the tests: importing the
+    # package and its CLI must not load scipy.cluster
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, edgeproc, edgeproc.cli; print(sorted(m for m in "
+         "sys.modules if m.startswith('scipy.cluster')))"],
+        capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -210,9 +210,8 @@ class TestNormalization:
 class TestSampling:
     def test_single_edge_always_drawn(self):
         spec = explicit([((1, 2), 1.0)])
-        rng = replica_rng(0, 0)
-        for _ in range(20):
-            assert spec.sample_edge(rng) == (1, 2)
+        assert spec.sample_edge_indices(20, replica_rng(0, 0)).tolist() \
+            == [0] * 20
 
     def test_two_edge_frequency(self):
         spec = explicit([((1, 2), 0.5), ((3, 4), 0.5)])

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from edgeproc import analytic, montecarlo as mc
-from edgeproc.graphstate import GraphState
 from edgeproc.measure import (
     explicit,
     factorial_max,
@@ -15,7 +14,12 @@ from edgeproc.measure import (
 )
 from edgeproc.process import replica_rng
 
-from conftest import path_spec, random_explicit_spec, triangle_spec
+from conftest import (
+    GraphState,
+    path_spec,
+    random_explicit_spec,
+    triangle_spec,
+)
 
 # spec factory, horizon T, event edges (I target, I_joint pair); the growth
 # grids run to 2T

@@ -96,26 +96,12 @@ class TestRunContinuous:
         assert ts == sorted(ts)
         assert [ev.index for ev in traj.events] == list(range(1, len(ts) + 1))
 
-    def test_full_stream_arrival_count_is_poisson(self, two_edges):
-        n = 30_000
-        T = 3.0
-        lam = two_edges.total_mass * T
-        counts = np.empty(n)
-        for k in range(n):
-            counts[k] = len(run_continuous(two_edges, T, replica_rng(9, k),
-                                           full_streams=True))
-        se_mean = np.sqrt(lam / n)
-        assert abs(counts.mean() - lam) < 3 * se_mean
-        se_var = np.sqrt(np.mean((counts - counts.mean()) ** 4) / n)
-        assert abs(counts.var(ddof=1) - lam) < 3 * se_var
-
     def test_simple_graph_sufficiency(self):
         # replaying a full-stream trajectory: repeated-edge arrivals must not
         # change any simple-graph statistic
         spec = explicit([((1, 2), 2.0), ((2, 3), 1.5), ((3, 4), 1.0)])
         for k in range(50):
-            traj = run_continuous(spec, 5.0, replica_rng(10, k),
-                                  full_streams=True)
+            traj = depoissonize(spec, 20, replica_rng(10, k))
             snaps = replay(traj)
             seen = set()
             for n, (ev, snap) in enumerate(zip(traj.events, snaps)):
@@ -255,16 +241,6 @@ class TestGoldenCsv:
             "1,0.17356181556026268,4,5,2,1",
             "2,0.5657018060218281,1,2,2,1",
             "3,0.7821999715699064,1,4,0,0"])
-
-    def test_full_streams(self, tmp_path):
-        traj = run_continuous(explicit(GOLDEN_SPEC), 0.6, replica_rng(31, 1),
-                              full_streams=True)
-        self.check(traj, tmp_path, [
-            "1,0.0711029981134065,2,3,2,1",
-            "2,0.35199893313803776,2,3,0,0",
-            "3,0.3566007166084328,1,2,1,0",
-            "4,0.43030387352955535,2,3,0,0",
-            "5,0.5217483402049584,3,5,1,0"])
 
     def test_depoissonize(self, tmp_path):
         traj = depoissonize(explicit(GOLDEN_SPEC), 6, replica_rng(32, 0))

@@ -227,19 +227,25 @@ class TestRateAudit:
         assert abs(coupling_rate_audit(state, spec, 1) - 1.0) < 1e-12
 
     def test_randomized_reachable_states(self):
-        for spec in (power_law_product(3.0, 12, normalize=True),
-                     k_n_spec(6)):
+        # random explicit windows have gaps: free vertices of M_i = 0, whose
+        # audit must read 0 as well
+        rng = np.random.default_rng(60)
+        cases = [(power_law_product(3.0, 12, normalize=True), 300, 59),
+                 (k_n_spec(6), 300, 59)] + [
+            (random_explicit_spec(rng, max_vertex=12,
+                                  n_edges=int(rng.integers(2, 9))).normalize(),
+             30, 61 + n) for n in range(38)]
+        audited_zero = 0
+        for spec, n_states, seed in cases:
             eng = CouplingEngine(spec)
-            for k in range(300):
-                rng = replica_rng(59, k)
-                state = random_reachable_state(eng, rng)
-                free = [i for i in range(1, spec.n_max + 1)
-                        if not state.in_u[i] and spec.marginals[i] > 0]
-                if not free:
-                    continue
-                i = int(rng.choice(free))
-                assert abs(coupling_rate_audit(state, spec, i, engine=eng)
-                           - spec.marginals[i]) < 1e-12
+            M = spec.marginals.M
+            for k in range(n_states):
+                state = random_reachable_state(eng, replica_rng(seed, k))
+                for i in np.flatnonzero(~state.in_u[1:]) + 1:
+                    assert abs(coupling_rate_audit(state, spec, i, engine=eng)
+                               - M[i]) < 1e-12
+                    audited_zero += M[i] == 0
+        assert audited_zero > 1000
 
 
 def coupling_digest(eng, seeds=(1, 2, 3), runs=100):
@@ -469,8 +475,7 @@ class TestUrnsInOrder:
 
     def test_partial_product_non_increasing(self):
         lam = np.exp(-0.5 * np.arange(1, 12))
-        prods = [urns_in_order(lam, blocks_used=k, tail_sum=0.1).partial_product
-                 for k in range(1, 12)]
+        prods = np.cumprod(urns_in_order(lam, tail_sum=0.1).factors)
         assert all(a >= b for a, b in zip(prods, prods[1:]))
 
     def test_inconclusive_without_tail_argument(self):
@@ -478,8 +483,12 @@ class TestUrnsInOrder:
         assert rep.verdict == "inconclusive"
 
     def test_prefix_must_be_positive(self):
-        with pytest.raises(ValueError):
-            urns_in_order([1.0, 0.0, 2.0])
+        # every rate is read: a zero anywhere, or no rate at all, is one
+        # ValueError, never a division by zero
+        for lam, tail in (([1.0, 0.0, 2.0], 0.0), ([1.0, 0.0, 0.5], 0.1),
+                          ([0.5, 1.0, 0.0], 0.0), ([], 0.1)):
+            with pytest.raises(ValueError, match="all positive"):
+                urns_in_order(lam, tail_sum=tail)
 
     def test_in_order_monte_carlo(self):
         lam = 2.0 ** -np.arange(1, 13)
@@ -583,12 +592,6 @@ OUT_OF_RANGE = {
     "audit_zero": (lambda st, s: coupling_rate_audit(st, s, 0), "1..6"),
     "audit_past_window": (lambda st, s: coupling_rate_audit(st, s, 7),
                           "1..6"),
-    "in_order_no_blocks": (
-        lambda st, s: urns_in_order(s.marginals.M[1:], blocks_used=0),
-        "1..6"),
-    "in_order_past_rates": (
-        lambda st, s: urns_in_order(s.marginals.M[1:], blocks_used=7),
-        "1..6"),
 }
 
 
