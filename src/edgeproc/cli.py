@@ -286,7 +286,9 @@ def main(argv=None):
     args.argv = argv
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # a flag value the library rejects (a negative seed, too few
+        # replicas, an unusable horizon) is a configuration error too
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

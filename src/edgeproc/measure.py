@@ -365,13 +365,16 @@ def double_exp(n_max, normalize=False):
     """
     if n_max < 2:
         raise ValueError("double_exp needs a window of at least 2 vertices")
+    # exp(-3^7) is 0 in float64, so vertices past 7 weigh exactly what 7
+    # does; capping the index keeps 3^i finite on any window
+    cap = 7
     ei, ej = _window_pairs(n_max)
-    w = np.exp(-(3.0**ei) - (3.0**ej))
+    w = np.exp(-(3.0**np.minimum(ei, cap)) - (3.0**np.minimum(ej, cap)))
     if not np.any(w > 0):
         raise ValueError("all masses underflow; reduce n_max")
     # tail over max(e) = m > n_max: exp(-3^m) * sum_{i<m} exp(-3^i)
-    s = sum(math.exp(-(3.0**i)) for i in range(1, n_max + 1))
-    m = n_max + 1
+    s = sum(math.exp(-(3.0**i)) for i in range(1, min(n_max, cap) + 1))
+    m = min(n_max + 1, cap)
     first = math.exp(-(3.0**m)) * (s + math.exp(-(3.0**m)))
     off = 2.0 * first  # ratio of consecutive tail terms is astronomically small
     spec = MeasureSpec("double_exp", {}, ei, ej, w, n_max,

@@ -44,7 +44,8 @@ __all__ = [
     "variance_standard_error",
 ]
 
-# arrival times per replica block: B = max(1, _BLOCK_ELEMENTS // E) rows
+# arrival times per replica block: B = max(1, _BLOCK_ELEMENTS // E) rows,
+# or // (E * n) for full streams of n arrivals
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -367,16 +368,19 @@ def depoissonization_agreement(spec, n, replicas, seed):
     E = len(spec.w)
     if E > 10 or n > 3:
         raise ValueError("tuple histogramming needs <= 10 edges and n <= 3")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    _check_replicas(replicas, 1)
     norm = spec.normalize()
     rng_d, rng_c = replica_rng(seed, 0), replica_rng(seed, 1)
     # discrete route: i.i.d. draws from the normalized measure
     draws = norm.sample_edge_indices(n * replicas, rng_d).reshape(replicas, n)
     # continuous route: full Poisson streams stopped at the n-th arrival
     codes_c = np.empty((replicas, n), dtype=np.int64)
-    batch = 2000
-    for a in range(0, replicas, batch):
-        codes_c[a:a + batch] = full_stream_arrivals(
-            spec.w, n, min(batch, replicas - a), rng_c)[1]
+    rows = max(1, _BLOCK_ELEMENTS // (E * n))
+    for a in range(0, replicas, rows):
+        codes_c[a:a + rows] = full_stream_arrivals(
+            spec.w, n, min(rows, replicas - a), rng_c)[1]
     base = E ** np.arange(n)
     hist_d = np.bincount(draws @ base, minlength=E**n) / replicas
     hist_c = np.bincount(codes_c @ base, minlength=E**n) / replicas

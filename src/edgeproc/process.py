@@ -119,11 +119,8 @@ class Trajectory:
         """The arrivals as ``ArrivalEvent`` records, built on first use."""
         nv = self.new_vertices.tolist()
         return list(map(ArrivalEvent._make, zip(
-            range(1, len(nv) + 1), self.time.tolist(), self.edge_sequence(),
-            nv, [v == 2 for v in nv])))
-
-    def edge_sequence(self):
-        return list(zip(self.i.tolist(), self.j.tolist()))
+            range(1, len(nv) + 1), self.time.tolist(),
+            zip(self.i.tolist(), self.j.tolist()), nv, [v == 2 for v in nv])))
 
     def to_csv(self, path, header_lines=()):
         nv = self.new_vertices.tolist()

@@ -1,4 +1,4 @@
-"""Urn occupancy schemes, the vertex/urn coupling, and in-order fill criteria.
+"""Direct urn occupancy, the vertex/urn coupling, and in-order fill criteria.
 
 The coupling pairs the vertex process of a normalized measure with an urn
 scheme of rates M_i so that both marginals are exact; per-epoch outcomes are
@@ -16,8 +16,6 @@ from scipy.integrate import quad
 from .process import exponential_scales, write_table
 
 __all__ = [
-    "UrnScheme",
-    "UrnTrajectory",
     "run_urn",
     "CouplingState",
     "CouplingEngine",
@@ -35,59 +33,20 @@ __all__ = [
 ]
 
 
-# -- plain urn schemes ---------------------------------------------------
+# -- direct urn simulation -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class UrnScheme:
-    """Rates (continuous) or probabilities (discrete) for one urn per index."""
-
-    lambdas: tuple
-    mode: str  # "discrete" | "continuous"
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        if np.any(lam < 0):
-            raise ValueError("urn intensities must be non-negative")
-        if self.mode == "discrete":
-            if abs(lam.sum() - 1.0) > 1e-12:
-                raise ValueError("discrete scheme probabilities must sum to 1")
-        elif self.mode != "continuous":
-            raise ValueError(f"unknown mode {self.mode!r}")
-
-
-@dataclass
-class UrnTrajectory:
-    """First-fill time (or step) per urn; inf for urns never filled."""
-
-    fill_times: np.ndarray
-
-    def occupied_count(self, t):
-        return int(np.sum(self.fill_times <= t))
-
-    def first_k_in_order(self, k):
-        """True iff the first k distinct urns filled are urns 1..k in order."""
-        order = np.argsort(self.fill_times, kind="stable")
-        return bool(np.all(order[:k] == np.arange(k)))
-
-
-def run_urn(scheme, horizon, rng):
-    """Simulate the scheme; continuous mode draws per-urn first arrivals."""
-    lam = np.asarray(scheme.lambdas, dtype=float)
-    if scheme.mode == "continuous":
-        fill = np.full(len(lam), np.inf)
-        pos = lam > 0
-        fill[pos] = rng.exponential(exponential_scales(lam[pos]))
-        fill[fill > horizon] = np.inf
-        return UrnTrajectory(fill)
-    # discrete: one ball per step
-    n_steps = int(horizon)
-    cum = np.cumsum(lam)
-    draws = np.searchsorted(cum, rng.random(n_steps) * cum[-1], side="right")
+def run_urn(rates, horizon, rng):
+    """First-fill time of each urn of a continuous-time urn scheme with the
+    given rates: inf past the horizon or at rate 0."""
+    lam = np.asarray(rates, dtype=float)
+    if np.any(lam < 0):
+        raise ValueError("urn intensities must be non-negative")
     fill = np.full(len(lam), np.inf)
-    steps = np.arange(1, n_steps + 1, dtype=float)
-    np.minimum.at(fill, draws, steps)
-    return UrnTrajectory(fill)
+    pos = lam > 0
+    fill[pos] = rng.exponential(exponential_scales(lam[pos]))
+    fill[fill > horizon] = np.inf
+    return fill
 
 
 # -- the exp(3) vertex/urn coupling --------------------------------------

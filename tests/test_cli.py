@@ -119,6 +119,29 @@ class TestConfigErrors:
         assert "bad.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--horizon-t", "1", "--seed", "-1"],
+    ["clt", "--horizon-t", "1", "--seed", "-1"],
+    ["couple", "--horizon-t", "1", "--seed", "-1"],
+    ["verify", "--seed", "-1"],
+    ["clt", "--horizon-t", "1", "--replicas", "1"],
+    ["simulate", "--horizon-n", "0"],
+    ["simulate", "--horizon-t", "0"],
+    ["analytic", "--horizon-t", "-1"],
+    ["clt", "--horizon-t", "0"],
+], ids=" ".join)
+def test_bad_numeric_flag_is_config_error(argv, tmp_path, single_edge_cfg,
+                                          capsys):
+    # the library's ValueError exits 2, as a bad --window does; 1 is kept
+    # for a tolerance failure
+    out = tmp_path / "out.txt"
+    if argv[0] != "verify":
+        argv = argv + ["--measure", single_edge_cfg, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()
+
+
 class TestOtherCommands:
     def test_clt(self, tmp_path, tmp_path_factory):
         cfg = tmp_path / "iso.json"

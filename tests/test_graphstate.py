@@ -124,7 +124,7 @@ class TestReplay:
         for traj in random_trajectories(42, 60):
             state = GraphState()
             want = []
-            for e in traj.edge_sequence():
+            for e in zip(traj.i.tolist(), traj.j.tolist()):
                 state.apply_event(e)
                 want.append(state.snapshot())
             assert replay(traj) == want

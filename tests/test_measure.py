@@ -1,5 +1,6 @@
 """Measure construction, marginals, normalization, sampling, support queries."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -345,6 +346,33 @@ class TestFamilies:
         spec = double_exp(3)
         assert spec.mass((1, 2)) == pytest.approx(np.exp(-3.0) * np.exp(-9.0))
         assert spec.off_window_mass > 0
+
+    # sha256 of w, ei and ej bytes, and off_window_mass.hex(), as built
+    # before the exponent cap
+    DOUBLE_EXP_GOLDEN = {
+        2: ("44d86e06bc04b6f7", "0x1.a67978660a2a1p-43"),
+        3: ("369b37c12c583bd8", "0x1.c3105ffcfa1b3p-121"),
+        4: ("275d4da0417a0580", "0x1.127c8df1da8d3p-354"),
+        5: ("cc620d314a217b30", "0x0.000000007bb56p-1022"),
+        6: ("b783b5e13c3fd98e", "0x0.0p+0"),
+        10: ("b783b5e13c3fd98e", "0x0.0p+0"),
+        645: ("b783b5e13c3fd98e", "0x0.0p+0"),
+    }
+
+    @pytest.mark.parametrize("n_max", sorted(DOUBLE_EXP_GOLDEN))
+    def test_double_exp_golden(self, n_max):
+        spec = double_exp(n_max)
+        digest = hashlib.sha256(spec.w.tobytes() + spec.ei.tobytes()
+                                + spec.ej.tobytes()).hexdigest()[:16]
+        assert (digest, spec.off_window_mass.hex()) == \
+            self.DOUBLE_EXP_GOLDEN[n_max]
+
+    @pytest.mark.parametrize("n_max", [646, 700])
+    def test_double_exp_large_window_builds(self, n_max):
+        # 3^646 overflowed float64; every vertex >= 7 has mass 0 anyway
+        spec = double_exp(n_max)
+        assert len(spec.w) == 12 and spec.off_window_mass == 0.0
+        assert spec.edges == double_exp(6).edges
 
     @pytest.mark.parametrize("n_max", [0, 1])
     def test_double_exp_window_without_pairs_rejected(self, n_max):

@@ -13,7 +13,7 @@ from edgeproc.measure import (
     power_law_product,
 )
 from edgeproc.process import depoissonize, replica_rng, run_continuous
-from edgeproc.urns import UrnScheme, run_urn
+from edgeproc.urns import run_urn
 
 from conftest import random_explicit_spec
 
@@ -197,6 +197,11 @@ class TestDepoissonization:
         with pytest.raises(ValueError):
             mc.depoissonization_agreement(spec, 2, 100, 0)
 
+    @pytest.mark.parametrize("n, replicas", [(0, 100), (-1, 100), (2, 0)])
+    def test_rejects_degenerate_inputs(self, triangle, n, replicas):
+        with pytest.raises(ValueError):
+            mc.depoissonization_agreement(triangle, n, replicas, 0)
+
 
 class TestDeterminism:
     def test_estimate_thread_invariant(self, triangle):
@@ -269,9 +274,7 @@ SAMPLERS = {
                                                   3, 0),
     "run_continuous": lambda s: run_continuous(s, 1.0, replica_rng(0, 0)),
     "depoissonize": lambda s: depoissonize(s, 2, replica_rng(0, 0)),
-    "run_urn": lambda s: run_urn(UrnScheme(tuple(s.marginals.M[1:]),
-                                           "continuous"), 1.0,
-                                 replica_rng(0, 0)),
+    "run_urn": lambda s: run_urn(s.marginals.M[1:], 1.0, replica_rng(0, 0)),
 }
 
 
@@ -287,5 +290,5 @@ def test_subnormal_masses_sample_without_warnings(name, sampler):
 def test_subnormal_edge_never_arrives():
     spec = SUBNORMAL["explicit_5e-324"]()
     traj = run_continuous(spec, 1e6, replica_rng(0, 0))
-    assert traj.edge_sequence() == [(2, 3)]
+    assert (traj.i.tolist(), traj.j.tolist()) == ([2], [3])
     assert mc.vertex_count_samples(spec, [1e6], 50, 0).max() == 2
