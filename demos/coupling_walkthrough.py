@@ -11,6 +11,8 @@ Run:  python3 demos/coupling_walkthrough.py
 
 import itertools
 
+import numpy as np
+
 from edgeproc import explicit
 from edgeproc.process import replica_rng
 from edgeproc.urns import CouplingEngine, coupling_rate_audit
@@ -33,7 +35,8 @@ def main():
               f" {v:3d}  {u:3d}  {eq}")
     if len(state.log) > 15:
         print(f"... {len(state.log) - 15} more epochs")
-    print("final: V =", sorted(state.v_set), " U =", sorted(state.u_set))
+    print("final: V =", np.flatnonzero(state.in_v).tolist(),
+          " U =", np.flatnonzero(state.in_u).tolist())
 
     print("\n=== the rate audit: urn i fills at rate M_i in every state ===")
     for k in (1, 2, 3):

@@ -167,7 +167,7 @@ def connectedness_series(spec, window=None):
 
 def expected_vertices(spec, t):
     """Sum over window vertices of 1 - exp(-M_i t)."""
-    if t < 0:
+    if not t >= 0:  # NaN too
         raise ValueError("t must be non-negative")
     M = spec.marginals.M[1:]
     return float(np.sum(-np.expm1(-M[M > 0] * t)))
@@ -176,7 +176,7 @@ def expected_vertices(spec, t):
 def urn_variance(spec, t):
     """Variance of the occupied-urn count with rates M_i:
     sum of exp(-M_i t)(1 - exp(-M_i t))."""
-    if t < 0:
+    if not t >= 0:  # NaN too
         raise ValueError("t must be non-negative")
     M = spec.marginals.M[1:]
     M = M[M > 0]

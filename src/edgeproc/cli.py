@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import namedtuple
 from dataclasses import asdict
 
 import numpy as np
@@ -22,37 +23,34 @@ EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 
 
-# flags each subcommand reads, besides --seed (which every header records)
-_FLAGS = {
-    "simulate": ("measure", "horizon-t", "horizon-n", "out"),
-    "analytic": ("measure", "horizon-t", "out"),
-    "series": ("measure", "window", "out"),
-    "clt": ("measure", "horizon-t", "replicas", "threads", "out"),
-    "urns": ("measure", "window", "out"),
-    "complete": ("measure", "window", "out"),
-    "couple": ("measure", "horizon-t", "out"),
-    "verify": ("threads",),
-}
 _OPTIONS = {
     "measure": {"help": "path to a measure config file"},
     "horizon-t": {"type": float, "default": None},
     "horizon-n": {"type": int, "default": None},
     "window": {"type": int, "default": None},
-    "out": {"default": None},
     "replicas": {"type": int, "default": 10_000},
     "threads": {"type": int, "default": 1},
 }
+
+
+# handler(args, spec) returns an exit code, None for EXIT_OK; flags: read
+# besides --seed (every header records it); required: refused if missing;
+# out: the default output file; a subcommand with one takes --out
+_Command = namedtuple("_Command", "handler flags required out",
+                      defaults=((), None))
 
 
 def _parser():
     p = argparse.ArgumentParser(prog="edgeproc",
                                 description="edge-driven random graph toolkit")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, flags in _FLAGS.items():
+    for name, cmd in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--seed", type=int, default=0)
-        for flag in flags:
+        for flag in cmd.flags:
             sp.add_argument(f"--{flag}", **_OPTIONS[flag])
+        if cmd.out:
+            sp.add_argument("--out")
     return p
 
 
@@ -92,16 +90,7 @@ class ConfigError(Exception):
     pass
 
 
-def _window(args, spec):
-    """--window by the measure's window rule; a bad one is a config error."""
-    try:
-        return spec.window(args.window)
-    except ValueError as exc:
-        raise ConfigError(f"--window: {exc}")
-
-
-def _cmd_simulate(args):
-    spec = _need_measure(args)
+def _cmd_simulate(args, spec):
     rng = replica_rng(args.seed, 0)
     if args.horizon_t is not None:
         traj = run_continuous(spec, args.horizon_t, rng)
@@ -109,18 +98,13 @@ def _cmd_simulate(args):
         traj = run_discrete(spec, args.horizon_n, rng)
     else:
         raise ConfigError("simulate needs --horizon-t or --horizon-n")
-    out = args.out or "trajectory.csv"
-    traj.to_csv(out, header_lines=_header(args, spec))
-    return EXIT_OK
+    traj.to_csv(args.out, header_lines=_header(args, spec))
 
 
-def _cmd_analytic(args):
-    spec = _need_measure(args)
-    if args.horizon_t is None:
-        raise ConfigError("analytic needs --horizon-t")
+def _cmd_analytic(args, spec):
     t = args.horizon_t
     lo, ex, up = analytic.variance_sandwich(spec, t)
-    _write(args.out or "analytic_report.txt", _header(args, spec), [
+    _write(args.out, _header(args, spec), [
         ("t", t),
         ("expected_vertices", analytic.expected_vertices(spec, t)),
         ("urn_variance", analytic.urn_variance(spec, t)),
@@ -128,24 +112,17 @@ def _cmd_analytic(args):
         ("vertex_variance_exact", ex),
         ("vertex_variance_upper", up),
     ])
-    return EXIT_OK
 
 
-def _cmd_series(args):
-    spec = _need_measure(args)
-    rep = analytic.connectedness_series(spec, window=_window(args, spec))
-    _write(args.out or "series_report.txt", _header(args, spec),
-           asdict(rep).items())
-    return EXIT_OK
+def _cmd_series(args, spec):
+    rep = analytic.connectedness_series(spec, window=args.window)
+    _write(args.out, _header(args, spec), asdict(rep).items())
 
 
-def _cmd_clt(args):
-    spec = _need_measure(args)
-    if args.horizon_t is None:
-        raise ConfigError("clt needs --horizon-t")
+def _cmd_clt(args, spec):
     rep = montecarlo.clt_diagnostic(spec, args.horizon_t, args.replicas,
                                     args.seed, threads=args.threads)
-    _write(args.out or "clt_report.txt", _header(args, spec), [
+    _write(args.out, _header(args, spec), [
         ("t", rep.t),
         ("replicas", rep.replicas),
         ("standardized_mean", rep.mean),
@@ -157,7 +134,6 @@ def _cmd_clt(args):
         ("normalization_kind", rep.normalization[2]),
         ("low_variance_warning", rep.low_variance_warning),
     ])
-    return EXIT_OK
 
 
 def _respect_fields(rep):
@@ -167,9 +143,8 @@ def _respect_fields(rep):
         for k, (f, m) in enumerate(zip(rep.factors, rep.methods), start=1)]
 
 
-def _cmd_urns(args):
-    spec = _need_measure(args)
-    window = _window(args, spec)
+def _cmd_urns(args, spec):
+    window = args.window
     M = spec.marginals.M[1:window + 1]
     if np.any(M <= 0):
         raise ConfigError("urns needs positive marginal rates on the window; "
@@ -177,35 +152,26 @@ def _cmd_urns(args):
     # the urns past the window still compete: their rates join the tail
     tail = float(spec.marginals.M[window + 1:].sum()) + spec.off_window_mass
     rep = urns.urns_in_order(M, tail_sum=tail)
-    _write(args.out or "urns_report.txt", _header(args, spec),
-           _respect_fields(rep))
-    return EXIT_OK
+    _write(args.out, _header(args, spec), _respect_fields(rep))
 
 
-def _cmd_complete(args):
-    spec = _need_measure(args)
-    blocks = _window(args, spec) - 1
+def _cmd_complete(args, spec):
     try:
-        rep = urns.essential_completeness_product(spec, blocks)
+        rep = urns.essential_completeness_product(spec, args.window - 1)
     except ValueError as exc:
         raise ConfigError(f"--window: {exc}")
-    _write(args.out or "complete_report.txt", _header(args, spec),
-           _respect_fields(rep))
-    return EXIT_OK
+    _write(args.out, _header(args, spec), _respect_fields(rep))
 
 
-def _cmd_couple(args):
-    spec = _need_measure(args).normalize()
-    if args.horizon_t is None:
-        raise ConfigError("couple needs --horizon-t")
+def _cmd_couple(args, spec):
+    spec = spec.normalize()
     rng = replica_rng(args.seed, 0)
     state = urns.run_coupling(spec, args.horizon_t, rng, record=True)
-    out = args.out or "coupling_trace.csv"
-    urns.coupling_trace_to_csv(state, out, header_lines=_header(args, spec))
-    return EXIT_OK
+    urns.coupling_trace_to_csv(state, args.out,
+                               header_lines=_header(args, spec))
 
 
-def _cmd_verify(args):
+def _cmd_verify(args, _):
     """Composition of the analytic-vs-empirical module checks; no new math."""
     from .measure import explicit, power_law_product
 
@@ -269,14 +235,20 @@ def _cmd_verify(args):
 
 
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "analytic": _cmd_analytic,
-    "series": _cmd_series,
-    "clt": _cmd_clt,
-    "urns": _cmd_urns,
-    "complete": _cmd_complete,
-    "couple": _cmd_couple,
-    "verify": _cmd_verify,
+    "simulate": _Command(_cmd_simulate, ("measure", "horizon-t", "horizon-n"),
+                         out="trajectory.csv"),
+    "analytic": _Command(_cmd_analytic, ("measure", "horizon-t"),
+                         ("horizon-t",), "analytic_report.txt"),
+    "series": _Command(_cmd_series, ("measure", "window"),
+                       out="series_report.txt"),
+    "clt": _Command(_cmd_clt, ("measure", "horizon-t", "replicas", "threads"),
+                    ("horizon-t",), "clt_report.txt"),
+    "urns": _Command(_cmd_urns, ("measure", "window"), out="urns_report.txt"),
+    "complete": _Command(_cmd_complete, ("measure", "window"),
+                         out="complete_report.txt"),
+    "couple": _Command(_cmd_couple, ("measure", "horizon-t"), ("horizon-t",),
+                       "coupling_trace.csv"),
+    "verify": _Command(_cmd_verify, ("threads",)),
 }
 
 
@@ -284,8 +256,21 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(argv)
     args.argv = argv
+    cmd = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        spec = _need_measure(args) if "measure" in cmd.flags else None
+        for flag in cmd.required:
+            if getattr(args, flag.replace("-", "_")) is None:
+                raise ConfigError(f"{args.command} needs --{flag}")
+        if "window" in cmd.flags:
+            # the measure's window rule; a bad --window is a config error
+            try:
+                args.window = spec.window(args.window)
+            except ValueError as exc:
+                raise ConfigError(f"--window: {exc}")
+        if cmd.out:
+            args.out = args.out or cmd.out
+        return cmd.handler(args, spec) or EXIT_OK
     except (ConfigError, ValueError) as exc:
         # a flag value the library rejects (a negative seed, too few
         # replicas, an unusable horizon) is a configuration error too

@@ -152,7 +152,7 @@ def run_continuous(spec, horizon_T, rng):
     simple-graph property; ties go to the lower edge index.  Full streams,
     in which parallel edges re-arrive, come from ``depoissonize``.
     """
-    if horizon_T <= 0:
+    if not horizon_T > 0:  # NaN too
         raise ValueError("horizon must be positive")
     times = rng.exponential(exponential_scales(spec.w))
     ks = np.flatnonzero(times <= horizon_T)

@@ -67,14 +67,6 @@ class CouplingState:
         return cls(in_v=np.zeros(n_max + 1, dtype=bool),
                    in_u=np.zeros(n_max + 1, dtype=bool))
 
-    @property
-    def v_set(self):
-        return set(np.nonzero(self.in_v)[0].tolist())
-
-    @property
-    def u_set(self):
-        return set(np.nonzero(self.in_u)[0].tolist())
-
     def sets_equal(self):
         return bool(np.array_equal(self.in_v, self.in_u))
 
@@ -196,7 +188,10 @@ class CouplingEngine:
         return color
 
     def run(self, horizon_t, rng, record=False):
-        """Epochs until the next wait would pass the horizon."""
+        """Epochs until the next wait would pass the horizon, which must be
+        positive and finite."""
+        if not 0 < horizon_t < np.inf:
+            raise ValueError("horizon must be positive and finite")
         state = self.new_state()
         while True:
             wait = rng.exponential(1.0 / 3.0)

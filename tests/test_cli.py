@@ -129,6 +129,13 @@ class TestConfigErrors:
     ["simulate", "--horizon-t", "0"],
     ["analytic", "--horizon-t", "-1"],
     ["clt", "--horizon-t", "0"],
+    ["simulate", "--horizon-t", "nan"],
+    ["analytic", "--horizon-t", "nan"],
+    ["clt", "--horizon-t", "nan"],
+    ["couple", "--horizon-t", "-1"],
+    ["couple", "--horizon-t", "0"],
+    ["couple", "--horizon-t", "nan"],
+    ["couple", "--horizon-t", "inf"],
 ], ids=" ".join)
 def test_bad_numeric_flag_is_config_error(argv, tmp_path, single_edge_cfg,
                                           capsys):

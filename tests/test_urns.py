@@ -577,6 +577,21 @@ class TestEssentialCompletenessProduct:
         assert hits / n >= bound - 3 * se
 
 
+class _NoDraws:
+    """An rng that fails on any draw."""
+
+    def exponential(self, *args, **kwargs):
+        raise AssertionError("drew before checking the horizon")
+
+
+@pytest.mark.parametrize("horizon", [-1.0, 0.0, np.nan, np.inf])
+def test_coupling_rejects_unusable_horizon(horizon):
+    # the epoch loop needs an end, and a negative one would run the clock
+    # backwards
+    with pytest.raises(ValueError, match="horizon"):
+        run_coupling(k_n_spec(4), horizon, _NoDraws())
+
+
 class TestCouplingTrace:
     def test_csv_export(self, tmp_path):
         spec = k_n_spec(4)
