@@ -165,10 +165,14 @@ def connectedness_series(spec, window=None):
                         truncation_residue=residue)
 
 
-def expected_vertices(spec, t):
-    """Sum over window vertices of 1 - exp(-M_i t)."""
+def _check_time(t):
     if not t >= 0:  # NaN too
         raise ValueError("t must be non-negative")
+
+
+def expected_vertices(spec, t):
+    """Sum over window vertices of 1 - exp(-M_i t)."""
+    _check_time(t)
     M = spec.marginals.M[1:]
     return float(np.sum(-np.expm1(-M[M > 0] * t)))
 
@@ -176,8 +180,7 @@ def expected_vertices(spec, t):
 def urn_variance(spec, t):
     """Variance of the occupied-urn count with rates M_i:
     sum of exp(-M_i t)(1 - exp(-M_i t))."""
-    if not t >= 0:  # NaN too
-        raise ValueError("t must be non-negative")
+    _check_time(t)
     M = spec.marginals.M[1:]
     M = M[M > 0]
     q = np.exp(-M * t)
@@ -186,6 +189,7 @@ def urn_variance(spec, t):
 
 def vertex_pair_cov(spec, i, j, t):
     """Covariance of presence indicators: exp(-M_ij t)(1 - exp(-mu_ij t))."""
+    _check_time(t)
     i, j = edge(i, j)
     mu = spec.mass((i, j))
     Mij = spec.edge_mass((i, j))
@@ -194,6 +198,7 @@ def vertex_pair_cov(spec, i, j, t):
 
 def prob_both_vertices(spec, i, j, t):
     """P(both i and j present at t): 1 - e^{-M_i t} - e^{-M_j t} + e^{-M_ij t}."""
+    _check_time(t)
     i, j = edge(i, j)
     m = spec.marginals
     Mij = spec.edge_mass((i, j))

@@ -187,13 +187,13 @@ def _cmd_verify(args, _):
 
     tri = explicit([((1, 2), 1 / 3), ((1, 3), 1 / 3), ((2, 3), 1 / 3)])
     rep = montecarlo.estimate_event(tri, ("I", (1, 2)), 200.0, 20_000,
-                                    args.seed, threads=args.threads)
+                                    args.seed)
     check("triangle I_e matches 1/3", abs(rep.z_score) < 4,
           f"z={rep.z_score:.2f}")
 
     path = explicit([((1, 2), 1 / 3), ((2, 3), 1 / 3), ((3, 4), 1 / 3)])
     rep = montecarlo.estimate_event(path, ("I_joint", (1, 2), (3, 4)), 200.0,
-                                    20_000, args.seed, threads=args.threads)
+                                    20_000, args.seed)
     check("path joint I matches closed form", abs(rep.z_score) < 4,
           f"z={rep.z_score:.2f}")
 
@@ -248,7 +248,7 @@ _COMMANDS = {
                          out="complete_report.txt"),
     "couple": _Command(_cmd_couple, ("measure", "horizon-t"), ("horizon-t",),
                        "coupling_trace.csv"),
-    "verify": _Command(_cmd_verify, ("threads",)),
+    "verify": _Command(_cmd_verify, ()),
 }
 
 

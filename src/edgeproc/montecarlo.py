@@ -109,10 +109,13 @@ def _check_replicas(replicas, least):
 
 
 def _grid(ts, name):
-    """A time grid as a non-empty 1-d float array."""
+    """A time grid as a non-empty 1-d float array of times >= 0 (inf too)."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if ts.size == 0:
         raise ValueError(f"{name} is empty: no time to sample at")
+    if not np.all(ts >= 0):  # NaN too
+        raise ValueError(f"{name} must hold non-negative times, got "
+                         f"{ts[~(ts >= 0)][0]}")
     return ts
 
 
@@ -187,6 +190,7 @@ def urn_count_samples(spec, ts, replicas, seed, threads=1):
 def vertex_presence_samples(spec, t, replicas, seed):
     """Presence of every support vertex at time t: a (replicas, V) boolean
     array and the V vertex ids of its columns, ascending."""
+    (t,) = _grid(t, "t")
     col = np.cumsum(spec.marginals.M > 0) - 1
     out = np.concatenate(_map_blocks(
         seed, replicas, 1, spec.w,
@@ -229,6 +233,8 @@ def estimate_event(spec, event, horizon, replicas, seed, threads=1):
     standard error.
     """
     _check_replicas(replicas, 1)
+    if not horizon > 0:  # NaN too
+        raise ValueError("horizon must be positive")
     kind = event[0]
     if kind == "I":
         e = edge(*event[1])
@@ -310,6 +316,11 @@ def plateaued(t_grid, means):
     """Declares a plateau when the last quarter of the grid moved < 1% relative."""
     t_grid = np.asarray(t_grid, dtype=float)
     means = np.asarray(means, dtype=float)
+    if len(t_grid) == 0:
+        raise ValueError("t_grid is empty: no plateau to look for")
+    if len(means) != len(t_grid):
+        raise ValueError(f"{len(means)} means for a grid of {len(t_grid)} "
+                         "times")
     cut = np.searchsorted(
         t_grid, t_grid[-1] - _PLATEAU_FRAC * (t_grid[-1] - t_grid[0]))
     cut = min(cut, len(means) - 1)
@@ -393,6 +404,9 @@ def depoissonization_agreement(spec, n, replicas, seed):
 def variance_standard_error(samples):
     """Asymptotic standard error of the sample variance."""
     x = np.asarray(samples, dtype=float)
+    if len(x) < 2:
+        raise ValueError("the sample variance needs at least 2 samples, got "
+                         f"{len(x)}")
     m = x.mean()
     s2 = x.var(ddof=1)
     m4 = np.mean((x - m) ** 4)

@@ -40,8 +40,10 @@ def run_urn(rates, horizon, rng):
     """First-fill time of each urn of a continuous-time urn scheme with the
     given rates: inf past the horizon or at rate 0."""
     lam = np.asarray(rates, dtype=float)
-    if np.any(lam < 0):
+    if not np.all(lam >= 0):  # NaN too
         raise ValueError("urn intensities must be non-negative")
+    if not horizon >= 0:
+        raise ValueError("horizon must be non-negative")
     fill = np.full(len(lam), np.inf)
     pos = lam > 0
     fill[pos] = rng.exponential(exponential_scales(lam[pos]))
@@ -120,9 +122,8 @@ class CouplingEngine:
         mat[spec.ei, spec.ej] = spec.w
         mat[spec.ej, spec.ei] = spec.w
         self.mat = mat
-        self.edge_cum = np.cumsum(spec.w)
-        self._edge_cum3 = self.edge_cum / 3.0
-        self._e3 = self.edge_cum[-1] / 3.0
+        self._edge_cum3 = np.cumsum(spec.w) / 3.0
+        self._e3 = self._edge_cum3[-1]
         self._table = None
 
     def new_state(self):
@@ -160,14 +161,7 @@ class CouplingEngine:
         miss_v = [v for v in (i, j) if not in_v[v]]
         miss_u = [v for v in (i, j) if not in_u[v]]
         color = "pass"
-        if len(miss_v) == 0:
-            if len(miss_u) == 1:
-                in_u[miss_u[0]] = True
-                color = "green"
-            elif len(miss_u) == 2:
-                in_u[i if rng.random() < 0.5 else j] = True
-                color = "magenta"
-        elif len(miss_v) == 1:
+        if len(miss_v) == 1:
             x = miss_v[0]
             y = j if x == i else i
             if not in_u[x]:
@@ -176,13 +170,13 @@ class CouplingEngine:
             elif not in_u[y]:
                 in_u[y] = True
                 color = "violet"
-        else:
-            if len(miss_u) == 1:
-                in_u[miss_u[0]] = True
-                color = "orange"
-            elif len(miss_u) == 2:
-                in_u[i if rng.random() < 0.5 else j] = True
-                color = "brown"
+        elif miss_u:
+            # both endpoints in V or both new: urn the one not yet urned,
+            # or a fair coin's pick of the two
+            in_u[miss_u[0] if len(miss_u) == 1
+                 else i if rng.random() < 0.5 else j] = True
+            color = {(0, 1): "green", (0, 2): "magenta", (2, 1): "orange",
+                     (2, 2): "brown"}[len(miss_v), len(miss_u)]
         for v in miss_v:
             in_v[v] = True
         return color
@@ -282,17 +276,17 @@ def coupling_rate_audit(state, spec, i, engine=None):
     return blue + float(eng.mat[i] @ p_add)
 
 
-def prob_urn_without_vertex(state, spec, engine=None):
+def prob_urn_without_vertex(state, spec):
     """Per-epoch probability of a blue outcome for an i outside the vertex set."""
-    lam = (engine or _engine(spec)).epoch_table(state).lam
+    lam = _engine(spec).epoch_table(state).lam
     mask = ~state.in_v
     mask[0] = False
     return float(lam[mask].sum()) / 3.0
 
 
-def prob_double_new_vertices(state, spec, engine=None):
+def prob_double_new_vertices(state, spec):
     """Per-epoch probability that an edge outcome brings two new vertices."""
-    s = (engine or _engine(spec)).spec
+    s = _engine(spec).spec
     both_new = (~state.in_v[s.ei]) & (~state.in_v[s.ej])
     return float(s.w[both_new].sum()) / 3.0
 
@@ -330,11 +324,11 @@ def respect_factor(block_lambdas, tail_mass, method=None):
     3.7e-4).  Small factors fare worst; a result below 0 is clamped to 0.
     """
     lam = np.asarray(block_lambdas, dtype=float)
-    if tail_mass <= 0:
-        raise ValueError("tail_mass must be positive")
+    if not 0 < tail_mass < np.inf:  # NaN too
+        raise ValueError("tail_mass must be positive and finite")
     if len(lam) == 0:
         return 1.0
-    if np.any(lam < 0):
+    if not np.all(lam >= 0):
         raise ValueError("block rates must be non-negative")
     if np.any(lam == 0):
         return 0.0
@@ -373,8 +367,10 @@ def urns_in_order(lambdas, tail_sum=0.0):
     (product positive).
     """
     lam = np.asarray(lambdas, dtype=float)
-    if len(lam) == 0 or np.any(lam <= 0):
+    if len(lam) == 0 or not np.all(lam > 0):  # NaN too
         raise ValueError("urns_in_order needs at least one rate, all positive")
+    if not 0 <= tail_sum < np.inf:
+        raise ValueError("tail_sum must be non-negative and finite")
     factors = lam / (np.cumsum(lam[::-1])[::-1] + tail_sum)
     verdict, basis = _in_order_verdict(lam, tail_sum, factors)
     return RespectReport(factors=tuple(factors.tolist()),

@@ -309,6 +309,18 @@ class TestPairCovariance:
             == pytest.approx(1 - np.exp(-t), rel=1e-12)
 
 
+@pytest.mark.parametrize("t", [-1.0, np.nan])
+@pytest.mark.parametrize("moment, pair", [
+    (expected_vertices, ()), (urn_variance, ()),
+    (vertex_pair_cov, (1, 2)), (prob_both_vertices, (1, 2))],
+    ids=["expected_vertices", "urn_variance", "vertex_pair_cov",
+         "prob_both_vertices"])
+def test_moments_refuse_unusable_times(triangle, moment, pair, t):
+    # at t = -1 the pair probability read -0.177 and the covariance -1.075
+    with pytest.raises(ValueError, match="t must be non-negative"):
+        moment(triangle, *pair, t)
+
+
 class TestVarianceSandwich:
     def test_single_edge_exact_is_bernoulli(self, single_edge):
         t = 0.8

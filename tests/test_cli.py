@@ -224,16 +224,18 @@ class TestOtherCommands:
 
 class TestVerify:
     def test_verify_passes(self, capsys):
-        rc = main(["verify", "--seed", "1", "--threads", "2"])
+        rc = main(["verify", "--seed", "1"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "[FAIL]" not in out
         assert out.count("[PASS]") >= 6
 
     @pytest.mark.parametrize("flag", [["--suite", "all"],
-                                      ["--measure", "x"]])
+                                      ["--measure", "x"],
+                                      ["--threads", "2"]])
     def test_unread_flags_rejected(self, flag):
-        # verify runs fixed built-in checks: it reads no suite or measure
+        # verify runs fixed built-in checks: it reads no suite or measure,
+        # and its estimates fit one replica block, so no thread count
         with pytest.raises(SystemExit) as exc:
             main(["verify"] + flag)
         assert exc.value.code == 2

@@ -103,6 +103,14 @@ class TestGrowthCurves:
         assert not mc.plateaued(grid, np.linspace(1, 2, 10))
         assert mc.plateaued(grid, np.zeros(10))
 
+    @pytest.mark.parametrize("grid, means, match", [
+        ([], [], "empty"),
+        ([1, 2, 3], [1.0], "1 means for a grid of 3"),
+        ([1, 2], [1.0, 1.0, 1.0], "3 means for a grid of 2")])
+    def test_plateau_needs_one_mean_per_time(self, grid, means, match):
+        with pytest.raises(ValueError, match=match):
+            mc.plateaued(grid, means)
+
 
 class TestCltDiagnostic:
     def test_isolated_edges_near_normal(self):
@@ -242,6 +250,32 @@ DEGENERATE = {
         lambda s: mc.clt_diagnostic(s, 1.0, 1, 0), "replicas"),
     "clt_equal_counts": (
         lambda s: mc.clt_diagnostic(s, 1e-6, 20, 0), "20 sampled.*t=1e-06"),
+    "event_negative_horizon": (
+        lambda s: mc.estimate_event(s, ("I", (1, 2)), -1.0, 100, 0),
+        "horizon"),
+    "event_zero_horizon": (
+        lambda s: mc.estimate_event(s, ("I", (1, 2)), 0.0, 100, 0),
+        "horizon"),
+    "event_nan_horizon": (
+        lambda s: mc.estimate_event(s, ("I", (1, 2)), np.nan, 100, 0),
+        "horizon"),
+    "counts_nan_time": (
+        lambda s: mc.vertex_count_samples(s, [np.nan], 5, 0), "ts must"),
+    "counts_negative_time": (
+        lambda s: mc.vertex_count_samples(s, [-1.0], 5, 0), "ts must"),
+    "urns_nan_time": (
+        lambda s: mc.urn_count_samples(s, [np.nan], 5, 0), "ts must"),
+    "growth_negative_time": (
+        lambda s: mc.connectivity_growth(s, [-5.0, 1.0], 50, 0),
+        "t_grid must.*-5"),
+    "presence_nan_time": (
+        lambda s: mc.vertex_presence_samples(s, np.nan, 4, 0), "^t must"),
+    "presence_negative_time": (
+        lambda s: mc.vertex_presence_samples(s, -1.0, 4, 0), "^t must"),
+    "variance_se_one_sample": (
+        lambda s: mc.variance_standard_error([1.0]), "2 samples, got 1"),
+    "variance_se_no_samples": (
+        lambda s: mc.variance_standard_error([]), "2 samples, got 0"),
 }
 
 
@@ -250,6 +284,14 @@ def test_degenerate_inputs_name_the_bad_input(name, triangle):
     call, match = DEGENERATE[name]
     with pytest.raises(ValueError, match=match):
         call(triangle)
+
+
+def test_infinite_times_are_valid(triangle):
+    # only NaN and negative times are refused: at t = inf every edge arrived
+    assert mc.vertex_count_samples(triangle, [0.0, np.inf], 4, 0)[:, 0] \
+        .tolist() == [0, 3]
+    assert mc.estimate_event(triangle, ("connected",), np.inf, 4, 0) \
+        .estimate == 1.0
 
 
 def test_samples_of_no_replicas_are_empty(triangle):

@@ -52,8 +52,16 @@ class TestUrnScheme:
     """An urn scheme is one non-negative rate per urn."""
 
     def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            run_urn((-1.0,), 1.0, replica_rng(0, 0))
+        # NaN is no rate either: it was drawn as rate 0
+        for rates in ((-1.0,), (np.nan, 2.0)):
+            with pytest.raises(ValueError, match="intensities"):
+                run_urn(rates, 1.0, replica_rng(0, 0))
+
+    @pytest.mark.parametrize("horizon", [-1.0, np.nan])
+    def test_unusable_horizon_rejected(self, horizon):
+        # NaN cut no fill time at the horizon
+        with pytest.raises(ValueError, match="horizon"):
+            run_urn([1.0, 2.0], horizon, replica_rng(0, 0))
 
 
 class TestRunUrn:
@@ -343,8 +351,8 @@ class TestDomination:
             eng = CouplingEngine(spec)
             for k in range(200):
                 state = random_reachable_state(eng, replica_rng(60, k))
-                p_blue = prob_urn_without_vertex(state, spec, engine=eng)
-                p_double = prob_double_new_vertices(state, spec, engine=eng)
+                p_blue = prob_urn_without_vertex(state, spec)
+                p_double = prob_double_new_vertices(state, spec)
                 assert p_blue <= p_double + 1e-12
 
 
@@ -442,6 +450,18 @@ class TestRespectFactor:
         with pytest.raises(ValueError):
             respect_factor([1.0], 0.0)
 
+    @pytest.mark.parametrize("lam, tail, match", [
+        ([np.nan, 1.0], 1.0, "rates"),
+        ([2.0, 1.0], np.nan, "tail_mass"),
+        ([1.0], np.inf, "tail_mass"),
+        ([2.0, 1.0], np.inf, "tail_mass"),
+        ([0.1] * 21, np.inf, "tail_mass")])
+    def test_nan_and_infinite_inputs_rejected(self, lam, tail, match):
+        # every method (closed form, expansion, quadrature) refuses them
+        # instead of returning nan or warning
+        with pytest.raises(ValueError, match=match):
+            respect_factor(lam, tail)
+
 
 class TestUrnsInOrder:
     def test_single_urn(self):
@@ -475,12 +495,19 @@ class TestUrnsInOrder:
         assert rep.verdict == "inconclusive"
 
     def test_prefix_must_be_positive(self):
-        # every rate is read: a zero anywhere, or no rate at all, is one
+        # every rate is read: a zero or NaN anywhere, or no rate at all, is one
         # ValueError, never a division by zero
         for lam, tail in (([1.0, 0.0, 2.0], 0.0), ([1.0, 0.0, 0.5], 0.1),
-                          ([0.5, 1.0, 0.0], 0.0), ([], 0.1)):
+                          ([0.5, 1.0, 0.0], 0.0), ([], 0.1),
+                          ([np.nan, 2.0], 0.0)):
             with pytest.raises(ValueError, match="all positive"):
                 urns_in_order(lam, tail_sum=tail)
+
+    @pytest.mark.parametrize("tail", [-5.0, np.nan, np.inf])
+    def test_unusable_tail_rejected(self, tail):
+        # a tail of -5 gave factors below 0
+        with pytest.raises(ValueError, match="tail_sum"):
+            urns_in_order([1.0, 2.0], tail_sum=tail)
 
     def test_in_order_monte_carlo(self):
         lam = 2.0 ** -np.arange(1, 13)
