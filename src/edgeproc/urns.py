@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import tanhsinh
 
 from .process import exponential_scales, write_table
 
@@ -307,52 +307,96 @@ class RespectReport:
     factors: tuple
     partial_product: float
     blocks_used: int
-    methods: tuple      # per-factor: "subset-expansion" | "quadrature" | "closed-form"
+    # per factor: "subset-expansion" (the race recursion), "quadrature"
+    # (tanh-sinh) or "closed-form"
+    methods: tuple
     verdict: str        # positive-analytic | zero-analytic | inconclusive
     verdict_basis: str
+
+
+def _default_method(k):
+    """The method a block of k rates gets when none is named: the race
+    recursion where it is the faster (k <= 12), tanh-sinh above."""
+    return "subset-expansion" if k <= 12 else "quadrature"
 
 
 def respect_factor(block_lambdas, tail_mass, method=None):
     """P(every rate in the block beats an independent Exp(tail_mass) clock).
 
-    Evaluates the integral of prod(1 - e^{-lambda t}) against the tail's
-    exponential density.  Subset inclusion-exclusion is the default for
-    blocks of <= 20 rates and adaptive quadrature the fallback.  Neither is
-    exact: the expansion's 2^k alternating terms cancel, and on rates in
-    (0.05, 0.3) with tail 4 its relative error measured 5e-8 at k = 8,
-    1.6e-4 at k = 14 and 2.2e-3 at k = 16 (quadrature: 3.8e-6, 1.4e-4 and
-    3.7e-4).  Small factors fare worst; a result below 0 is clamped to 0.
+    ``method="subset-expansion"`` runs the race recursion over the subsets
+    of the block, at most 20 rates; ``"quadrature"`` integrates
+    prod(1 - e^{-lambda t}) against the tail's exponential density by
+    tanh-sinh in log space.  Both are exact to float precision: the
+    recursion measured within 1e-15 of rational values and the quadrature
+    within 2e-12 of the recursion, relative.  An infinite rate rings at
+    time 0, so it is dropped; a zero rate never rings, so the factor is 0.
     """
     lam = np.asarray(block_lambdas, dtype=float)
     if not 0 < tail_mass < np.inf:  # NaN too
         raise ValueError("tail_mass must be positive and finite")
-    if len(lam) == 0:
-        return 1.0
     if not np.all(lam >= 0):
         raise ValueError("block rates must be non-negative")
     if np.any(lam == 0):
         return 0.0
-    if method is None:
-        if len(lam) == 1:
-            # single rate: exact closed form lambda / (tail + lambda)
-            return float(lam[0] / (tail_mass + lam[0]))
-        method = "subset-expansion" if len(lam) <= 20 else "quadrature"
+    lam = lam[lam < np.inf]
+    if len(lam) == 0:
+        return 1.0
+    method = method or _default_method(len(lam))
     if method == "subset-expansion":
-        sums = np.array([0.0])
-        signs = np.array([1.0])
-        for lv in lam:
-            sums = np.concatenate([sums, sums + lv])
-            signs = np.concatenate([signs, -signs])
-        val = float(np.sum(signs * tail_mass / (tail_mass + sums)))
-    elif method == "quadrature":
-        def integrand(t):
-            return (np.prod(-np.expm1(-lam * t))
-                    * tail_mass * np.exp(-tail_mass * t))
-        val, _ = quad(integrand, 0.0, np.inf, limit=400)
-        val = float(val)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return min(max(val, 0.0), 1.0)
+        return _race_recursion(lam, tail_mass)
+    if method == "quadrature":
+        return _tanh_sinh(lam, tail_mass)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _race_recursion(lam, tail):
+    """f(S) = sum over i in S of lam_i f(S - {i}) / (tail + lam_S), f({}) = 1:
+    of the clocks of S and the tail's, the first to ring is i's with chance
+    lam_i / (tail + lam_S).  Every term is positive, so nothing cancels.
+
+    Bit i of a subset's index marks rate i.  The subsets of one size are
+    computed at once from those one smaller; f is still 0 on the larger
+    ones, so S ^ {i} with i outside S adds nothing.
+    """
+    k = len(lam)
+    if k > 20:
+        raise ValueError(f"the subset recursion takes at most 20 rates, "
+                         f"got {k}")
+    lam_s, size = np.zeros(1), np.zeros(1, dtype=int)
+    for x in lam:
+        lam_s = np.concatenate([lam_s, lam_s + x])
+        size = np.concatenate([size, size + 1])
+    bit = 1 << np.arange(k)
+    f = np.zeros(1 << k)
+    f[0] = 1.0
+    for m in range(1, k + 1):
+        s = np.flatnonzero(size == m)
+        f[s] = f[s[:, None] ^ bit] @ lam / (tail + lam_s[s])
+    return float(f[-1])
+
+
+def _tanh_sinh(lam, tail):
+    """The respect integral in u = tail * t, as a log integral:
+    log of e^{-u} prod(1 - e^{-(lambda_i / tail) u}), integrated over
+    (0, inf) to relative 1e-14.
+
+    The first convergence test comes after level 4, not 2: from level 2 a
+    block of 7 rates stopped at level 3 off by 1.1e-9, and evaluating
+    levels 0-4 in one call also halves the time.
+    """
+    with np.errstate(over="ignore"):  # an inf ratio rings at once: log 1
+        r = lam / tail
+
+    def log_integrand(u):
+        return -u + np.log(-np.expm1(-u[..., None] * r)).sum(axis=-1)
+
+    res = tanhsinh(log_integrand, 0.0, np.inf, log=True,
+                   rtol=np.log(1e-14), minlevel=4)
+    if not res.success:
+        raise RuntimeError(f"tanh-sinh did not converge (status "
+                           f"{int(res.status)}) on rates {lam.tolist()} "
+                           f"and tail {tail}")
+    return min(float(np.exp(res.integral)), 1.0)
 
 
 def urns_in_order(lambdas, tail_sum=0.0):
@@ -367,8 +411,10 @@ def urns_in_order(lambdas, tail_sum=0.0):
     (product positive).
     """
     lam = np.asarray(lambdas, dtype=float)
-    if len(lam) == 0 or not np.all(lam > 0):  # NaN too
-        raise ValueError("urns_in_order needs at least one rate, all positive")
+    # NaN fails too; infinite rates all fill at time 0, a tie with no order
+    if len(lam) == 0 or not np.all((lam > 0) & (lam < np.inf)):
+        raise ValueError("urns_in_order needs at least one rate, all "
+                         "positive and finite")
     if not 0 <= tail_sum < np.inf:
         raise ValueError("tail_sum must be non-negative and finite")
     factors = lam / (np.cumsum(lam[::-1])[::-1] + tail_sum)
@@ -433,9 +479,8 @@ def essential_completeness_product(spec, blocks_used):
             factors.append(1.0 if np.all(lam > 0) else 0.0)
             methods.append("closed-form")
             continue
-        method = "subset-expansion" if len(lam) <= 20 else "quadrature"
-        factors.append(respect_factor(lam, tail, method=method))
-        methods.append(method)
+        factors.append(respect_factor(lam, tail))
+        methods.append(_default_method(len(lam)))
     product = float(np.prod(factors))
     if zero_blocks and spec.family not in _ALL_PAIRS:
         verdict = "zero-analytic"

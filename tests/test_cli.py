@@ -313,16 +313,16 @@ PINNED_BODIES = {
         'factor[4] = 0.30490493864994811 (closed-form)\n',
     ],
     "complete": [
-        'partial_product = 9.7937943145928734e-17\n',
+        'partial_product = 9.7937943057314929e-17\n',
         'blocks_used = 5\n',
         'verdict = zero-analytic\n',
         'verdict_basis = every factor is at most 1/(1 + 2^-gamma) = 0.849779'
         ' < 1, since the tail always contains the edge {1, n+1}\n',
-        'factor[1] = 0.4635791160341235 (subset-expansion)\n',
-        'factor[2] = 0.043736605136155515 (subset-expansion)\n',
-        'factor[3] = 0.0013908809103422293 (subset-expansion)\n',
-        'factor[4] = 2.0559127850372505e-05 (subset-expansion)\n',
-        'factor[5] = 1.6892246579303105e-07 (subset-expansion)\n',
+        'factor[1] = 0.46357911603412344 (subset-expansion)\n',
+        'factor[2] = 0.043736605136155494 (subset-expansion)\n',
+        'factor[3] = 0.0013908809103422681 (subset-expansion)\n',
+        'factor[4] = 2.0559127850497961e-05 (subset-expansion)\n',
+        'factor[5] = 1.6892246563915539e-07 (subset-expansion)\n',
     ],
     "couple": [
         'step,clock,chi_kind,chi_value,branch_color,V_size,U_size,V_eq_U\r\n',

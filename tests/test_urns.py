@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -398,6 +399,18 @@ class TestCouplingMarginals:
         assert freqs[-1] > 0.95
 
 
+def exact_respect(lam, tail):
+    """The race recursion in rational arithmetic, subset by subset:
+    f(S) = sum over i in S of lam_i f(S - {i}) / (tail + lam_S)."""
+    lam, tail = [Fraction(x) for x in lam], Fraction(tail)
+    f = {0: Fraction(1)}
+    for s in sorted(range(1, 1 << len(lam)), key=lambda s: bin(s).count("1")):
+        members = [i for i in range(len(lam)) if s >> i & 1]
+        f[s] = sum(lam[i] * f[s ^ 1 << i] for i in members) \
+            / (tail + sum(lam[i] for i in members))
+    return f[(1 << len(lam)) - 1]
+
+
 class TestRespectFactor:
     def test_single_rate_closed_form_exact(self):
         for lam, tail in ((1.0, 2.0), (0.3, 0.7), (5.0, 0.1)):
@@ -435,9 +448,6 @@ class TestRespectFactor:
         assert abs(ex - qd) < 1e-8
         assert 0.0 <= ex <= 1.0
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="scipy's default absolute tolerance, 1.49e-8, "
-                       "bounds the quadrature (ROADMAP item 1)")
     def test_expansion_vs_quadrature_property_counterexample(self):
         # found by the property test above: the quadrature is 1.17e-8 off
         lam = [4.0, 1.015625, 1.515625, 2.0625, 2.0625, 0.5, 0.490234375]
@@ -461,6 +471,62 @@ class TestRespectFactor:
         # instead of returning nan or warning
         with pytest.raises(ValueError, match=match):
             respect_factor(lam, tail)
+
+    @pytest.mark.parametrize("method, rel", [("subset-expansion", 4e-15),
+                                             ("quadrature", 1e-13)])
+    def test_methods_match_rational_values(self, method, rel):
+        # rates and tails on a 1/64 grid are exact in float64, so the
+        # rational recursion gives each factor exactly
+        rng = np.random.default_rng(69)
+        for _ in range(60):
+            lam = rng.integers(1, 64 * 8, int(rng.integers(1, 9))) / 64
+            tail = int(rng.integers(1, 64 * 8)) / 64
+            want = exact_respect(lam, tail)
+            got = respect_factor(lam, tail, method=method)
+            assert abs(Fraction(got) - want) <= rel * want
+
+    def test_methods_agree_across_twelve_decades(self):
+        rng = np.random.default_rng(70)
+        for _ in range(40):
+            lam = 10.0 ** rng.uniform(-6, 6, int(rng.integers(1, 17)))
+            tail = 10.0 ** rng.uniform(-6, 6)
+            ex = respect_factor(lam, tail, method="subset-expansion")
+            qd = respect_factor(lam, tail, method="quadrature")
+            assert qd == pytest.approx(ex, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("n, want", [(10, 1.2887e-17), (14, 1.1481e-29),
+                                         (18, 4.8132e-43)])
+    def test_tiny_power_law_factors(self, n, want):
+        # the alternating expansion read these as 0, 7.8e-16 and 1.5e-13
+        spec = power_law_product(2.5, 25)
+        lam = spec.w[spec.ej == n]
+        tail = float(spec.w[spec.ej > n].sum()) + spec.off_window_mass
+        ex = respect_factor(lam, tail, method="subset-expansion")
+        qd = respect_factor(lam, tail, method="quadrature")
+        assert ex == pytest.approx(want, rel=1e-4)
+        assert qd == pytest.approx(ex, rel=1e-12, abs=0)
+
+    def test_subset_recursion_takes_at_most_20_rates(self):
+        assert 0 < respect_factor([1.0] * 20, 0.5,
+                                  method="subset-expansion") < 1
+        with pytest.raises(ValueError, match="at most 20"):
+            respect_factor([1.0] * 21, 0.5, method="subset-expansion")
+
+    def test_quadrature_raises_when_it_does_not_converge(self):
+        # a subnormal rate leaves 1 - e^{-lambda t} a few bits wide
+        with pytest.raises(RuntimeError, match="did not converge"):
+            respect_factor([5e-324, 1.0], 1.0, method="quadrature")
+
+    @pytest.mark.parametrize("method", [None, "subset-expansion",
+                                        "quadrature"])
+    def test_infinite_rates_ring_first(self, method):
+        # an infinite rate's clock rings at 0, before the tail's
+        assert respect_factor([np.inf], 1.0, method=method) == 1.0
+        assert respect_factor([np.inf, 1.0], 1.0, method=method) \
+            == pytest.approx(0.5, rel=1e-13)
+        assert respect_factor([np.inf, 0.0], 1.0, method=method) == 0.0
+        # so does a finite rate whose ratio to the tail overflows
+        assert respect_factor([1e300, 1.0], 1e-300, method=method) == 1.0
 
 
 class TestUrnsInOrder:
@@ -503,6 +569,13 @@ class TestUrnsInOrder:
             with pytest.raises(ValueError, match="all positive"):
                 urns_in_order(lam, tail_sum=tail)
 
+    @pytest.mark.parametrize("lam", [[np.inf, 1.0], [1.0, np.inf],
+                                     [np.inf]])
+    def test_infinite_rates_rejected(self, lam):
+        # urns of infinite rate all fill at time 0: their order is a tie
+        with pytest.raises(ValueError, match="finite"):
+            urns_in_order(lam, tail_sum=0.5)
+
     @pytest.mark.parametrize("tail", [-5.0, np.nan, np.inf])
     def test_unusable_tail_rejected(self, tail):
         # a tail of -5 gave factors below 0
@@ -534,9 +607,6 @@ class TestEssentialCompletenessProduct:
         assert np.all(np.diff(factors) > 0)
         assert factors[-1] > 0.98
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the quadrature reads 0 on tails below 1e-88 "
-                       "(ROADMAP item 1)")
     def test_factorial_max_quadrature_blocks_equal_rate_closed_form(self):
         # blocks 22-24 hold n - 1 equal rates lam, so each factor is
         # prod_{j<n} j lam / (j lam + tail): 0.999713, 0.999744, 0.999761
