@@ -6,11 +6,12 @@ worker count.  Replicas are drawn in blocks: row r of a ``(B, E)`` block
 holds replica k's exponential arrival times, exactly the values
 ``replica_rng(seed, k).exponential(1 / w)`` returns, and estimators reduce
 whole blocks with array operations.  Event estimators take a block's
-arrivals in time order (ties go to the lower edge index, as in a stable
-sort) and count I-events, components and completeness with the arrival
-kernels ``new_vertex_counts`` and ``component_merges``, so no row is
-replayed.  Vertex presence scatters the endpoints of the arrivals into
-one column per support vertex, and vertex counts count it.  All empirical
+arrivals in ``process.arrival_order``, the one first-arrival order, which
+``run_continuous`` reads too (its docstring gives the tie rule), and count
+I-events, components and completeness with the arrival kernels
+``new_vertex_counts`` and ``component_merges``, so no row is replayed.
+Vertex presence scatters the endpoints of the arrivals into one column per
+support vertex, and vertex counts count it.  All empirical
 checks of tail properties target finite-horizon proxies; reports say so.
 """
 
@@ -25,7 +26,7 @@ from scipy.stats import kstest
 
 from . import analytic
 from .measure import edge
-from .process import (component_merges, exponential_scales,
+from .process import (arrival_order, component_merges, exponential_scales,
                       full_stream_arrivals, new_vertex_counts, replica_rng)
 
 __all__ = [
@@ -124,17 +125,9 @@ def _grid(ts, name):
 
 def _arrivals(spec, tau, t_max):
     """(rows, edges, times, i, j, new vertices) of the arrivals up to t_max in
-    a (B, E) block, row by row in time order, ties going to the lower edge
-    index.  Vertex v of row r becomes r * (n_max + 1) + v in i and j, so
-    rows share no vertex."""
-    rows, ks = np.nonzero(tau <= t_max)
-    counts = np.bincount(rows, minlength=len(tau))
-    starts = (np.cumsum(counts) - counts)[rows]
-    pos = np.arange(len(rows)) - starts
-    # each row sorts its own arrivals, padded with inf to the longest row
-    pad = np.full((len(tau), counts.max(initial=0)), np.inf)
-    pad[rows, pos] = tau[rows, ks]
-    ks = ks[starts + np.argsort(pad, axis=1, kind="stable")[rows, pos]]
+    a (B, E) block, in ``arrival_order``.  Vertex v of row r becomes
+    r * (n_max + 1) + v in i and j, so rows share no vertex."""
+    rows, ks = arrival_order(tau, t_max)
     off = rows * (spec.n_max + 1)
     i, j = off + spec.ei[ks], off + spec.ej[ks]
     return rows, ks, tau[rows, ks], i, j, new_vertex_counts(i, j)
@@ -277,20 +270,22 @@ def estimate_event(spec, event, horizon, replicas, seed, threads=1):
 # -- growth curves -------------------------------------------------------
 
 
-def connectivity_growth(spec, t_grid, replicas, seed, track_connectivity=True,
-                        threads=1):
-    """Mean cumulative new-component counts (and connected frequency) per t."""
+def _i_counts(t, nv, t_grid):
+    """How many of a block's arrivals at times t brought two new vertices
+    (an I-event) by each time in t_grid."""
+    return np.searchsorted(np.sort(t[nv == 2]), t_grid, side="right")
+
+
+def connectivity_growth(spec, t_grid, replicas, seed, threads=1):
+    """Mean cumulative new-component counts and connected frequency per t."""
     t_grid = _grid(t_grid, "t_grid")
     _check_replicas(replicas, 1)
 
     def reduce(tau):
         rows, _, t, i, j, nv = _arrivals(spec, tau, t_grid.max())
-        i_counts = np.searchsorted(np.sort(t[nv == 2]), t_grid, side="right")
-        conn = np.zeros(len(t_grid), dtype=np.int64)
-        if track_connectivity:
-            conn = np.count_nonzero(
-                _components(rows, t, i, j, nv, len(tau), t_grid) == 1, axis=1)
-        return i_counts, conn
+        conn = np.count_nonzero(
+            _components(rows, t, i, j, nv, len(tau), t_grid) == 1, axis=1)
+        return _i_counts(t, nv, t_grid), conn
 
     parts = _map_blocks(seed, replicas, threads, spec.w, reduce)
     i_counts = sum(p[0] for p in parts) / replicas
@@ -304,9 +299,17 @@ def connected_frequency_curve(spec, t_grid, replicas, seed, threads=1):
 
 
 def i_event_growth(spec, t_grid, replicas, seed, threads=1):
-    means, _ = connectivity_growth(spec, t_grid, replicas, seed,
-                                   track_connectivity=False, threads=threads)
-    return means
+    """Mean cumulative new-component counts per t, with no component
+    tracking."""
+    t_grid = _grid(t_grid, "t_grid")
+    _check_replicas(replicas, 1)
+
+    def reduce(tau):
+        _, _, t, _, _, nv = _arrivals(spec, tau, t_grid.max())
+        return _i_counts(t, nv, t_grid)
+
+    return sum(_map_blocks(seed, replicas, threads, spec.w, reduce)) \
+        / replicas
 
 
 _PLATEAU_FRAC, _PLATEAU_REL_TOL = 0.25, 0.01
@@ -333,22 +336,15 @@ def plateaued(t_grid, means):
 # -- CLT diagnostics -----------------------------------------------------
 
 
-def clt_diagnostic(spec, t, replicas, seed, normalization="exact", threads=1):
+def clt_diagnostic(spec, t, replicas, seed, threads=1):
     """Standardized vertex-count samples against the standard normal.
 
-    Standardization always uses analytic moments, never sample moments:
-    the mean is the analytic expected vertex count and the variance is
-    either the exact analytic vertex-count variance ("exact") or the urn
-    variance ("urn"), as requested.
+    Standardization uses the exact analytic moments, never sample moments:
+    the expected vertex count and the vertex-count variance.
     """
     _check_replicas(replicas, 2)
     mean_a = analytic.expected_vertices(spec, t)
-    if normalization == "exact":
-        _, var_a, _ = analytic.variance_sandwich(spec, t)
-    elif normalization == "urn":
-        var_a = analytic.urn_variance(spec, t)
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
+    _, var_a, _ = analytic.variance_sandwich(spec, t)
     if not var_a > 0:
         raise ValueError(f"the analytic variance at t={t} is 0, so the counts "
                          "cannot be standardized")
@@ -363,7 +359,7 @@ def clt_diagnostic(spec, t, replicas, seed, normalization="exact", threads=1):
     skew = float(np.mean((std - m) ** 3) / np.std(std) ** 3)
     return CltReport(t=float(t), replicas=replicas, mean=m, variance=v,
                      skewness=skew, ks_statistic=ks,
-                     normalization=(mean_a, var_a, normalization),
+                     normalization=(mean_a, var_a, "exact"),
                      low_variance_warning=var_a < 1.0)
 
 

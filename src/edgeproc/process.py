@@ -21,6 +21,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 __all__ = [
     "ArrivalEvent",
     "Trajectory",
+    "arrival_order",
     "new_vertex_counts",
     "component_merges",
     "run_discrete",
@@ -65,6 +66,24 @@ class ArrivalEvent(NamedTuple):
     edge: tuple         # canonical (i, j)
     new_vertices: int   # 0, 1 or 2
     new_component: bool  # true iff new_vertices == 2
+
+
+def arrival_order(tau, t_max):
+    """Rows and columns of the entries <= t_max of a (B, E) block of
+    first-arrival times, row by row in time order; ties go to the lower
+    column, as in a stable sort.
+
+    One stable sort on complex keys does it: numpy orders complex numbers
+    by real part, then imaginary part, so the row is the real part and the
+    time the imaginary part.  The parts are set one by one because
+    ``rows + 1j * t`` turns an infinite time into a nan key (0 * inf).
+    """
+    arrived = tau <= t_max
+    rows, ks = np.nonzero(arrived)
+    key = np.empty(len(rows), dtype=complex)
+    key.real, key.imag = rows, tau[arrived]
+    order = key.argsort(kind="stable")
+    return rows[order], ks[order]
 
 
 def new_vertex_counts(i, j):
@@ -149,14 +168,14 @@ def run_continuous(spec, horizon_T, rng):
     """First arrivals in [0, T] of the poissonized process.
 
     One exponential first-arrival per support edge is sufficient for every
-    simple-graph property; ties go to the lower edge index.  Full streams,
-    in which parallel edges re-arrive, come from ``depoissonize``.
+    simple-graph property; they come in ``arrival_order``, whose docstring
+    gives the tie rule.  Full streams, in which parallel edges re-arrive,
+    come from ``depoissonize``.
     """
     if not horizon_T > 0:  # NaN too
         raise ValueError("horizon must be positive")
     times = rng.exponential(exponential_scales(spec.w))
-    ks = np.flatnonzero(times <= horizon_T)
-    ks = ks[np.argsort(times[ks], kind="stable")]
+    _, ks = arrival_order(times[None], horizon_T)
     return Trajectory(times[ks], spec.ei[ks], spec.ej[ks])
 
 

@@ -383,12 +383,26 @@ def _tanh_sinh(lam, tail):
     The first convergence test comes after level 4, not 2: from level 2 a
     block of 7 rates stopped at level 3 off by 1.1e-9, and evaluating
     levels 0-4 in one call also halves the time.
+
+    A subnormal ratio r keeps only a few bits in u r, which makes its term
+    a staircase that tanh-sinh cannot converge on.  At every node such a
+    term equals log(u r), so those ratios add n log u + sum log r instead;
+    only when there are any, as 0 log 0 is nan at u = 0.  A ratio that
+    underflows to 0 bounds the factor below 5e-324, which rounds to 0.
     """
     with np.errstate(over="ignore"):  # an inf ratio rings at once: log 1
         r = lam / tail
+    if np.any(r == 0):
+        return 0.0
+    tiny = r < np.finfo(float).tiny
+    n_tiny, log_tiny = np.count_nonzero(tiny), float(np.log(r[tiny]).sum())
+    r = r[~tiny]
 
     def log_integrand(u):
-        return -u + np.log(-np.expm1(-u[..., None] * r)).sum(axis=-1)
+        out = -u + np.log(-np.expm1(-u[..., None] * r)).sum(axis=-1)
+        if n_tiny:
+            out += n_tiny * np.log(u) + log_tiny
+        return out
 
     res = tanhsinh(log_integrand, 0.0, np.inf, log=True,
                    rtol=np.log(1e-14), minlevel=4)

@@ -43,6 +43,15 @@ def random_explicit_spec(rng, max_vertex=8, n_edges=None, min_mass=0.05):
     return explicit(items)
 
 
+def subnormal_block_edges():
+    """[i, j, mass] entries of a measure on 16 vertices: every pair inside
+    1..14, {i, 15} for i <= 13 and {1, 16} at mass 1, {14, 15} at 5e-324.
+    Block 15 holds 14 rates, so the default method is tanh-sinh."""
+    return ([[i, j, 1.0] for i, j in combinations(range(1, 15), 2)]
+            + [[i, 15, 1.0] for i in range(1, 14)]
+            + [[14, 15, 5e-324], [1, 16, 1.0]])
+
+
 def random_trajectories(seed, count):
     """Discrete, continuous and de-Poissonized trajectories on random small
     measures."""

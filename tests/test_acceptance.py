@@ -91,12 +91,9 @@ def test_04_connectedness_dichotomy():
     ic_c, conn = mc.connectivity_growth(conv, grid, 1000, 2005,
                                         threads=THREADS)
     div = power_law_product(1.5, 200)
-    ic_d, _ = mc.connectivity_growth(div, grid, 1000, 1006,
-                                     track_connectivity=False, threads=THREADS)
+    ic_d = mc.i_event_growth(div, grid, 1000, 1006, threads=THREADS)
     div2 = power_law_product(1.5, 400)
-    ic_d2, _ = mc.connectivity_growth(div2, grid, 1000, 1007,
-                                      track_connectivity=False,
-                                      threads=THREADS)
+    ic_d2 = mc.i_event_growth(div2, grid, 1000, 1007, threads=THREADS)
     conv_ok = mc.plateaued(grid, ic_c) and conn[-1] > 0.95
     div_ok = (not mc.plateaued(grid, ic_d)) and ic_d2[-1] > ic_d[-1]
     report(4, "gamma=2.5 plateaus+connects; gamma=1.5 keeps growing",

@@ -6,6 +6,8 @@ import pytest
 
 from edgeproc.cli import main
 
+from conftest import subnormal_block_edges
+
 
 @pytest.fixture
 def single_edge_cfg(tmp_path):
@@ -212,6 +214,19 @@ class TestOtherCommands:
                    "--out", str(out)])
         assert rc == 0
         assert "verdict = zero-analytic" in out.read_text()
+
+    def test_complete_with_a_subnormal_pair(self, tmp_path):
+        # block 15 goes to tanh-sinh with a ratio of 5e-324 among its rates
+        cfg = tmp_path / "subnormal.json"
+        cfg.write_text(json.dumps({"family": "explicit",
+                                   "edges": subnormal_block_edges()}))
+        out = tmp_path / "complete.txt"
+        rc = main(["complete", "--measure", str(cfg), "--window", "16",
+                   "--out", str(out)])
+        assert rc == 0
+        text = out.read_text()
+        assert all(f"factor[{b}] = " in text for b in range(1, 16))
+        assert "factor[14] = 0 (quadrature)" in text
 
     def test_couple(self, tmp_path, single_edge_cfg):
         out = tmp_path / "trace.csv"

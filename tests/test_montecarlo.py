@@ -121,21 +121,9 @@ class TestCltDiagnostic:
         assert abs(rep.variance - 1.0) < 0.15
         assert not rep.low_variance_warning
 
-    def test_urn_normalization_available(self):
-        spec = isolated_edges(np.full(50, 1.0))
-        exact = mc.clt_diagnostic(spec, 0.7, 500, 10)
-        urn = mc.clt_diagnostic(spec, 0.7, 500, 10, normalization="urn")
-        assert urn.normalization[1] == pytest.approx(
-            analytic.urn_variance(spec, 0.7))
-        assert exact.normalization[1] > urn.normalization[1]
-
     def test_low_variance_warning(self, single_edge):
         rep = mc.clt_diagnostic(single_edge, 0.5, 200, 11)
         assert rep.low_variance_warning
-
-    def test_unknown_normalization_rejected(self, single_edge):
-        with pytest.raises(ValueError):
-            mc.clt_diagnostic(single_edge, 0.5, 10, 0, normalization="sample")
 
 
 class TestMomentSamples:

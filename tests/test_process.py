@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.cluster.hierarchy import DisjointSet
 from scipy.stats import chi2
 
+from edgeproc import montecarlo as mc
 from edgeproc.measure import explicit
 from edgeproc.process import (
+    arrival_order,
     component_merges,
     depoissonize,
+    exponential_scales,
     new_vertex_counts,
     replica_rng,
     run_continuous,
@@ -19,6 +22,7 @@ from edgeproc.process import (
 from edgeproc.graphstate import replay
 
 from conftest import (
+    random_explicit_spec,
     random_trajectories,
     single_edge_spec,
     triangle_spec,
@@ -160,6 +164,44 @@ class TestTrajectoryExport:
         assert lines[0] == "# seed: 15"
         assert lines[1] == "index,time,i,j,new_vertices,new_component"
         assert len(lines) == 2 + len(traj)
+
+
+# (B, E) blocks of first-arrival times on a 0.1 grid, so times tie often;
+# inf is a legal time, the clock of a subnormal rate
+BLOCKS = st.integers(1, 5).flatmap(lambda b: st.integers(0, 8).flatmap(
+    lambda e: st.lists(st.lists(
+        st.one_of(st.integers(0, 10).map(lambda x: x / 10), st.just(np.inf)),
+        min_size=e, max_size=e), min_size=b, max_size=b)))
+
+
+class TestArrivalOrder:
+    @given(BLOCKS, st.sampled_from([0.0, 0.35, 1.0, np.inf]))
+    @example([[0.1, 0.0, 0.1]], 1.0)
+    @example([[], []], 1.0)
+    @example([[0.5, 0.7], [0.2, 0.9]], 0.35)
+    @example([[np.inf, 0.3, np.inf], [np.inf, np.inf, np.inf]], np.inf)
+    @settings(max_examples=300, deadline=None)
+    def test_against_per_row_sort(self, block, t_max):
+        tau = np.array(block, dtype=float)
+        want = [(r, k) for r in range(len(tau))
+                for k in sorted(range(tau.shape[1]),
+                                key=lambda k: (tau[r, k], k))
+                if tau[r, k] <= t_max]
+        rows, ks = arrival_order(tau, t_max)
+        assert list(zip(rows.tolist(), ks.tolist())) == want
+
+    @pytest.mark.parametrize("spec", [
+        triangle_spec(), random_explicit_spec(np.random.default_rng(78))],
+        ids=["triangle", "random"])
+    def test_run_continuous_is_a_one_row_block(self, spec):
+        scale = exponential_scales(spec.w)
+        for k in range(30):
+            traj = run_continuous(spec, 2.0, replica_rng(6, k))
+            tau = mc._draw_block(6, k, k + 1, scale)
+            _, _, t, i, j, nv = mc._arrivals(spec, tau, 2.0)
+            for got, want in [(traj.time, t), (traj.i, i), (traj.j, j),
+                              (traj.new_vertices, nv)]:
+                np.testing.assert_array_equal(got, want)
 
 
 class TestNewVertexCounts:

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from edgeproc import analytic
+from edgeproc import analytic, urns
 from edgeproc.measure import (
     double_exp,
     explicit,
@@ -33,7 +34,7 @@ from edgeproc.urns import (
     urns_in_order,
 )
 
-from conftest import random_explicit_spec
+from conftest import random_explicit_spec, subnormal_block_edges
 
 
 def k_n_spec(n):
@@ -512,10 +513,28 @@ class TestRespectFactor:
         with pytest.raises(ValueError, match="at most 20"):
             respect_factor([1.0] * 21, 0.5, method="subset-expansion")
 
-    def test_quadrature_raises_when_it_does_not_converge(self):
-        # a subnormal rate leaves 1 - e^{-lambda t} a few bits wide
+    def test_quadrature_raises_when_it_does_not_converge(self, monkeypatch):
+        def stalled(f, a, b, **kwargs):
+            return SimpleNamespace(success=False, status=-2, integral=0.0)
+        monkeypatch.setattr(urns, "tanhsinh", stalled)
         with pytest.raises(RuntimeError, match="did not converge"):
-            respect_factor([5e-324, 1.0], 1.0, method="quadrature")
+            respect_factor([1.0, 2.0], 1.0, method="quadrature")
+
+    @pytest.mark.parametrize("lam, tail", [
+        ([1e-300, 1.0], 1.0), ([1e-310, 1.0], 1.0), ([1e-315, 1.0], 1.0),
+        ([5e-324, 1.0], 1.0), ([1e-10, 1e300], 1e300),
+        ([5e-324, 1.0], 10.0), ([1e-320, 1.0], 1e10),
+        ([5e-324, 2.5, 1e-320], 1.0), ([5e-324] + [1.0] * 13, 1.0)])
+    def test_subnormal_ratios(self, lam, tail):
+        # a subnormal ratio r keeps a few bits of u r: tanh-sinh did not
+        # converge on that staircase (status -2) while r stayed in the
+        # integrand, nor on a ratio that underflows to 0 (status -3).  The
+        # recursion rounds to 0 below the normal range.
+        want = respect_factor(lam, tail, method="subset-expansion")
+        tol = ({"rel": 1e-12, "abs": 0} if want >= np.finfo(float).tiny
+               else {"rel": 0, "abs": 1e-320})
+        assert respect_factor(lam, tail, method="quadrature") \
+            == pytest.approx(want, **tol)
 
     @pytest.mark.parametrize("method", [None, "subset-expansion",
                                         "quadrature"])
@@ -638,6 +657,18 @@ class TestEssentialCompletenessProduct:
     def test_blocks_must_stay_in_the_window(self, blocks):
         with pytest.raises(ValueError, match="blocks_used"):
             essential_completeness_product(factorial_max(5), blocks)
+
+    def test_subnormal_pair_in_a_quadrature_block(self):
+        spec = explicit([((i, j), m) for i, j, m in subnormal_block_edges()])
+        rep = essential_completeness_product(spec, 15)
+        assert rep.methods[13] == "quadrature"
+        assert rep.factors[13] == 0.0 and rep.partial_product == 0.0
+        for n in range(2, 16):
+            lam = spec.w[spec.ej == n]
+            tail = float(spec.w[spec.ej > n].sum())
+            want = respect_factor(lam, tail, method="subset-expansion")
+            assert rep.factors[n - 2] == pytest.approx(want, rel=1e-12,
+                                                       abs=1e-320)
 
     def test_underflowed_pairs_keep_the_family_verdict(self):
         # exp(-3^4 - 3^6) and exp(-3^5 - 3^6) underflow, so block 6 misses
