@@ -4,8 +4,10 @@ Every estimator draws per-replica RNG streams with the single splitting rule
 in :mod:`edgeproc.process`, so reports are byte-identical regardless of
 worker count.  Replicas are drawn in blocks: row r of a ``(B, E)`` block
 holds replica k's exponential arrival times, exactly the values
-``replica_rng(seed, k).exponential(1 / w)`` returns, and estimators reduce
-whole blocks with array operations.  Event estimators take a block's
+``replica_rng(seed, k).exponential(1 / w)`` returns.  The seeding words of
+a whole block come from one vectorized pass (``_replica_seed_words``), which
+reproduces that stream bit for bit, and estimators reduce whole blocks with
+array operations.  Event estimators take a block's
 arrivals in ``process.arrival_order``, the one first-arrival order, which
 ``run_continuous`` reads too (its docstring gives the tie rule), and count
 I-events, components and completeness with the arrival kernels
@@ -22,12 +24,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.stats import kstest
 
 from . import analytic
 from .measure import edge
-from .process import (arrival_order, component_merges, exponential_scales,
-                      full_stream_arrivals, new_vertex_counts, replica_rng)
+from .process import (_replica_seed_words, arrival_order, component_merges,
+                      exponential_scales, full_stream_arrivals,
+                      new_vertex_counts, replica_rng)
 
 __all__ = [
     "EstimateReport",
@@ -72,12 +76,25 @@ class CltReport:
     low_variance_warning: bool
 
 
-def _draw_block(seed, a, b, scale):
+class _GivenWords(ISeedSequence):
+    """A seed source whose generate_state returns ``self.words``, as is."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _draw_block(words, a, b, scale):
     """Exponential draws with the given scales for replicas a..b-1, one row
-    each: the same values as ``replica_rng(seed, k).exponential(scale)``."""
+    each: the same values as ``replica_rng(seed, k).exponential(scale)``,
+    where ``words = _replica_seed_words(seed)``.  Each row's PCG64 is
+    seeded with its k's words, which numpy reads by pointer from the
+    C-contiguous array; the seeding and the draws are numpy's."""
     tau = np.empty((b - a, len(scale)))
-    for k in range(a, b):
-        replica_rng(seed, k).standard_exponential(out=tau[k - a])
+    src = _GivenWords()
+    for w, row in zip(words(a, b), tau):
+        src.words = w
+        np.random.Generator(np.random.PCG64(src)).standard_exponential(
+            out=row)
     tau *= scale
     return tau
 
@@ -90,11 +107,12 @@ def _map_blocks(seed, replicas, threads, rates, reduce):
     nor the block size changes a result.
     """
     _check_replicas(replicas, 0)
+    words = _replica_seed_words(seed)
     scale = exponential_scales(rates)
     rows = max(1, _BLOCK_ELEMENTS // len(scale))
 
     def work(a):
-        return reduce(_draw_block(seed, a, min(a + rows, replicas), scale))
+        return reduce(_draw_block(words, a, min(a + rows, replicas), scale))
 
     # zero replicas still make one empty block, so outputs keep shape
     starts = range(0, replicas, rows) or [0]

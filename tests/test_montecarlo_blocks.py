@@ -12,7 +12,8 @@ from edgeproc.measure import (
     isolated_edges,
     power_law_product,
 )
-from edgeproc.process import replica_rng
+from edgeproc import process
+from edgeproc.process import _replica_seed_words, replica_rng
 
 from conftest import (
     GraphState,
@@ -196,10 +197,30 @@ def test_small_spec_is_drawn_in_one_block(monkeypatch, triangle):
 
 def test_block_rows_are_the_replica_draws():
     spec = power_law_product(2.5, 12)
-    tau = mc._draw_block(3, 5, 25, 1.0 / spec.w)
-    for r, row in enumerate(tau):
-        want = replica_rng(3, 5 + r).exponential(1.0 / spec.w)
-        assert np.array_equal(row, want)
+    for seed in [3, 0, 2**32, 2**130 + 7]:
+        tau = mc._draw_block(_replica_seed_words(seed), 5, 25, 1.0 / spec.w)
+        for r, row in enumerate(tau):
+            want = replica_rng(seed, 5 + r).exponential(1.0 / spec.w)
+            assert np.array_equal(row, want)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_estimators_never_seed_a_row_on_its_own(monkeypatch, threads,
+                                                triangle):
+    """Blocks take their seeding words from one vectorized pass: with
+    SeedSequence and replica_rng out of reach, the estimators still give
+    their golden outputs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row was seeded on its own")
+    monkeypatch.setattr(process.np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(mc, "replica_rng", refuse)
+    kw = {"threads": threads}
+    got = mc.estimate_event(triangle, ("I", (1, 2)), 1.0, 3_000, 5, **kw)
+    assert got.replicas == 3_000
+    assert mc.vertex_count_samples(triangle, [0.5, 1.0], 3_000, 5,
+                                   **kw).shape == (2, 3_000)
+    assert mc.urn_count_samples(triangle, [0.5, 1.0], 3_000, 5,
+                                **kw).shape == (2, 3_000)
 
 
 def _tie_block(spec, seed, rows=400):
@@ -286,7 +307,7 @@ def test_event_flags_match_stable_replay(name):
 def test_growth_and_estimates_match_stable_replay(monkeypatch):
     spec = EVENT_SPECS["random_explicit"]()
     tau = _tie_block(spec, 12)
-    monkeypatch.setattr(mc, "_draw_block", lambda seed, a, b, scale: tau[a:b])
+    monkeypatch.setattr(mc, "_draw_block", lambda words, a, b, scale: tau[a:b])
     grid = [0.5, 1.0, 1.5, 2.0, 3.0]
     states = [[_replay(spec, row, t)[0] for row in tau] for t in grid]
     R = len(tau)

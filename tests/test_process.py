@@ -10,6 +10,7 @@ from scipy.stats import chi2
 from edgeproc import montecarlo as mc
 from edgeproc.measure import explicit
 from edgeproc.process import (
+    _replica_seed_words,
     arrival_order,
     component_merges,
     depoissonize,
@@ -155,6 +156,42 @@ class TestDeterminism:
         assert [e.time for e in a.events] != [e.time for e in b.events]
 
 
+def _numpy_seed_words(seed, a, b):
+    return np.array([
+        np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(
+            4, np.uint64) for k in range(a, b)], dtype=np.uint64).reshape(-1, 4)
+
+
+class TestReplicaSeedWords:
+    """The vectorized words against numpy's own SeedSequence, so a change to
+    numpy's seeding algorithm fails here."""
+
+    @pytest.mark.parametrize("seed", [
+        0, 1, 1001, 2**32 - 1, 2**32, 5_000_001_000, 2**64 + 3, 2**130 + 7])
+    def test_words_are_numpys(self, seed):
+        words = _replica_seed_words(seed)
+        for a, b in [(0, 50), (2**32 - 30, 2**32), (2**32, 2**32 + 20),
+                     (2**32 - 3, 2**32 + 3)]:
+            got = words(a, b)
+            assert got.dtype == np.uint64 and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, _numpy_seed_words(seed, a, b))
+
+    def test_empty_range(self):
+        got = _replica_seed_words(5)(7, 7)
+        assert got.shape == (0, 4) and got.dtype == np.uint64
+
+    def test_numpy_int_seed(self):
+        np.testing.assert_array_equal(_replica_seed_words(np.int64(9))(0, 5),
+                                      _numpy_seed_words(9, 0, 5))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_raises_as_seed_sequence_does(self, seed):
+        with pytest.raises(Exception) as want:
+            np.random.SeedSequence(seed, spawn_key=(0,))
+        with pytest.raises(want.type):
+            _replica_seed_words(seed)
+
+
 class TestTrajectoryExport:
     def test_csv_columns(self, tmp_path, triangle):
         traj = run_continuous(triangle, 10.0, replica_rng(15, 0))
@@ -197,7 +234,7 @@ class TestArrivalOrder:
         scale = exponential_scales(spec.w)
         for k in range(30):
             traj = run_continuous(spec, 2.0, replica_rng(6, k))
-            tau = mc._draw_block(6, k, k + 1, scale)
+            tau = mc._draw_block(_replica_seed_words(6), k, k + 1, scale)
             _, _, t, i, j, nv = mc._arrivals(spec, tau, 2.0)
             for got, want in [(traj.time, t), (traj.i, i), (traj.j, j),
                               (traj.new_vertices, nv)]:
