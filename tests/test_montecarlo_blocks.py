@@ -207,9 +207,8 @@ def test_block_rows_are_the_replica_draws():
 @pytest.mark.parametrize("threads", [1, 3])
 def test_estimators_never_seed_a_row_on_its_own(monkeypatch, threads,
                                                 triangle):
-    """Blocks take their seeding words from one vectorized pass: with
-    SeedSequence and replica_rng out of reach, the estimators still give
-    their golden outputs."""
+    """Blocks take their seeding words from one vectorized pass, so the
+    estimators run with SeedSequence and replica_rng out of reach."""
     def refuse(*args, **kwargs):
         raise AssertionError("a row was seeded on its own")
     monkeypatch.setattr(process.np.random, "SeedSequence", refuse)
