@@ -4,16 +4,17 @@ Every estimator draws per-replica RNG streams with the single splitting rule
 in :mod:`edgeproc.process`, so reports are byte-identical regardless of
 worker count.  Replicas are drawn in blocks: row r of a ``(B, E)`` block
 holds replica k's exponential arrival times, exactly the values
-``replica_rng(seed, k).exponential(1 / w)`` returns.  The seeding words of
-a whole block come from one vectorized pass (``_replica_seed_words``), which
-reproduces that stream bit for bit, and estimators reduce whole blocks with
-array operations.  Event estimators take a block's
-arrivals in ``process.arrival_order``, the one first-arrival order, which
-``run_continuous`` reads too (its docstring gives the tie rule), and count
-I-events, components and completeness with the arrival kernels
-``new_vertex_counts`` and ``component_merges``, so no row is replayed.
-Vertex presence scatters the endpoints of the arrivals into one column per
-support vertex, and vertex counts count it.  All empirical
+``replica_rng(seed, k).exponential(1 / w)`` returns.  numpy computes the
+seed's pool once per call (``SeedSequence(seed).pool``), and
+``_replica_seed_words`` hashes every row's replica key k into it in one
+vectorized pass.  k is one uint32 word, so a call takes at most 2^32
+replicas.  Estimators reduce whole blocks with array operations.  Event
+estimators take a block's arrivals in ``process.arrival_order``, the one
+first-arrival order, which ``run_continuous`` reads too (its docstring gives
+the tie rule), and count I-events, components and completeness with the
+arrival kernels ``new_vertex_counts`` and ``component_merges``, so no row is
+replayed.  Vertex presence scatters the endpoints of the arrivals into one
+column per support vertex, and vertex counts count it.  All empirical
 checks of tail properties target finite-horizon proxies; reports say so.
 """
 
@@ -107,6 +108,8 @@ def _map_blocks(seed, replicas, threads, rates, reduce):
     nor the block size changes a result.
     """
     _check_replicas(replicas, 0)
+    if replicas > 1 << 32:  # replica k's key is one uint32 word
+        raise ValueError(f"replicas must be at most 2^32, got {replicas}")
     words = _replica_seed_words(seed)
     scale = exponential_scales(rates)
     rows = max(1, _BLOCK_ELEMENTS // len(scale))
@@ -201,7 +204,10 @@ def urn_count_samples(spec, ts, replicas, seed, threads=1):
 def vertex_presence_samples(spec, t, replicas, seed):
     """Presence of every support vertex at time t: a (replicas, V) boolean
     array and the V vertex ids of its columns, ascending."""
-    (t,) = _grid(t, "t")
+    ts = _grid(t, "t")
+    if ts.size != 1:
+        raise ValueError(f"t must be one time, got {ts.size} times")
+    (t,) = ts
     col = np.cumsum(spec.marginals.M > 0) - 1
     out = np.concatenate(_map_blocks(
         seed, replicas, 1, spec.w,
@@ -313,7 +319,7 @@ def connectivity_growth(spec, t_grid, replicas, seed, threads=1):
 
 def connected_frequency_curve(spec, t_grid, replicas, seed, threads=1):
     _, conn = connectivity_growth(spec, t_grid, replicas, seed, threads=threads)
-    return list(zip(np.asarray(t_grid, dtype=float).tolist(), conn.tolist()))
+    return list(zip(_grid(t_grid, "t_grid").tolist(), conn.tolist()))
 
 
 def i_event_growth(spec, t_grid, replicas, seed, threads=1):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -46,22 +45,19 @@ def replica_rng(master_seed, replica_index):
 
 
 # SeedSequence's uint32 hash constants (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def _hash_chain(h, mult, n):
-    """h, h * mult, ..., h * mult^(n - 1) mod 2^32."""
-    out = [h]
-    for _ in range(n - 1):
-        out.append(out[-1] * mult & _MASK32)
-    return out
+def _hash_consts(init, mult, start, n):
+    """Hash constants init * mult^i mod 2^32, i = start..start+n-1, as uint32."""
+    return np.array([init * pow(mult, i, 1 << 32) % (1 << 32)
+                     for i in range(start, start + n)], dtype=np.uint32)
 
 
 def _hash(value, xor, mult):
-    """SeedSequence's hash step on numpy uint32 values, which wrap mod 2^32:
+    """SeedSequence's hash step on numpy uint32 arrays, which wrap mod 2^32:
     the hash constant is ``xor`` before it and ``mult`` after it."""
     value = (value ^ xor) * mult
     return value ^ value >> 16
@@ -75,73 +71,34 @@ def _mix(x, y):
 # generate_state(4, uint64) hashes pool word d into output word 4j + d with
 # hash constants _OUT_HASH[j, d] before the step and _OUT_HASH[j, d + 1]
 # after it
-_OUT_HASH = np.array(_hash_chain(_INIT_B, _MULT_B, 9), dtype=np.uint32)
-_OUT_XOR, _OUT_MULT = (_OUT_HASH[:-1].reshape(2, 4, 1),
-                       _OUT_HASH[1:].reshape(2, 4, 1))
-
-
-def _seed_words(seed):
-    """The seed's uint32 words, least significant first; the exception
-    types are SeedSequence's."""
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be a non-negative int, not {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative int, got {seed}")
-    seed = int(seed)
-    return [seed >> s & _MASK32 for s in range(0, seed.bit_length() or 1, 32)]
+_OUT_HASH = _hash_consts(_INIT_B, _MULT_B, 0, 9)
+_OUT_XOR = _OUT_HASH[:-1].reshape(2, 4, 1)
+_OUT_MULT = _OUT_HASH[1:].reshape(2, 4, 1)
 
 
 def _replica_seed_words(seed):
-    """``words(a, b)``: for replicas k = a..b-1 (k < 2^64), the words
+    """``words(a, b)``: for replicas k = a..b-1 (k < 2^32), the words
     ``SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)``
     that seed ``replica_rng(seed, k)``'s PCG64, as a C-contiguous
     (b - a, 4) uint64 array.
 
-    SeedSequence hashes the seed's words, padded to its pool of 4, then the
-    key's words into the pool.  The seed's part is the same for every k, so
-    it is done here once, on uint32 scalars; ``words`` hashes only the
-    key's words, as (4, B) uint32 arrays (one row per pool word), and splits
-    the range where k gains a word, at 2^32.
+    SeedSequence hashes the seed's words into its pool of 4 words, then the
+    key word k into each pool word.  The seed's part is the same for every
+    k, and numpy computes it: ``SeedSequence(seed).pool``.  ``words`` hashes
+    only k, as (4, B) uint32 arrays (one row per pool word).
     """
-    entropy = _seed_words(seed)
-    entropy += [0] * (4 - len(entropy))
-    # 4 hash steps per seed word, then 4 per key word (at most 2)
-    chain = _hash_chain(_INIT_A, _MULT_A, 4 * len(entropy) + 9)
-    steps = pairwise(chain)
-
-    def hashmix(value):
-        return _hash(value, *next(steps))
-
-    entropy = np.array(entropy, dtype=np.uint32)
-    with np.errstate(over="ignore"):  # scalars warn where arrays wrap
-        pool = [hashmix(w) for w in entropy[:4]]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-        for w in entropy[4:]:
-            pool = [_mix(p, hashmix(w)) for p in pool]
-    pool = np.array(pool, dtype=np.uint32)[:, None]
-    # key word m meets pool word d with hash constants lane[4m + d] before
-    # the step and lane[4m + d + 1] after it
-    lane = np.array(chain[-9:], dtype=np.uint32)[:, None]
-    lanes = [(lane[4 * m:4 * m + 4], lane[4 * m + 1:4 * m + 5])
-             for m in range(2)]
+    if not isinstance(seed, (int, np.integer)):  # SeedSequence takes lists
+        raise TypeError(f"seed must be a non-negative int, not {seed!r}")
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    # the seed's words, padded to 4, took 4 hash steps each; k meets pool
+    # word d with hash constants lane[d] before the step, lane[d + 1] after
+    steps = 4 * max(4, -(-int(seed).bit_length() // 32))
+    lane = _hash_consts(_INIT_A, _MULT_A, steps, 5)[:, None]
 
     def words(a, b):
-        mixed = np.empty((4, b - a), dtype=np.uint32)
-        lo = int(a)
-        while lo < b:
-            n = 1 + (lo >= 1 << 32)  # words in k
-            hi = min(b, 1 << 32 * n)
-            k = np.arange(lo, hi, dtype=np.uint64)
-            part = pool
-            for m in range(n):
-                key = (k >> 32 * m).astype(np.uint32)  # wraps mod 2^32
-                part = _mix(part, _hash(key, *lanes[m]))
-            mixed[:, lo - a:hi - a] = part
-            lo = hi
-        state = _hash(mixed, _OUT_XOR, _OUT_MULT)  # (2, 4, B)
+        key = np.arange(a, b, dtype=np.uint32)
+        state = _hash(_mix(pool, _hash(key, lane[:-1], lane[1:])),
+                      _OUT_XOR, _OUT_MULT)  # (2, 4, B)
         # uint32 words 2i (low) and 2i + 1 (high) make uint64 word i
         return state.transpose(2, 0, 1).astype("<u4", order="C").view(
             "<u8").reshape(b - a, 4).astype(np.uint64, copy=False)

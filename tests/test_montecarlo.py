@@ -92,6 +92,10 @@ class TestGrowthCurves:
         assert freqs[0] <= freqs[1] + 0.05 <= freqs[2] + 0.10
         assert freqs[-1] > 0.9
 
+    def test_scalar_grid_is_a_one_time_grid(self, triangle):
+        assert mc.connected_frequency_curve(triangle, 5.0, 100, 1) \
+            == mc.connected_frequency_curve(triangle, [5.0], 100, 1)
+
     def test_single_edge_i_plateau(self, single_edge):
         means = mc.i_event_growth(single_edge, [1.0, 5.0, 20.0, 30.0], 2_000, 8)
         assert means[-1] == pytest.approx(1.0, abs=1e-9)
@@ -260,6 +264,9 @@ DEGENERATE = {
         lambda s: mc.vertex_presence_samples(s, np.nan, 4, 0), "^t must"),
     "presence_negative_time": (
         lambda s: mc.vertex_presence_samples(s, -1.0, 4, 0), "^t must"),
+    "presence_two_times": (
+        lambda s: mc.vertex_presence_samples(s, [1.0, 2.0], 100, 1),
+        "^t must be one time, got 2"),
     "variance_se_one_sample": (
         lambda s: mc.variance_standard_error([1.0]), "2 samples, got 1"),
     "variance_se_no_samples": (

@@ -207,19 +207,50 @@ def test_block_rows_are_the_replica_draws():
 @pytest.mark.parametrize("threads", [1, 3])
 def test_estimators_never_seed_a_row_on_its_own(monkeypatch, threads,
                                                 triangle):
-    """Blocks take their seeding words from one vectorized pass, so the
-    estimators run with SeedSequence and replica_rng out of reach."""
+    """Blocks take their seeding words from one vectorized pass: each
+    estimator call builds one SeedSequence, of the seed alone, for its
+    pool.  A SeedSequence with a spawn_key, or replica_rng, would seed a
+    row on its own."""
+    real, made = np.random.SeedSequence, []
+
+    def seed_only(entropy=None, *, spawn_key=(), **kwargs):
+        if spawn_key:
+            raise AssertionError("a row was seeded on its own")
+        made.append(entropy)
+        return real(entropy, **kwargs)
+
     def refuse(*args, **kwargs):
         raise AssertionError("a row was seeded on its own")
-    monkeypatch.setattr(process.np.random, "SeedSequence", refuse)
+
+    def pools():
+        got = made.copy()
+        made.clear()
+        return got
+    monkeypatch.setattr(process.np.random, "SeedSequence", seed_only)
     monkeypatch.setattr(mc, "replica_rng", refuse)
     kw = {"threads": threads}
     got = mc.estimate_event(triangle, ("I", (1, 2)), 1.0, 3_000, 5, **kw)
-    assert got.replicas == 3_000
+    assert got.replicas == 3_000 and pools() == [5]
     assert mc.vertex_count_samples(triangle, [0.5, 1.0], 3_000, 5,
                                    **kw).shape == (2, 3_000)
+    assert pools() == [5]
     assert mc.urn_count_samples(triangle, [0.5, 1.0], 3_000, 5,
                                 **kw).shape == (2, 3_000)
+    assert pools() == [5]
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec, n: mc.estimate_event(spec, ("I", (1, 2)), 1.0, n, 5),
+    lambda spec, n: mc.vertex_count_samples(spec, [1.0], n, 5)],
+    ids=["estimate_event", "vertex_count_samples"])
+def test_more_replicas_than_keys_are_refused(monkeypatch, call, triangle):
+    """Replica k's key is one uint32 word, so 2^32 + 1 replicas are refused
+    before any block is drawn (drawing them would take hours)."""
+    def refuse(*args):
+        raise AssertionError("a block was drawn")
+    monkeypatch.setattr(mc, "_draw_block", refuse)
+    with pytest.raises(ValueError, match=r"at most 2\^32, got 4294967297"):
+        call(triangle, 2**32 + 1)
 
 
 def _tie_block(spec, seed, rows=400):

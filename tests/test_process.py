@@ -170,11 +170,20 @@ class TestReplicaSeedWords:
         0, 1, 1001, 2**32 - 1, 2**32, 5_000_001_000, 2**64 + 3, 2**130 + 7])
     def test_words_are_numpys(self, seed):
         words = _replica_seed_words(seed)
-        for a, b in [(0, 50), (2**32 - 30, 2**32), (2**32, 2**32 + 20),
-                     (2**32 - 3, 2**32 + 3)]:
+        for a, b in [(0, 50), (2**32 - 30, 2**32)]:
             got = words(a, b)
             assert got.dtype == np.uint64 and got.flags.c_contiguous
             np.testing.assert_array_equal(got, _numpy_seed_words(seed, a, b))
+
+    # seeds of 1 to 10 words; replica keys k < 2^32, up to 20 at a time
+    @given(st.integers(0, 2**320 - 1), st.integers(0, 2**32).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(a, min(a + 20, 2**32)))))
+    @example(2**320 - 1, (2**32 - 3, 2**32))
+    @example(2**128, (0, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_words_are_numpys_for_any_seed(self, seed, ab):
+        np.testing.assert_array_equal(_replica_seed_words(seed)(*ab),
+                                      _numpy_seed_words(seed, *ab))
 
     def test_empty_range(self):
         got = _replica_seed_words(5)(7, 7)
@@ -189,6 +198,12 @@ class TestReplicaSeedWords:
         with pytest.raises(Exception) as want:
             np.random.SeedSequence(seed, spawn_key=(0,))
         with pytest.raises(want.type):
+            _replica_seed_words(seed)
+
+    @pytest.mark.parametrize("seed", [[1, 2], 1.5, None])
+    def test_non_int_seed_is_a_type_error(self, seed):
+        # SeedSequence would take a list of ints, or None for fresh entropy
+        with pytest.raises(TypeError, match="non-negative int"):
             _replica_seed_words(seed)
 
 
