@@ -221,22 +221,17 @@ def test_estimators_never_seed_a_row_on_its_own(monkeypatch, threads,
 
     def refuse(*args, **kwargs):
         raise AssertionError("a row was seeded on its own")
-
-    def pools():
-        got = made.copy()
-        made.clear()
-        return got
     monkeypatch.setattr(process.np.random, "SeedSequence", seed_only)
     monkeypatch.setattr(mc, "replica_rng", refuse)
     kw = {"threads": threads}
     got = mc.estimate_event(triangle, ("I", (1, 2)), 1.0, 3_000, 5, **kw)
-    assert got.replicas == 3_000 and pools() == [5]
+    assert got.replicas == 3_000 and made == [5]
     assert mc.vertex_count_samples(triangle, [0.5, 1.0], 3_000, 5,
                                    **kw).shape == (2, 3_000)
-    assert pools() == [5]
+    assert made == [5] * 2
     assert mc.urn_count_samples(triangle, [0.5, 1.0], 3_000, 5,
                                 **kw).shape == (2, 3_000)
-    assert pools() == [5]
+    assert made == [5] * 3
 
 
 @pytest.mark.parametrize("call", [
