@@ -84,8 +84,8 @@ class MeasureSpec:
     def __post_init__(self):
         if len(self.ei) == 0:
             raise ValueError("measure has empty support")
-        if np.any(self.w < 0):
-            raise ValueError("negative edge mass")
+        if not np.all((self.w >= 0) & (self.w < np.inf)):  # NaN too
+            raise ValueError("edge masses must be finite and non-negative")
         if not np.all(self.ei < self.ej):
             raise ValueError("edges must be stored canonically (i < j)")
         a, b = self.ei, self.ej
@@ -415,11 +415,25 @@ def explicit(items, normalize=False, n_max=None):
 # -- config files --------------------------------------------------------
 
 
+# the keys each family reads besides family, normalize and n_max; every
+# family takes n_max, because to_dict writes it
+_FAMILY_KEYS = {"power_law_product": ("gamma",), "first_rank": ("sigma",),
+                "factorial_max": (), "double_exp": (),
+                "isolated_edges": ("weights",), "explicit": ("edges",)}
+
+
 def measure_from_dict(cfg):
-    """Build a spec from a config mapping (see the measure config format)."""
+    """Build a spec from a config mapping (see the measure config format).
+    A key that the family does not read is refused."""
     cfg = dict(cfg)
     family = cfg.pop("family", None)
     normalize = bool(cfg.pop("normalize", False))
+    if family not in _FAMILY_KEYS:
+        raise ValueError(f"unknown measure family: {family!r}")
+    unread = [k for k in cfg if k not in ("n_max",) + _FAMILY_KEYS[family]]
+    if unread:
+        raise ValueError(f"measure family {family!r} reads no key "
+                         + ", ".join(map(repr, unread)))
     if family == "power_law_product":
         return power_law_product(cfg["gamma"], cfg["n_max"], normalize)
     if family == "first_rank":
@@ -430,10 +444,8 @@ def measure_from_dict(cfg):
         return double_exp(cfg["n_max"], normalize)
     if family == "isolated_edges":
         return isolated_edges(cfg["weights"], normalize)
-    if family == "explicit":
-        items = [((int(i), int(j)), float(m)) for i, j, m in cfg["edges"]]
-        return explicit(items, normalize, n_max=cfg.get("n_max"))
-    raise ValueError(f"unknown measure family: {family!r}")
+    items = [((int(i), int(j)), float(m)) for i, j, m in cfg["edges"]]
+    return explicit(items, normalize, n_max=cfg.get("n_max"))
 
 
 def load_measure(path):

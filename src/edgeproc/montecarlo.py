@@ -1,21 +1,20 @@
 """Replica orchestration and statistical verification.
 
-Every estimator draws per-replica RNG streams with the single splitting rule
-in :mod:`edgeproc.process`, so reports are byte-identical regardless of
-worker count.  Replicas are drawn in blocks: row r of a ``(B, E)`` block
-holds replica k's exponential arrival times, exactly the values
-``replica_rng(seed, k).exponential(1 / w)`` returns.  numpy computes the
-seed's pool once per call (``SeedSequence(seed).pool``), and
-``_replica_seed_words`` hashes every row's replica key k into it in one
-vectorized pass.  k is one uint32 word, so a call takes at most 2^32
-replicas.  Estimators reduce whole blocks with array operations.  Event
-estimators take a block's arrivals in ``process.arrival_order``, the one
-first-arrival order, which ``run_continuous`` reads too (its docstring gives
-the tie rule), and count I-events, components and completeness with the
-arrival kernels ``new_vertex_counts`` and ``component_merges``, so no row is
-replayed.  Vertex presence scatters the endpoints of the arrivals into one
-column per support vertex, and vertex counts count it.  All empirical
-checks of tail properties target finite-horizon proxies; reports say so.
+Every estimator draws per-replica RNG streams with the single splitting rule,
+``process.replica_rng``, so reports are byte-identical regardless of worker
+count.  Replicas are drawn in blocks: row r of a ``(B, E)`` block holds
+replica k's exponential arrival times, exactly the values
+``replica_rng(seed, k).exponential(1 / w)`` returns.  This module owns how a
+block is seeded and drawn (``_replica_seed_words``, ``_draw_block``); a call
+takes at most 2^32 replicas.  Estimators reduce whole blocks with array
+operations.  Event estimators take a block's arrivals in
+``process.arrival_order``, the one first-arrival order, which
+``run_continuous`` reads too (its docstring gives the tie rule), and count
+I-events, components and completeness with the arrival kernels
+``new_vertex_counts`` and ``component_merges``, so no row is replayed.
+Vertex presence scatters the endpoints of the arrivals into one column per
+support vertex, and vertex counts count it.  All empirical checks of tail
+properties target finite-horizon proxies; reports say so.
 """
 
 from __future__ import annotations
@@ -30,9 +29,8 @@ from scipy.stats import kstest
 
 from . import analytic
 from .measure import edge
-from .process import (_replica_seed_words, arrival_order, component_merges,
-                      exponential_scales, full_stream_arrivals,
-                      new_vertex_counts, replica_rng)
+from .process import (arrival_order, component_merges, exponential_scales,
+                      full_stream_arrivals, new_vertex_counts, replica_rng)
 
 __all__ = [
     "EstimateReport",
@@ -77,6 +75,71 @@ class CltReport:
     low_variance_warning: bool
 
 
+# -- replica blocks ------------------------------------------------------
+
+
+# SeedSequence's uint32 hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_consts(init, mult, start, n):
+    """Hash constants init * mult^i mod 2^32, i = start..start+n-1, as uint32."""
+    return np.array([init * pow(mult, i, 1 << 32) % (1 << 32)
+                     for i in range(start, start + n)], dtype=np.uint32)
+
+
+def _hash(value, xor, mult):
+    """SeedSequence's hash step on numpy uint32 arrays, which wrap mod 2^32:
+    the hash constant is ``xor`` before it and ``mult`` after it."""
+    value = (value ^ xor) * mult
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ value >> 16
+
+
+# generate_state(4, uint64) hashes pool word d into output word 4j + d with
+# hash constants _OUT_HASH[j, d] before the step and _OUT_HASH[j, d + 1]
+# after it
+_OUT_HASH = _hash_consts(_INIT_B, _MULT_B, 0, 9)
+_OUT_XOR = _OUT_HASH[:-1].reshape(2, 4, 1)
+_OUT_MULT = _OUT_HASH[1:].reshape(2, 4, 1)
+
+
+def _replica_seed_words(seed):
+    """``words(a, b)``: for replicas k = a..b-1 (k < 2^32), the words
+    ``SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)``
+    that seed ``replica_rng(seed, k)``'s PCG64, as a C-contiguous
+    (b - a, 4) uint64 array.
+
+    SeedSequence hashes the seed's words into its pool of 4 words, then the
+    key word k into each pool word.  The seed's part is the same for every
+    k, and numpy computes it: ``SeedSequence(seed).pool``.  ``words`` hashes
+    only k, as (4, B) uint32 arrays (one row per pool word).
+    """
+    if not isinstance(seed, (int, np.integer)):  # SeedSequence takes lists
+        raise TypeError(f"seed must be a non-negative int, not {seed!r}")
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    # the seed's words, padded to 4, took 4 hash steps each; k meets pool
+    # word d with hash constants lane[d] before the step, lane[d + 1] after
+    steps = 4 * max(4, -(-int(seed).bit_length() // 32))
+    lane = _hash_consts(_INIT_A, _MULT_A, steps, 5)[:, None]
+
+    def words(a, b):
+        key = np.arange(a, b, dtype=np.uint32)
+        state = _hash(_mix(pool, _hash(key, lane[:-1], lane[1:])),
+                      _OUT_XOR, _OUT_MULT)  # (2, 4, B)
+        # uint32 words 2i (low) and 2i + 1 (high) make uint64 word i
+        return state.transpose(2, 0, 1).astype("<u4", order="C").view(
+            "<u8").reshape(b - a, 4).astype(np.uint64, copy=False)
+
+    return words
+
+
 class _GivenWords(ISeedSequence):
     """A seed source whose generate_state returns ``self.words``, as is."""
 
@@ -108,6 +171,8 @@ def _map_blocks(seed, replicas, threads, rates, reduce):
     nor the block size changes a result.
     """
     _check_replicas(replicas, 0)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if replicas > 1 << 32:  # replica k's key is one uint32 word
         raise ValueError(f"replicas must be at most 2^32, got {replicas}")
     words = _replica_seed_words(seed)
@@ -119,7 +184,7 @@ def _map_blocks(seed, replicas, threads, rates, reduce):
 
     # zero replicas still make one empty block, so outputs keep shape
     starts = range(0, replicas, rows) or [0]
-    if threads <= 1:
+    if threads == 1:
         return list(map(work, starts))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(work, starts))
@@ -176,29 +241,28 @@ def _presence(spec, col, tau, t):
     return pres
 
 
-def _counts_below(x, ts):
-    """(len(ts), B): per row, how many entries of x are <= each t."""
-    return np.stack([np.count_nonzero(x <= t, axis=1) for t in ts])
+def _count_samples(ts, replicas, seed, threads, rates, count):
+    """(len(ts), replicas): count(block, t), one count per row, at each time
+    in the grid ts, over blocks drawn at rates."""
+    ts = _grid(ts, "ts")
+    return np.concatenate(_map_blocks(
+        seed, replicas, threads, rates,
+        lambda tau: np.stack([count(tau, t) for t in ts])), axis=1)
 
 
 def vertex_count_samples(spec, ts, replicas, seed, threads=1):
     """|V_t| samples: shape (len(ts), replicas), from per-edge arrival draws."""
-    ts = _grid(ts, "ts")
     col = np.cumsum(spec.marginals.M > 0) - 1
-    return np.concatenate(_map_blocks(
-        seed, replicas, threads, spec.w,
-        lambda tau: np.stack([np.count_nonzero(_presence(spec, col, tau, t),
-                                               axis=1) for t in ts])), axis=1)
+    return _count_samples(
+        ts, replicas, seed, threads, spec.w, lambda tau, t: np.count_nonzero(
+            _presence(spec, col, tau, t), axis=1))
 
 
 def urn_count_samples(spec, ts, replicas, seed, threads=1):
     """|U_t| samples for the urn scheme with rates M_i."""
-    ts = _grid(ts, "ts")
     M = spec.marginals.M[1:]
-    M = M[M > 0]
-    return np.concatenate(_map_blocks(
-        seed, replicas, threads, M,
-        lambda fill: _counts_below(fill, ts)), axis=1)
+    return _count_samples(ts, replicas, seed, threads, M[M > 0],
+                          lambda fill, t: np.count_nonzero(fill <= t, axis=1))
 
 
 def vertex_presence_samples(spec, t, replicas, seed):
@@ -294,27 +358,28 @@ def estimate_event(spec, event, horizon, replicas, seed, threads=1):
 # -- growth curves -------------------------------------------------------
 
 
-def _i_counts(t, nv, t_grid):
-    """How many of a block's arrivals at times t brought two new vertices
-    (an I-event) by each time in t_grid."""
-    return np.searchsorted(np.sort(t[nv == 2]), t_grid, side="right")
-
-
-def connectivity_growth(spec, t_grid, replicas, seed, threads=1):
-    """Mean cumulative new-component counts and connected frequency per t."""
+def _growth(spec, t_grid, replicas, seed, threads, connected):
+    """Means per t of the cumulative I-event count (arrivals that brought two
+    new vertices) and, if ``connected``, of the connected indicator; only
+    then are component merges counted."""
     t_grid = _grid(t_grid, "t_grid")
     _check_replicas(replicas, 1)
 
     def reduce(tau):
         rows, _, t, i, j, nv = _arrivals(spec, tau, t_grid.max())
-        conn = np.count_nonzero(
-            _components(rows, t, i, j, nv, len(tau), t_grid) == 1, axis=1)
-        return _i_counts(t, nv, t_grid), conn
+        out = [np.searchsorted(np.sort(t[nv == 2]), t_grid, side="right")]
+        if connected:
+            out.append(np.count_nonzero(
+                _components(rows, t, i, j, nv, len(tau), t_grid) == 1, axis=1))
+        return out
 
     parts = _map_blocks(seed, replicas, threads, spec.w, reduce)
-    i_counts = sum(p[0] for p in parts) / replicas
-    conn = sum(p[1] for p in parts) / replicas
-    return i_counts, conn
+    return tuple(sum(curve) / replicas for curve in zip(*parts))
+
+
+def connectivity_growth(spec, t_grid, replicas, seed, threads=1):
+    """Mean cumulative new-component counts and connected frequency per t."""
+    return _growth(spec, t_grid, replicas, seed, threads, connected=True)
 
 
 def connected_frequency_curve(spec, t_grid, replicas, seed, threads=1):
@@ -325,15 +390,7 @@ def connected_frequency_curve(spec, t_grid, replicas, seed, threads=1):
 def i_event_growth(spec, t_grid, replicas, seed, threads=1):
     """Mean cumulative new-component counts per t, with no component
     tracking."""
-    t_grid = _grid(t_grid, "t_grid")
-    _check_replicas(replicas, 1)
-
-    def reduce(tau):
-        _, _, t, _, _, nv = _arrivals(spec, tau, t_grid.max())
-        return _i_counts(t, nv, t_grid)
-
-    return sum(_map_blocks(seed, replicas, threads, spec.w, reduce)) \
-        / replicas
+    return _growth(spec, t_grid, replicas, seed, threads, connected=False)[0]
 
 
 _PLATEAU_FRAC, _PLATEAU_REL_TOL = 0.25, 0.01
@@ -348,6 +405,9 @@ def plateaued(t_grid, means):
     if len(means) != len(t_grid):
         raise ValueError(f"{len(means)} means for a grid of {len(t_grid)} "
                          "times")
+    # the growth curves take grids in any order: read the means in time order
+    order = np.argsort(t_grid, kind="stable")
+    t_grid, means = t_grid[order], means[order]
     cut = np.searchsorted(
         t_grid, t_grid[-1] - _PLATEAU_FRAC * (t_grid[-1] - t_grid[0]))
     cut = min(cut, len(means) - 1)

@@ -44,68 +44,6 @@ def replica_rng(master_seed, replica_index):
     return np.random.default_rng(ss)
 
 
-# SeedSequence's uint32 hash constants (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash_consts(init, mult, start, n):
-    """Hash constants init * mult^i mod 2^32, i = start..start+n-1, as uint32."""
-    return np.array([init * pow(mult, i, 1 << 32) % (1 << 32)
-                     for i in range(start, start + n)], dtype=np.uint32)
-
-
-def _hash(value, xor, mult):
-    """SeedSequence's hash step on numpy uint32 arrays, which wrap mod 2^32:
-    the hash constant is ``xor`` before it and ``mult`` after it."""
-    value = (value ^ xor) * mult
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    value = _MIX_L * x - _MIX_R * y
-    return value ^ value >> 16
-
-
-# generate_state(4, uint64) hashes pool word d into output word 4j + d with
-# hash constants _OUT_HASH[j, d] before the step and _OUT_HASH[j, d + 1]
-# after it
-_OUT_HASH = _hash_consts(_INIT_B, _MULT_B, 0, 9)
-_OUT_XOR = _OUT_HASH[:-1].reshape(2, 4, 1)
-_OUT_MULT = _OUT_HASH[1:].reshape(2, 4, 1)
-
-
-def _replica_seed_words(seed):
-    """``words(a, b)``: for replicas k = a..b-1 (k < 2^32), the words
-    ``SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)``
-    that seed ``replica_rng(seed, k)``'s PCG64, as a C-contiguous
-    (b - a, 4) uint64 array.
-
-    SeedSequence hashes the seed's words into its pool of 4 words, then the
-    key word k into each pool word.  The seed's part is the same for every
-    k, and numpy computes it: ``SeedSequence(seed).pool``.  ``words`` hashes
-    only k, as (4, B) uint32 arrays (one row per pool word).
-    """
-    if not isinstance(seed, (int, np.integer)):  # SeedSequence takes lists
-        raise TypeError(f"seed must be a non-negative int, not {seed!r}")
-    pool = np.random.SeedSequence(seed).pool[:, None]
-    # the seed's words, padded to 4, took 4 hash steps each; k meets pool
-    # word d with hash constants lane[d] before the step, lane[d + 1] after
-    steps = 4 * max(4, -(-int(seed).bit_length() // 32))
-    lane = _hash_consts(_INIT_A, _MULT_A, steps, 5)[:, None]
-
-    def words(a, b):
-        key = np.arange(a, b, dtype=np.uint32)
-        state = _hash(_mix(pool, _hash(key, lane[:-1], lane[1:])),
-                      _OUT_XOR, _OUT_MULT)  # (2, 4, B)
-        # uint32 words 2i (low) and 2i + 1 (high) make uint64 word i
-        return state.transpose(2, 0, 1).astype("<u4", order="C").view(
-            "<u8").reshape(b - a, 4).astype(np.uint64, copy=False)
-
-    return words
-
-
 def exponential_scales(rates):
     """Scales 1 / rate of exponential waits: inf, with no warning, where the
     reciprocal overflows (a subnormal rate), so that clock never rings."""

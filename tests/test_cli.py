@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, headers, exit codes."""
 
 import json
+import warnings
 
 import pytest
 
@@ -120,6 +121,30 @@ class TestConfigErrors:
         assert rc == 2
         assert "bad.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["series"], ["analytic", "--horizon-t", "1"]])
+    def test_infinite_mass_is_config_error(self, command, tmp_path, capsys):
+        # Python's json reads Infinity
+        p = tmp_path / "inf.json"
+        p.write_text('{"family": "explicit", '
+                     '"edges": [[1, 2, Infinity], [2, 3, 1.0]]}')
+        out = tmp_path / "report.txt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(command + ["--measure", str(p), "--out", str(out)])
+        assert rc == 2 and caught == []
+        assert "finite and non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unread_config_key_is_config_error(self, tmp_path, capsys):
+        p = tmp_path / "typo.json"
+        p.write_text(json.dumps(
+            {"family": "factorial_max", "n_max": 6, "normalise": True}))
+        out = tmp_path / "report.txt"
+        assert main(["series", "--measure", str(p), "--out", str(out)]) == 2
+        assert "'normalise'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--horizon-t", "1", "--seed", "-1"],
@@ -138,6 +163,8 @@ class TestConfigErrors:
     ["couple", "--horizon-t", "0"],
     ["couple", "--horizon-t", "nan"],
     ["couple", "--horizon-t", "inf"],
+    ["clt", "--horizon-t", "1", "--threads", "-2"],
+    ["clt", "--horizon-t", "1", "--threads", "0"],
 ], ids=" ".join)
 def test_bad_numeric_flag_is_config_error(argv, tmp_path, single_edge_cfg,
                                           capsys):

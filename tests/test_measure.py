@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from edgeproc.measure import (
+    MeasureSpec,
     edge,
     explicit,
     double_exp,
@@ -456,6 +457,29 @@ class TestZeroMassEdges:
             explicit([((1, 2), 0.0)])
 
 
+MASS_RULE = "^edge masses must be finite and non-negative$"
+
+
+class TestMassRule:
+    """One rule on construction: every mass is finite and non-negative."""
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("make", [
+        lambda x: explicit([((1, 2), x), ((2, 3), 1.0)]),
+        lambda x: first_rank([x, 1.0, 1.0]),
+        lambda x: isolated_edges([x, 1.0]),
+        lambda x: MeasureSpec("explicit", {}, np.array([1, 2]),
+                              np.array([2, 3]), np.array([x, 1.0]), 3),
+    ], ids=["explicit", "first_rank", "isolated_edges", "MeasureSpec"])
+    def test_infinite_or_nan_mass_rejected(self, make, bad):
+        with pytest.raises(ValueError, match=MASS_RULE):
+            make(bad)
+
+    def test_negative_mass_rejected(self):
+        with pytest.raises(ValueError, match=MASS_RULE):
+            isolated_edges([-1.0, 1.0])
+
+
 class TestConfigFiles:
     def test_round_trip_all_families(self, tmp_path):
         cfgs = [
@@ -477,6 +501,31 @@ class TestConfigFiles:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             measure_from_dict({"family": "nope"})
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"family": "factorial_max", "n_max": 6, "normalise": True},
+         "normalise"),
+        ({"family": "double_exp", "n_max": 4, "gamma": 2.5}, "gamma"),
+        ({"family": "explicit", "edges": [[1, 2, 1.0]], "weights": [1.0]},
+         "weights"),
+        ({"family": "first_rank", "sigma": [1.0, 1.0], "edges": []},
+         "edges"),
+    ])
+    def test_unread_key_rejected(self, cfg, key):
+        with pytest.raises(ValueError, match=f"reads no key '{key}'"):
+            measure_from_dict(cfg)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_to_dict_round_trip_keeps_the_config_hash(self, normalize):
+        specs = [power_law_product(2.5, 20, normalize),
+                 first_rank([1.0, 0.5, 0.25], normalize),
+                 factorial_max(5, normalize), double_exp(4, normalize),
+                 isolated_edges([0.5, 1.5], normalize),
+                 explicit([((1, 2), 0.5), ((3, 4), 0.5)], normalize, n_max=6)]
+        for spec in specs:
+            back = measure_from_dict(spec.to_dict())
+            assert back.config_hash() == spec.config_hash(), spec.family
+            assert back.n_max == spec.n_max
 
     def test_config_hash_stable_and_distinct(self):
         a = power_law_product(2.5, 20)

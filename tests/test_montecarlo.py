@@ -107,6 +107,13 @@ class TestGrowthCurves:
         assert not mc.plateaued(grid, np.linspace(1, 2, 10))
         assert mc.plateaued(grid, np.zeros(10))
 
+    def test_plateau_reads_the_grid_in_time_order(self):
+        # the growth curves take unsorted grids; the means follow their times
+        assert not mc.plateaued([50, 5, 10, 20, 40],
+                                [1.0, 0.1, 0.3, 0.6, 0.99])
+        assert not mc.plateaued([5, 10, 20, 40, 50],
+                                [0.1, 0.3, 0.6, 0.99, 1.0])
+
     @pytest.mark.parametrize("grid, means, match", [
         ([], [], "empty"),
         ([1, 2, 3], [1.0], "1 means for a grid of 3"),
@@ -267,6 +274,15 @@ DEGENERATE = {
     "presence_two_times": (
         lambda s: mc.vertex_presence_samples(s, [1.0, 2.0], 100, 1),
         "^t must be one time, got 2"),
+    "event_zero_threads": (
+        lambda s: mc.estimate_event(s, ("I", (1, 2)), 1.0, 100, 0, threads=0),
+        "threads must be at least 1, got 0"),
+    "counts_negative_threads": (
+        lambda s: mc.vertex_count_samples(s, [1.0], 100, 0, threads=-2),
+        "threads must be at least 1, got -2"),
+    "growth_zero_threads": (
+        lambda s: mc.i_event_growth(s, [1.0], 100, 0, threads=0),
+        "threads must be at least 1, got 0"),
     "variance_se_one_sample": (
         lambda s: mc.variance_standard_error([1.0]), "2 samples, got 1"),
     "variance_se_no_samples": (

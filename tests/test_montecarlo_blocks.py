@@ -12,8 +12,8 @@ from edgeproc.measure import (
     isolated_edges,
     power_law_product,
 )
-from edgeproc import process
-from edgeproc.process import _replica_seed_words, replica_rng
+from edgeproc.montecarlo import _replica_seed_words
+from edgeproc.process import replica_rng
 
 from conftest import (
     GraphState,
@@ -221,7 +221,7 @@ def test_estimators_never_seed_a_row_on_its_own(monkeypatch, threads,
 
     def refuse(*args, **kwargs):
         raise AssertionError("a row was seeded on its own")
-    monkeypatch.setattr(process.np.random, "SeedSequence", seed_only)
+    monkeypatch.setattr(mc.np.random, "SeedSequence", seed_only)
     monkeypatch.setattr(mc, "replica_rng", refuse)
     kw = {"threads": threads}
     got = mc.estimate_event(triangle, ("I", (1, 2)), 1.0, 3_000, 5, **kw)

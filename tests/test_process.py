@@ -9,8 +9,8 @@ from scipy.stats import chi2
 
 from edgeproc import montecarlo as mc
 from edgeproc.measure import explicit
+from edgeproc.montecarlo import _replica_seed_words
 from edgeproc.process import (
-    _replica_seed_words,
     arrival_order,
     component_merges,
     depoissonize,
