@@ -21,7 +21,6 @@ __all__ = [
     "connectedness_series",
     "expected_vertices",
     "urn_variance",
-    "vertex_pair_cov",
     "prob_both_vertices",
     "variance_sandwich",
     "check_exp_bound",
@@ -185,15 +184,6 @@ def urn_variance(spec, t):
     M = M[M > 0]
     q = np.exp(-M * t)
     return float(np.sum(q * -np.expm1(-M * t)))
-
-
-def vertex_pair_cov(spec, i, j, t):
-    """Covariance of presence indicators: exp(-M_ij t)(1 - exp(-mu_ij t))."""
-    _check_time(t)
-    i, j = edge(i, j)
-    mu = spec.mass((i, j))
-    Mij = spec.edge_mass((i, j))
-    return float(np.exp(-Mij * t) * -np.expm1(-mu * t))
 
 
 def prob_both_vertices(spec, i, j, t):

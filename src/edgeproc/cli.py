@@ -1,8 +1,8 @@
 """Command-line entry point: one binary, subcommand per experiment.
 
 Every output file begins with a header block recording the command line,
-measure config hash, seed, window and tool version, so runs are auditable
-and reproducible byte-for-byte.
+measure config hash, seed (where one is read), window and tool version, so
+runs are auditable and reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ EXIT_CONFIG = 2
 
 _OPTIONS = {
     "measure": {"help": "path to a measure config file"},
+    "seed": {"type": int, "default": 0},
     "horizon-t": {"type": float, "default": None},
     "horizon-n": {"type": int, "default": None},
     "window": {"type": int, "default": None},
@@ -33,9 +34,9 @@ _OPTIONS = {
 }
 
 
-# handler(args, spec) returns an exit code, None for EXIT_OK; flags: read
-# besides --seed (every header records it); required: refused if missing;
-# out: the default output file; a subcommand with one takes --out
+# handler(args, spec) returns an exit code, None for EXIT_OK; flags: the
+# flags it reads; required: refused if missing; out: the default output
+# file; a subcommand with one takes --out
 _Command = namedtuple("_Command", "handler flags required out",
                       defaults=((), None))
 
@@ -46,7 +47,6 @@ def _parser():
     sub = p.add_subparsers(dest="command", required=True)
     for name, cmd in _COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--seed", type=int, default=0)
         for flag in cmd.flags:
             sp.add_argument(f"--{flag}", **_OPTIONS[flag])
         if cmd.out:
@@ -55,14 +55,13 @@ def _parser():
 
 
 def _header(args, spec):
-    items = [
+    return [
         f"command: {args.command} " + " ".join(args.argv[1:]),
         f"config_hash: {spec.config_hash()}",
-        f"seed: {args.seed}",
+        *([f"seed: {args.seed}"] if "seed" in args else []),
         f"window: {getattr(args, 'window', None) or spec.n_max}",
         f"version: edgeproc {__version__}",
     ]
-    return items
 
 
 def _text(value):
@@ -82,7 +81,7 @@ def _need_measure(args):
         raise ConfigError("missing required flag: --measure")
     try:
         return load_measure(args.measure)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad measure config ({args.measure}): {exc}")
 
 
@@ -235,20 +234,22 @@ def _cmd_verify(args, _):
 
 
 _COMMANDS = {
-    "simulate": _Command(_cmd_simulate, ("measure", "horizon-t", "horizon-n"),
+    "simulate": _Command(_cmd_simulate,
+                         ("measure", "seed", "horizon-t", "horizon-n"),
                          out="trajectory.csv"),
     "analytic": _Command(_cmd_analytic, ("measure", "horizon-t"),
                          ("horizon-t",), "analytic_report.txt"),
     "series": _Command(_cmd_series, ("measure", "window"),
                        out="series_report.txt"),
-    "clt": _Command(_cmd_clt, ("measure", "horizon-t", "replicas", "threads"),
+    "clt": _Command(_cmd_clt,
+                    ("measure", "seed", "horizon-t", "replicas", "threads"),
                     ("horizon-t",), "clt_report.txt"),
     "urns": _Command(_cmd_urns, ("measure", "window"), out="urns_report.txt"),
     "complete": _Command(_cmd_complete, ("measure", "window"),
                          out="complete_report.txt"),
-    "couple": _Command(_cmd_couple, ("measure", "horizon-t"), ("horizon-t",),
-                       "coupling_trace.csv"),
-    "verify": _Command(_cmd_verify, ()),
+    "couple": _Command(_cmd_couple, ("measure", "seed", "horizon-t"),
+                       ("horizon-t",), "coupling_trace.csv"),
+    "verify": _Command(_cmd_verify, ("seed",)),
 }
 
 

@@ -415,37 +415,40 @@ def explicit(items, normalize=False, n_max=None):
 # -- config files --------------------------------------------------------
 
 
-# the keys each family reads besides family, normalize and n_max; every
-# family takes n_max, because to_dict writes it
-_FAMILY_KEYS = {"power_law_product": ("gamma",), "first_rank": ("sigma",),
-                "factorial_max": (), "double_exp": (),
-                "isolated_edges": ("weights",), "explicit": ("edges",)}
+def _explicit_config(edges, normalize=False, n_max=None):
+    """``explicit`` from a config's [i, j, mass] rows."""
+    return explicit([((int(i), int(j)), float(m)) for i, j, m in edges],
+                    normalize, n_max)
+
+
+# family: (constructor, the config keys it reads besides family and
+# normalize, by parameter name); every family takes n_max, because to_dict
+# writes it
+_FAMILIES = {
+    "power_law_product": (power_law_product, ("gamma", "n_max")),
+    "first_rank": (first_rank, ("sigma",)),
+    "factorial_max": (factorial_max, ("n_max",)),
+    "double_exp": (double_exp, ("n_max",)),
+    "isolated_edges": (isolated_edges, ("weights",)),
+    "explicit": (_explicit_config, ("edges", "n_max")),
+}
 
 
 def measure_from_dict(cfg):
     """Build a spec from a config mapping (see the measure config format).
-    A key that the family does not read is refused."""
+    A key that the family does not read is refused, and a key it needs but
+    the config leaves out is a TypeError."""
     cfg = dict(cfg)
     family = cfg.pop("family", None)
     normalize = bool(cfg.pop("normalize", False))
-    if family not in _FAMILY_KEYS:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown measure family: {family!r}")
-    unread = [k for k in cfg if k not in ("n_max",) + _FAMILY_KEYS[family]]
+    build, keys = _FAMILIES[family]
+    unread = [k for k in cfg if k not in ("n_max",) + keys]
     if unread:
         raise ValueError(f"measure family {family!r} reads no key "
                          + ", ".join(map(repr, unread)))
-    if family == "power_law_product":
-        return power_law_product(cfg["gamma"], cfg["n_max"], normalize)
-    if family == "first_rank":
-        return first_rank(cfg["sigma"], normalize)
-    if family == "factorial_max":
-        return factorial_max(cfg["n_max"], normalize)
-    if family == "double_exp":
-        return double_exp(cfg["n_max"], normalize)
-    if family == "isolated_edges":
-        return isolated_edges(cfg["weights"], normalize)
-    items = [((int(i), int(j)), float(m)) for i, j, m in cfg["edges"]]
-    return explicit(items, normalize, n_max=cfg.get("n_max"))
+    return build(normalize=normalize, **{k: cfg[k] for k in keys if k in cfg})
 
 
 def load_measure(path):

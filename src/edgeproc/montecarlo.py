@@ -304,31 +304,31 @@ def _event_holds(spec, kind, ks, tau, horizon):
             | (n_edges - at_top == (m - 1) * (m - 2) / 2)))
 
 
+# event kind: (the number of edges its descriptor names, the closed form of
+# its probability, or None where there is none)
+_EVENTS = {"I": (1, analytic.prob_Ie), "I_joint": (2, analytic.prob_Ie_and_If),
+           "connected": (0, None), "essentially_complete": (0, None)}
+
+
 def estimate_event(spec, event, horizon, replicas, seed, threads=1):
     """Empirical probability of a named event on continuous runs to horizon.
 
-    event is one of ("I", e), ("I_joint", e, f), ("connected",),
-    ("essentially_complete",).  The estimate is a finite-horizon proxy for
-    the corresponding limiting statement.  ``z_score`` is set whenever the
-    target is known; at an estimate of 0 or 1 it uses the null-hypothesis
-    standard error.
+    event is one of ("I", e) (one edge), ("I_joint", e, f) (two edges),
+    ("connected",) and ("essentially_complete",) (no edge); any other
+    kind or edge count is a ValueError.  The estimate is a finite-horizon
+    proxy for the corresponding limiting statement.  ``z_score`` is set
+    whenever the target is known; at an estimate of 0 or 1 it uses the
+    null-hypothesis standard error.
     """
     _check_replicas(replicas, 1)
     if not horizon > 0:  # NaN too
         raise ValueError("horizon must be positive")
     kind = event[0]
-    if kind == "I":
-        e = edge(*event[1])
-        target = analytic.prob_Ie(spec, e)
-        targets = [e]
-    elif kind == "I_joint":
-        e, f = edge(*event[1]), edge(*event[2])
-        target = analytic.prob_Ie_and_If(spec, e, f)
-        targets = [e, f]
-    elif kind in ("connected", "essentially_complete"):
-        target, targets = None, []
-    else:
+    n_edges, closed_form = _EVENTS.get(kind, (None, None))
+    if len(event) - 1 != n_edges:
         raise ValueError(f"unknown event descriptor {event!r}")
+    targets = [edge(*e) for e in event[1:]]
+    target = closed_form(spec, *targets) if closed_form else None
 
     ks = [spec.edge_index(t) for t in targets]
     hits = 0  # an edge off the support never arrives

@@ -19,7 +19,6 @@ from edgeproc.analytic import (
     prob_Ie_and_If,
     urn_variance,
     variance_sandwich,
-    vertex_pair_cov,
 )
 from edgeproc.measure import double_exp, explicit, power_law_product
 from edgeproc.process import replica_rng
@@ -284,23 +283,26 @@ class TestMoments:
 
 
 class TestPairCovariance:
-    def test_zero_mass_pair(self, two_edges):
-        assert vertex_pair_cov(two_edges, 1, 3, 1.0) == 0.0
+    """The presence covariance of an edge's endpoints,
+    exp(-M_e t)(1 - exp(-mu_e t)), as variance_sandwich and
+    check_exp_bound compute it."""
 
     def test_single_edge_form(self, single_edge):
+        # exact - lower counts the one pair twice (ordered pairs)
         t = 1.3
-        assert vertex_pair_cov(single_edge, 1, 2, t) \
-            == pytest.approx(np.exp(-t) * (1 - np.exp(-t)), rel=1e-12)
+        lo, ex, _ = variance_sandwich(single_edge, t)
+        assert ex - lo == pytest.approx(2 * np.exp(-t) * (1 - np.exp(-t)),
+                                        rel=1e-12)
 
     def test_nonnegative_and_below_mass_ratio(self):
         rng = np.random.default_rng(38)
         for _ in range(30):
             spec = random_explicit_spec(rng)
             for e in spec.edges:
-                for t in (0.1, 1.0, 10.0):
-                    c = vertex_pair_cov(spec, *e, t)
-                    assert c >= 0.0
-                    assert c < spec.mass(e) / spec.edge_mass(e) + 1e-15
+                peak, ok = check_exp_bound(spec.edge_mass(e), spec.mass(e),
+                                           [0.1, 1.0, 10.0])
+                assert peak >= 0.0 and ok
+                assert peak < spec.mass(e) / spec.edge_mass(e) + 1e-15
 
     def test_prob_both_vertices_single_edge(self, single_edge):
         t = 0.9
@@ -312,11 +314,10 @@ class TestPairCovariance:
 @pytest.mark.parametrize("t", [-1.0, np.nan])
 @pytest.mark.parametrize("moment, pair", [
     (expected_vertices, ()), (urn_variance, ()),
-    (vertex_pair_cov, (1, 2)), (prob_both_vertices, (1, 2))],
-    ids=["expected_vertices", "urn_variance", "vertex_pair_cov",
-         "prob_both_vertices"])
+    (prob_both_vertices, (1, 2))],
+    ids=["expected_vertices", "urn_variance", "prob_both_vertices"])
 def test_moments_refuse_unusable_times(triangle, moment, pair, t):
-    # at t = -1 the pair probability read -0.177 and the covariance -1.075
+    # at t = -1 the pair probability read -0.177
     with pytest.raises(ValueError, match="t must be non-negative"):
         moment(triangle, *pair, t)
 

@@ -91,13 +91,18 @@ class TestAnalytic:
 
 class TestHeaders:
     def test_header_block(self, tmp_path, plp_cfg):
-        out = tmp_path / "series.txt"
-        main(["series", "--measure", plp_cfg, "--seed", "9",
-              "--out", str(out)])
-        hdr = "\n".join(header_of(out))
-        for key in ("command:", "config_hash:", "seed: 9", "window:",
-                    "version:"):
-            assert key in hdr
+        # the seed is recorded where one is read, and only there
+        out = tmp_path / "report.txt"
+
+        def keys():
+            return [ln[2:].split(":")[0] for ln in header_of(out)]
+
+        assert main(["clt", "--measure", plp_cfg, "--horizon-t", "1",
+                     "--replicas", "10", "--seed", "9", "--out", str(out)]) == 0
+        assert keys() == ["command", "config_hash", "seed", "window", "version"]
+        assert "# seed: 9" in header_of(out)
+        assert main(["series", "--measure", plp_cfg, "--out", str(out)]) == 0
+        assert keys() == ["command", "config_hash", "window", "version"]
 
     def test_command_line_is_the_parsed_argv(self, tmp_path, plp_cfg,
                                              monkeypatch):
@@ -134,6 +139,14 @@ class TestConfigErrors:
             rc = main(command + ["--measure", str(p), "--out", str(out)])
         assert rc == 2 and caught == []
         assert "finite and non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_config_key_is_config_error(self, tmp_path, capsys):
+        p = tmp_path / "no_gamma.json"
+        p.write_text(json.dumps({"family": "power_law_product", "n_max": 6}))
+        out = tmp_path / "report.txt"
+        assert main(["series", "--measure", str(p), "--out", str(out)]) == 2
+        assert "'gamma'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unread_config_key_is_config_error(self, tmp_path, capsys):
@@ -290,6 +303,10 @@ class TestVerify:
     ("couple", ["--window", "4"]),
     ("clt", ["--horizon-n", "3"]),
     ("analytic", ["--window", "4"]),
+    ("analytic", ["--seed", "1"]),
+    ("series", ["--seed", "1"]),
+    ("urns", ["--seed", "1"]),
+    ("complete", ["--seed", "1"]),
 ])
 def test_flags_only_where_read(command, flag):
     with pytest.raises(SystemExit) as exc:
@@ -385,17 +402,23 @@ PINNED_BODIES = {
 }
 
 
+# the subcommands that read --seed; the others take no seed and record none
+SEEDED = {"simulate", "clt", "couple"}
+
+
 @pytest.mark.parametrize("command", sorted(PINNED_ARGS))
 def test_report_bytes_pinned(command, tmp_path):
     cfg = tmp_path / "plp6.json"
     cfg.write_text(json.dumps({"family": "power_law_product", "gamma": 2.5,
                                "n_max": 6, "normalize": True}))
     out = tmp_path / "out"
-    assert main([command, "--measure", str(cfg), "--seed", "5",
-                 "--out", str(out)] + PINNED_ARGS[command]) == 0
+    seed = ["--seed", "5"] if command in SEEDED else []
+    assert main([command, "--measure", str(cfg), "--out", str(out)]
+                + seed + PINNED_ARGS[command]) == 0
     window = 4 if command == "urns" else 6
-    header = ("# config_hash: cde36868af64937c\n# seed: 5\n"
-              f"# window: {window}\n# version: edgeproc 0.1.0\n")
+    header = ("# config_hash: cde36868af64937c\n"
+              + ("# seed: 5\n" if seed else "")
+              + f"# window: {window}\n# version: edgeproc 0.1.0\n")
     first, rest = out.read_bytes().split(b"\n", 1)
     assert first.startswith(b"# command: ")
     assert rest == (header + "".join(PINNED_BODIES[command])).encode()
