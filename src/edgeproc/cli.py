@@ -90,6 +90,8 @@ class ConfigError(Exception):
 
 
 def _cmd_simulate(args, spec):
+    if args.horizon_t is not None and args.horizon_n is not None:
+        raise ConfigError("simulate takes one of --horizon-t and --horizon-n")
     rng = replica_rng(args.seed, 0)
     if args.horizon_t is not None:
         traj = run_continuous(spec, args.horizon_t, rng)

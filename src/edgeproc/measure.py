@@ -91,7 +91,12 @@ class MeasureSpec:
         a, b = self.ei, self.ej
         if not np.all((a[1:] > a[:-1]) | ((a[1:] == a[:-1]) & (b[1:] > b[:-1]))):
             raise ValueError("edges must be sorted by (i, j), without repeats")
-        total = float(np.sum(self.w))
+        with np.errstate(over="ignore"):
+            total = float(np.sum(self.w))
+        # the marginals sum to twice the total
+        if not total < np.finfo(float).max / 2:
+            raise ValueError(f"the total edge mass overflows float64: twice "
+                             f"it must be finite, got {total!r}")
         if not (total > 0):
             raise ValueError("total mass over the truncated support must be > 0")
         if self.normalized and abs(total - 1.0) > NORMALIZATION_TOL:
@@ -437,7 +442,9 @@ _FAMILIES = {
 def measure_from_dict(cfg):
     """Build a spec from a config mapping (see the measure config format).
     A key that the family does not read is refused, and a key it needs but
-    the config leaves out is a TypeError."""
+    the config leaves out is a TypeError.  An n_max other than the window
+    built is refused; explicit takes it as its window when it reaches past
+    the last vertex."""
     cfg = dict(cfg)
     family = cfg.pop("family", None)
     normalize = bool(cfg.pop("normalize", False))
@@ -448,7 +455,11 @@ def measure_from_dict(cfg):
     if unread:
         raise ValueError(f"measure family {family!r} reads no key "
                          + ", ".join(map(repr, unread)))
-    return build(normalize=normalize, **{k: cfg[k] for k in keys if k in cfg})
+    spec = build(normalize=normalize, **{k: cfg[k] for k in keys if k in cfg})
+    if cfg.get("n_max", spec.n_max) != spec.n_max:
+        raise ValueError(f"n_max is {cfg['n_max']!r}, but this {family} "
+                         f"measure has the window 1..{spec.n_max}")
+    return spec
 
 
 def load_measure(path):

@@ -61,6 +61,15 @@ class TestSimulate:
                   "1", "--out", str(tmp_path / "traj.csv")] + flag)
         assert exc.value.code == 2
 
+    def test_both_horizons_is_config_error(self, tmp_path, single_edge_cfg,
+                                           capsys):
+        out = tmp_path / "traj.csv"
+        rc = main(["simulate", "--measure", single_edge_cfg, "--horizon-t",
+                   "3", "--horizon-n", "2", "--out", str(out)])
+        assert rc == 2
+        assert "one of --horizon-t and --horizon-n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_horizon_is_config_error(self, single_edge_cfg, capsys):
         rc = main(["simulate", "--measure", single_edge_cfg])
         assert rc == 2
@@ -147,6 +156,18 @@ class TestConfigErrors:
         out = tmp_path / "report.txt"
         assert main(["series", "--measure", str(p), "--out", str(out)]) == 2
         assert "'gamma'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_total_mass_is_config_error(self, tmp_path, capsys):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"family": "explicit",
+                                 "edges": [[1, 2, 1e308], [2, 3, 1e308]]}))
+        out = tmp_path / "report.txt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["series", "--measure", str(p), "--out", str(out)])
+        assert rc == 2 and caught == []
+        assert "overflows float64" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unread_config_key_is_config_error(self, tmp_path, capsys):
@@ -280,10 +301,15 @@ class TestOtherCommands:
 class TestVerify:
     def test_verify_passes(self, capsys):
         rc = main(["verify", "--seed", "1"])
-        out = capsys.readouterr().out
         assert rc == 0
-        assert "[FAIL]" not in out
-        assert out.count("[PASS]") >= 6
+        assert capsys.readouterr().out == (
+            "[PASS] triangle I_e matches 1/3  (z=-0.91)\n"
+            "[PASS] path joint I matches closed form  (z=0.59)\n"
+            "[PASS] exponential product bound  (peak=0.1481)\n"
+            "[PASS] respect factor expansion vs quadrature  (delta=1.73e-18)\n"
+            "[PASS] geometric in-order product exact\n"
+            "[PASS] coupling rate audit 3p == M_i  (max err=1.11e-16)\n"
+            "verify: 0 failure(s)\n")
 
     @pytest.mark.parametrize("flag", [["--suite", "all"],
                                       ["--measure", "x"],

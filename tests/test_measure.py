@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -479,6 +480,14 @@ class TestMassRule:
         with pytest.raises(ValueError, match=MASS_RULE):
             isolated_edges([-1.0, 1.0])
 
+    @pytest.mark.parametrize("mass", [1e308, 0.6e308])
+    def test_overflowing_total_rejected(self, mass):
+        # 2e308 overflows the total, 1.2e308 the marginals' sum (twice it)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="total edge mass overflows"):
+                explicit([((1, 2), mass), ((2, 3), mass)])
+
 
 class TestConfigFiles:
     def test_round_trip_all_families(self, tmp_path):
@@ -514,6 +523,19 @@ class TestConfigFiles:
     def test_unread_key_rejected(self, cfg, key):
         with pytest.raises(ValueError, match=f"reads no key '{key}'"):
             measure_from_dict(cfg)
+
+    @pytest.mark.parametrize("cfg, built", [
+        ({"family": "first_rank", "sigma": [1, 2, 3], "n_max": 10}, 3),
+        ({"family": "isolated_edges", "weights": [1, 2], "n_max": 9}, 4),
+        ({"family": "explicit", "edges": [[1, 2, 1], [2, 5, 1]], "n_max": 3},
+         5),
+    ])
+    def test_n_max_other_than_the_window_built_rejected(self, cfg, built):
+        with pytest.raises(ValueError, match=f"n_max is {cfg['n_max']}, "
+                           f"but .* has the window 1..{built}$"):
+            measure_from_dict(cfg)
+        del cfg["n_max"]
+        assert measure_from_dict(cfg).n_max == built
 
     @pytest.mark.parametrize("normalize", [False, True])
     def test_to_dict_round_trip_keeps_the_config_hash(self, normalize):

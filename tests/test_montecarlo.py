@@ -283,6 +283,19 @@ DEGENERATE = {
     "growth_zero_threads": (
         lambda s: mc.i_event_growth(s, [1.0], 100, 0, threads=0),
         "threads must be at least 1, got 0"),
+    # a descriptor must name as many edges as its kind reads
+    "event_I_two_edges": (
+        lambda s: mc.estimate_event(s, ("I", (1, 2), (1, 3)), 1.0, 10, 0),
+        "unknown event descriptor"),
+    "event_connected_one_edge": (
+        lambda s: mc.estimate_event(s, ("connected", (1, 2)), 1.0, 10, 0),
+        "unknown event descriptor"),
+    "event_I_joint_one_edge": (
+        lambda s: mc.estimate_event(s, ("I_joint", (1, 2)), 1.0, 10, 0),
+        "unknown event descriptor"),
+    "event_I_no_edge": (
+        lambda s: mc.estimate_event(s, ("I",), 1.0, 10, 0),
+        "unknown event descriptor"),
     "variance_se_one_sample": (
         lambda s: mc.variance_standard_error([1.0]), "2 samples, got 1"),
     "variance_se_no_samples": (
