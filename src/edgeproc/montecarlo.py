@@ -314,20 +314,20 @@ def estimate_event(spec, event, horizon, replicas, seed, threads=1):
     """Empirical probability of a named event on continuous runs to horizon.
 
     event is one of ("I", e) (one edge), ("I_joint", e, f) (two edges),
-    ("connected",) and ("essentially_complete",) (no edge); any other
-    kind or edge count is a ValueError.  The estimate is a finite-horizon
-    proxy for the corresponding limiting statement.  ``z_score`` is set
-    whenever the target is known; at an estimate of 0 or 1 it uses the
-    null-hypothesis standard error.
+    ("connected",) and ("essentially_complete",) (no edge), each edge a
+    pair of ids; any other kind, edge count or id count is a ValueError.
+    The estimate is a finite-horizon proxy for the corresponding limiting
+    statement.  ``z_score`` is set whenever the target is known; at an
+    estimate of 0 or 1 it uses the null-hypothesis standard error.
     """
     _check_replicas(replicas, 1)
     if not horizon > 0:  # NaN too
         raise ValueError("horizon must be positive")
-    kind = event[0]
+    kind, *edges = event or (None,)
     n_edges, closed_form = _EVENTS.get(kind, (None, None))
-    if len(event) - 1 != n_edges:
+    if len(edges) != n_edges or any(len(e) != 2 for e in edges):
         raise ValueError(f"unknown event descriptor {event!r}")
-    targets = [edge(*e) for e in event[1:]]
+    targets = [edge(*e) for e in edges]
     target = closed_form(spec, *targets) if closed_form else None
 
     ks = [spec.edge_index(t) for t in targets]

@@ -73,9 +73,15 @@ class CouplingState:
         return bool(np.array_equal(self.in_v, self.in_u))
 
 
+# bytes of lambda and urn cumulative sums one engine's table memo may hold
+_TABLE_BUDGET = 2 << 20
+
+
 class _EpochTable:
     """What an epoch reads for one (V, U): lambda, sum(lambda)/3 and, on
-    first use, the urn cumulative sum and the log's (|V|, |U|, V == U)."""
+    first use, the urn cumulative sum and the log's (|V|, |U|, V == U).
+    Once built it never changes: lambda is read-only, and the lazy fields
+    are computed from it alone."""
 
     __slots__ = ("key", "lam", "s3", "_urn_cum", "_counts")
 
@@ -105,13 +111,14 @@ class _EpochTable:
 class CouplingEngine:
     """Precomputed tables for stepping the coupling on one normalized measure.
 
-    Lambda depends on the state only through (V, U), and most epochs are null
-    outcomes that change neither, so the engine keeps the epoch table of the
-    last masks it saw and rebuilds it only when their contents differ.  The
-    masks are public and may be written directly, which is why the table is
-    keyed by their bytes rather than by a step counter.  A built table is
-    never changed (its lambda is read-only), so threads may share an engine;
-    a race on the slot costs only a rebuild.
+    Lambda depends on the state only through (V, U), and every run starts
+    from the same empty masks and passes through the same few states, so the
+    engine memoizes one epoch table per (V, U) across epochs and runs.  The
+    masks are public and may be written directly, which is why a table is
+    keyed by their bytes rather than by a step counter.  The memo holds at
+    most ``_TABLE_BUDGET`` bytes of lambda and cumulative sums, 16 (n + 1)
+    per table, and is emptied when full.  A built table is never changed, so
+    threads may share an engine; a race on the memo costs only a rebuild.
     """
 
     def __init__(self, spec):
@@ -124,7 +131,8 @@ class CouplingEngine:
         self.mat = mat
         self._edge_cum3 = np.cumsum(spec.w) / 3.0
         self._e3 = self._edge_cum3[-1]
-        self._table = None
+        self._tables = {}
+        self._max_tables = max(1, _TABLE_BUDGET // (16 * (n + 1)))
 
     def new_state(self):
         return CouplingState.empty(self.spec.n_max)
@@ -144,9 +152,12 @@ class CouplingEngine:
     def epoch_table(self, state):
         """The epoch table for the state's current masks (see the class doc)."""
         key = state.in_v.tobytes() + state.in_u.tobytes()
-        tab = self._table
-        if tab is None or tab.key != key:
-            tab = self._table = _EpochTable(key, self.lambda_vector(state))
+        tab = self._tables.get(key)
+        if tab is None:
+            if len(self._tables) >= self._max_tables:
+                self._tables.clear()
+            tab = self._tables[key] = _EpochTable(key,
+                                                  self.lambda_vector(state))
         return tab
 
     def step(self, state, rng, record=False):
@@ -201,12 +212,11 @@ class CouplingEngine:
         eta = rng.random()
         kind, value, color = "null", "", ""
         if eta < tab.s3:
-            i = int(np.searchsorted(tab.urn_cum(), eta, side="right"))
+            i = int(tab.urn_cum().searchsorted(eta, side="right"))
             state.in_u[i] = True
             kind, value, color = "urn", str(i), "blue"
         elif eta < tab.s3 + self._e3:
-            k = int(np.searchsorted(self._edge_cum3, eta - tab.s3,
-                                    side="right"))
+            k = int(self._edge_cum3.searchsorted(eta - tab.s3, side="right"))
             i, j = int(self.spec.ei[k]), int(self.spec.ej[k])
             color = self._apply_edge(state, i, j, rng)
             kind, value = "edge", f"{i}-{j}"

@@ -283,7 +283,7 @@ DEGENERATE = {
     "growth_zero_threads": (
         lambda s: mc.i_event_growth(s, [1.0], 100, 0, threads=0),
         "threads must be at least 1, got 0"),
-    # a descriptor must name as many edges as its kind reads
+    # a descriptor must name as many edges as its kind reads, each of two ids
     "event_I_two_edges": (
         lambda s: mc.estimate_event(s, ("I", (1, 2), (1, 3)), 1.0, 10, 0),
         "unknown event descriptor"),
@@ -295,6 +295,19 @@ DEGENERATE = {
         "unknown event descriptor"),
     "event_I_no_edge": (
         lambda s: mc.estimate_event(s, ("I",), 1.0, 10, 0),
+        "unknown event descriptor"),
+    "event_empty": (
+        lambda s: mc.estimate_event(s, (), 1.0, 10, 0),
+        "unknown event descriptor"),
+    "event_I_three_ids": (
+        lambda s: mc.estimate_event(s, ("I", (1, 2, 3)), 1.0, 10, 0),
+        "unknown event descriptor"),
+    "event_I_one_id": (
+        lambda s: mc.estimate_event(s, ("I", (1,)), 1.0, 10, 0),
+        "unknown event descriptor"),
+    "event_I_joint_three_ids": (
+        lambda s: mc.estimate_event(s, ("I_joint", (1, 2), (1, 2, 3)), 1.0,
+                                    10, 0),
         "unknown event descriptor"),
     "variance_se_one_sample": (
         lambda s: mc.variance_standard_error([1.0]), "2 samples, got 1"),

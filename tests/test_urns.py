@@ -2,6 +2,8 @@
 
 import hashlib
 import itertools
+import sys
+import threading
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -259,9 +261,21 @@ def coupling_digest(eng, seeds=(1, 2, 3), runs=100):
     return h.hexdigest()
 
 
+def counting_builds(eng):
+    """Record the (V, U) key of every lambda the engine builds from here on."""
+    built, build = [], eng.lambda_vector
+
+    def counting(state):
+        built.append(state.in_v.tobytes() + state.in_u.tobytes())
+        return build(state)
+    eng.lambda_vector = counting
+    return built
+
+
 class TestEpochTable:
     # digests of coupling_digest taken before the engine cached lambda
-    # between epochs; the cache must leave every trajectory bit-identical
+    # between epochs; its memo of tables, emptied whenever it is full, must
+    # leave every trajectory bit-identical
     GOLDEN = {
         "K6":
             "f6acf40fb13fbdd6a3975c5985d415cff6d5433b54661eb8b5739c27811e6a9b",
@@ -280,6 +294,78 @@ class TestEpochTable:
     def test_runs_match_golden(self, name):
         eng = CouplingEngine(self.SPECS[name]())
         assert coupling_digest(eng) == self.GOLDEN[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_runs_match_golden_with_a_three_table_memo(self, name,
+                                                       monkeypatch):
+        spec = self.SPECS[name]()
+        monkeypatch.setattr(urns, "_TABLE_BUDGET", 3 * 16 * (spec.n_max + 1))
+        eng = CouplingEngine(spec)
+        built = counting_builds(eng)
+        assert coupling_digest(eng) == self.GOLDEN[name]
+        assert 1 <= len(eng._tables) <= 3 < len(built)
+
+    def test_each_state_builds_once_while_the_budget_holds(self):
+        eng = CouplingEngine(k_n_spec(6))
+        built = counting_builds(eng)
+        epochs = sum(len(eng.run(5.0, replica_rng(76, r), record=True).log)
+                     for r in range(500))
+        assert len(set(built)) == len(built) == len(eng._tables)
+        assert epochs > 5 * len(built)
+        n_built = len(built)
+        for r in range(500):  # the same runs again build nothing
+            eng.run(5.0, replica_rng(76, r), record=True)
+        assert len(built) == n_built
+
+    def test_memo_stays_within_its_byte_budget(self):
+        eng = CouplingEngine(power_law_product(2.5, 200, True))
+        built = counting_builds(eng)
+        for r in range(2000):
+            eng.run(5.0, replica_rng(77, r))
+            # the urn cumulative sum is as long as lambda
+            assert sum(2 * t.lam.nbytes for t in eng._tables.values()) \
+                <= urns._TABLE_BUDGET
+        assert sum(t.lam.nbytes + t.urn_cum().nbytes
+                   for t in eng._tables.values()) <= urns._TABLE_BUDGET
+        assert len(built) > eng._max_tables  # the memo was emptied
+
+    @pytest.mark.parametrize("tables", [None, 3])
+    def test_threads_sharing_an_engine_match_serial_runs(self, tables,
+                                                         monkeypatch):
+        spec = power_law_product(3.0, 12, True)
+        if tables:
+            monkeypatch.setattr(urns, "_TABLE_BUDGET",
+                                tables * 16 * (spec.n_max + 1))
+
+        def runs(eng, replicas):
+            return [eng.run(5.0, replica_rng(78, r), record=True)
+                    for r in replicas]
+        serial = runs(CouplingEngine(spec), range(400))
+        eng, out = CouplingEngine(spec), {}
+        starts = range(0, 400, 100)
+        barrier = threading.Barrier(len(starts))
+
+        def work(replicas):
+            barrier.wait()
+            out[replicas.start] = runs(eng, replicas)
+        threads = [threading.Thread(target=work, args=(range(a, a + 100),))
+                   for a in starts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        shared = [st for a in starts for st in out[a]]
+        assert len(shared) == len(serial)
+        for a, b in zip(serial, shared):
+            assert a.log == b.log
+            assert np.array_equal(a.in_v, b.in_v)
+            assert np.array_equal(a.in_u, b.in_u)
 
     def test_direct_mask_writes_between_steps(self):
         # writes to the public masks must reach the next epoch exactly as a
