@@ -127,10 +127,14 @@ _FINITE_FAMILIES = {"explicit", "isolated_edges", "first_rank"}
 
 
 def _edge_masses(spec, inside=slice(None)):
-    """(mu_e, M_e) over the support edges selected by ``inside``."""
+    """(mu_e, M_e) over the support edges selected by ``inside``.  M_e is a
+    new array the caller may overwrite; mu_e may be a view of ``spec.w``."""
     ei, ej, w = spec.ei[inside], spec.ej[inside], spec.w[inside]
     marg = spec.marginals.M
-    return w, marg[ei] + marg[ej] - w
+    Me = marg[ei]
+    Me += marg[ej]
+    Me -= w
+    return w, Me
 
 
 def connectedness_series(spec, window=None):
@@ -148,7 +152,7 @@ def connectedness_series(spec, window=None):
         inside = spec.ej <= window  # ei < ej
         residue += float(spec.w[~inside].sum())
     w, Me = _edge_masses(spec, inside)
-    partial = float(np.sum(w / Me))
+    partial = float(np.sum(np.divide(w, Me, out=Me)))
     if spec.family == "power_law_product":
         gamma = spec.params["gamma"]
         if gamma > 2:
@@ -205,9 +209,18 @@ def variance_sandwich(spec, t):
     """
     lower = urn_variance(spec, t)
     w, Mij = _edge_masses(spec)
-    cov = np.exp(-Mij * t) * -np.expm1(-w * t)
+    # two edge-length arrays in all, both rewritten in place
+    ratio = w / Mij
+    upper = lower + float(np.sum(ratio))
+    arrived = np.negative(w, out=ratio)  # -expm1(-w t) = P(e arrived)
+    arrived *= t
+    np.expm1(arrived, out=arrived)
+    np.negative(arrived, out=arrived)
+    cov = np.negative(Mij, out=Mij)
+    cov *= t
+    np.exp(cov, out=cov)
+    cov *= arrived
     exact = lower + 2.0 * float(np.sum(cov))
-    upper = lower + float(np.sum(w / Mij))
     return lower, exact, upper
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.special import zeta
 
@@ -37,13 +37,27 @@ NORMALIZATION_TOL = 1e-12
 
 
 def edge(i, j):
-    """Canonical unordered pair: returns (min, max), rejects loops and bad ids."""
-    i, j = int(i), int(j)
+    """Canonical unordered pair: returns (min, max), rejects loops and bad
+    ids.  An id must equal an integer: 2.0 is vertex 2, while 1.5, NaN, inf
+    and "2" are refused, not truncated."""
+    if type(i) is not int or type(j) is not int:
+        i, j = _vertex_id(i), _vertex_id(j)
     if i <= 0 or j <= 0:
         raise ValueError(f"vertex ids must be positive, got {{{i},{j}}}")
     if i == j:
         raise ValueError(f"self-loop {{{i},{j}}} is not a valid edge")
     return (i, j) if i < j else (j, i)
+
+
+def _vertex_id(v):
+    """v as an int, or a ValueError unless v equals an integer."""
+    try:
+        k = int(v)
+        if k == v:
+            return k
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"vertex id {v!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -212,12 +226,16 @@ class MeasureSpec:
         """Connectivity verdict over the support edges within the window.
 
         The verdict is truncation-relative: connectedness of the untruncated
-        infinite support cannot be decided from a finite window.
+        infinite support cannot be decided from a finite window.  The
+        stored arrays, sorted by (i, j), are the graph's CSR rows as they
+        stand: row i holds the j of its edges, found by a binary search of
+        ei, and no COO copy is built for csgraph to convert.
         """
         a, b = self.ei, self.ej
         n = self.n_max + 1
-        graph = coo_matrix((np.ones(len(a), dtype=np.int8), (a, b)),
-                           shape=(n, n))
+        indptr = a.searchsorted(np.arange(n + 1))
+        # scipy stores the indices as int32 whenever they fit
+        graph = csr_matrix((np.ones(len(a)), b, indptr), shape=(n, n))
         n_comp = connected_components(graph, directed=False)[0]
         touched = np.zeros(n, dtype=bool)
         touched[a] = True
@@ -239,8 +257,19 @@ class MeasureSpec:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _build_alias(probs):
+# edges per chunk of the alias build's passes, which bounds their scratch
+_CHUNK = 1 << 16
+
+
+def _chunks(n):
+    """Consecutive slices of at most _CHUNK items covering range(n)."""
+    return (slice(a, a + _CHUNK) for a in range(0, n, _CHUNK))
+
+
+def _build_alias(q):
     """Alias table (J, q) for a normalized probability vector, in O(K).
+
+    Works in place: the probability vector passed in becomes q.
 
     Sweep construction (Hubschle-Schneider & Sanders, "Parallel Weighted
     Random Sampling", ACM TOMS 48(3), 2022): light items (q < 1) take their
@@ -253,9 +282,14 @@ def _build_alias(probs):
     (``_prefix_sum``), so those comparisons and differences hold to about
     1e-16 absolute however large X grows.  The largest heavy item goes
     last: it absorbs the rounding residue of sum(q) != K.
+
+    Besides J and the index lists of light and heavy items, the only O(K)
+    arrays are the two prefix sums.  Every pass over them runs in chunks of
+    ``_CHUNK`` items, so the lights' search keys, their heavy indices and
+    all other scratch exist one chunk at a time.
     """
-    K = len(probs)
-    q = probs * K
+    K = len(q)
+    q *= K
     J = np.arange(K)
     light = np.flatnonzero(q < 1.0)
     heavy = np.flatnonzero(q >= 1.0)
@@ -264,41 +298,65 @@ def _build_alias(probs):
         return J, q
     top = np.argmax(q[heavy])
     heavy[[top, -1]] = heavy[[-1, top]]
-    d_hi, d_lo = _prefix_sum(1.0 - q[light])
-    x_hi, x_lo = _prefix_sum(q[heavy] - 1.0)
-    # numpy orders complex numbers lexicographically: (hi, lo) pairs compare
-    # as the exact sums they stand for
-    start = np.zeros(len(light), dtype=complex)
-    start.real[1:] = d_hi[:-1]
-    start.imag[1:] = d_lo[:-1]
-    k = np.searchsorted(x_hi + 1j * x_lo, start)
-    del start
-    np.minimum(k, len(heavy) - 1, out=k)  # rounding overshoot at the end
-    J[light] = heavy[k]
-    last = np.searchsorted(k, np.arange(len(heavy)), side="right") - 1
-    del k
-    left = 1.0 + (x_hi - d_hi[last]) + (x_lo - d_lo[last])
-    q[heavy[:-1]] = np.clip(left[:-1], 0.0, 1.0)
+    H = len(heavy)
+    # D[l] is the deficit handed out before light l, X[k] the excess up to
+    # and including heavy k, each a pair hi + lo
+    d_hi = np.zeros(len(light) + 1)
+    d_lo = np.zeros(len(light) + 1)
+    X = np.empty(H, dtype=complex)
+    for s in _chunks(len(light)):
+        d_hi[1:][s] = 1.0 - q[light[s]]
+    for s in _chunks(H):
+        X.real[s] = q[heavy[s]] - 1.0
+    _prefix_sum(d_hi[1:], d_lo[1:])
+    _prefix_sum(X.real, X.imag)
+    count = np.zeros(H, dtype=np.int64)  # lights per heavy
+    for s in _chunks(len(light)):
+        # numpy orders complex numbers lexicographically: (hi, lo) pairs
+        # compare as the exact sums they stand for
+        k = X.searchsorted(d_hi[:-1][s] + 1j * d_lo[:-1][s])
+        np.minimum(k, H - 1, out=k)  # rounding overshoot at the end
+        J[light[s]] = heavy[k]
+        count[k[0]:k[-1] + 1] += np.bincount(k - k[0])  # k is sorted
+    # the deficit handed out up to heavy k's last light is D[end[k]]
+    end = np.cumsum(count, out=count)
+    for s in _chunks(H - 1):
+        e = end[s]
+        left = 1.0 + (X.real[s] - d_hi[e]) + (X.imag[s] - d_lo[e])
+        q[heavy[s]] = np.clip(left, 0.0, 1.0)
     J[heavy[:-1]] = heavy[1:]
     q[heavy[-1]] = 1.0
     return J, q
 
 
-def _prefix_sum(a):
-    """Inclusive prefix sums of a as pairs hi + lo with |lo| <= ulp(hi)/2.
+def _prefix_sum(hi, lo):
+    """Inclusive prefix sums of hi, in place, as pairs hi + lo with
+    |lo| <= ulp(hi)/2; lo is written.
 
     ``np.cumsum`` adds in sequence; the error of each addition is recovered
-    exactly (Knuth's TwoSum) and accumulated separately.
+    exactly (Knuth's TwoSum) and accumulated separately.  The sums run in
+    chunks of ``_CHUNK`` items: each chunk's first addend gets the running
+    sum and the raw running error of the chunks before it, so every
+    addition rounds as in one pass over the whole array.
     """
-    hi = np.cumsum(a)
-    prev = np.zeros_like(hi)
-    prev[1:] = hi[:-1]
-    b = hi - prev
-    lo = np.cumsum((prev - (hi - b)) + (a - b))
-    del prev, b
-    s = hi + lo
-    lo -= s - hi
-    return s, lo
+    hi0 = lo0 = 0.0  # running sum and raw error after the previous chunk
+    for s in _chunks(len(hi)):
+        a = hi[s]
+        h = a.copy()
+        if s.start:
+            h[0] += hi0
+        np.cumsum(h, out=h)
+        prev = np.empty_like(h)
+        prev[0] = hi0
+        prev[1:] = h[:-1]
+        b = h - prev
+        e = (prev - (h - b)) + (a - b)
+        if s.start:
+            e[0] += lo0
+        np.cumsum(e, out=e)
+        hi0, lo0 = h[-1], e[-1]
+        hi[s] = h + e
+        lo[s] = e - (hi[s] - h)
 
 
 def _canonical_arrays(ei, ej, w):

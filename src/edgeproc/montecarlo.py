@@ -315,7 +315,8 @@ def estimate_event(spec, event, horizon, replicas, seed, threads=1):
 
     event is one of ("I", e) (one edge), ("I_joint", e, f) (two edges),
     ("connected",) and ("essentially_complete",) (no edge), each edge a
-    pair of ids; any other kind, edge count or id count is a ValueError.
+    sequence of two integral ids; any other kind, edge count, edge or id is
+    a ValueError.
     The estimate is a finite-horizon proxy for the corresponding limiting
     statement.  ``z_score`` is set whenever the target is known; at an
     estimate of 0 or 1 it uses the null-hypothesis standard error.
@@ -325,7 +326,8 @@ def estimate_event(spec, event, horizon, replicas, seed, threads=1):
         raise ValueError("horizon must be positive")
     kind, *edges = event or (None,)
     n_edges, closed_form = _EVENTS.get(kind, (None, None))
-    if len(edges) != n_edges or any(len(e) != 2 for e in edges):
+    if len(edges) != n_edges or any(not hasattr(e, "__len__") or len(e) != 2
+                                    for e in edges):
         raise ValueError(f"unknown event descriptor {event!r}")
     targets = [edge(*e) for e in edges]
     target = closed_form(spec, *targets) if closed_form else None

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from edgeproc import analytic, measure
 from edgeproc.measure import (
     MeasureSpec,
     edge,
@@ -54,6 +56,24 @@ class TestEdgeCanonicalization:
             edge(0, 1)
         with pytest.raises(ValueError):
             edge(1, -2)
+
+    @pytest.mark.parametrize("bad", [1.5, np.float64(2.5), np.nan, np.inf,
+                                     -np.inf, "2", None, (1, 2)])
+    def test_rejects_non_integral_ids(self, bad):
+        # not truncated through int(): 1.5 would otherwise read as vertex 1
+        for pair in ((bad, 3), (3, bad)):
+            with pytest.raises(ValueError,
+                               match=f"vertex id {re.escape(repr(bad))} is "
+                                     "not an integer"):
+                edge(*pair)
+
+    def test_integral_ids_of_any_numeric_type(self):
+        assert edge(2.0, 1) == (1, 2)
+        assert edge(np.float64(7.0), np.int32(3)) == (3, 7)
+        assert edge(np.int64(4), np.uint8(9)) == (4, 9)
+        assert all(type(v) is int for v in edge(np.int64(4), 2.0))
+        with pytest.raises(ValueError, match="self-loop"):
+            edge(2.0, np.int64(2))
 
     @given(st.integers(1, 10**6), st.integers(1, 10**6))
     def test_always_canonical(self, i, j):
@@ -286,6 +306,121 @@ class TestAliasTable:
     def test_triangle_table_is_all_ones(self):
         J, q = triangle_spec()._alias()
         assert np.array_equal(q, np.ones(3))
+
+
+WIDE = {
+    "power_law_2.5_2000": lambda: power_law_product(2.5, 2000),
+    "first_rank_2000": lambda: first_rank(
+        np.arange(1, 2001, dtype=float) ** -2),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(WIDE))
+def wide(request):
+    """A 1,999,000-edge measure and the sha256 of its masses as built."""
+    spec = WIDE[request.param]()
+    return request.param, spec, hashlib.sha256(spec.w.tobytes()).hexdigest()
+
+
+def sha256(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+class TestBoundedScratch:
+    """The alias table and the O(E) edge passes give the same bits whatever
+    their chunking, and leave the stored masses alone."""
+
+    # sha256 of J and q, and exact values of variance_sandwich at t = 1e6
+    # and 5e4 and of the series' partial sum, from the whole-array passes
+    # these chunked ones replaced
+    GOLDEN = {
+        "power_law_2.5_2000": dict(
+            J="3cda6a77c2f902fffe49a257fc7d4824a20c9e582347976f5b3aeb44c4d13dd9",
+            q="1dc11df30dcf520227d786013b6c4eb4543882ea8cd2ebab0145aa19a8aefe2e",
+            sandwich={1e6: ("0x1.f1ded6f4aad96p+6", "0x1.f1ed1543d1146p+6",
+                            "0x1.f7d6957bde5c6p+6"),
+                      5e4: ("0x1.407370df0d0cap+5", "0x1.40acbd60ab2d4p+5",
+                            "0x1.4c62eded7412bp+5")},
+            series="0x1.7defa1cce0c16p+0"),
+        "first_rank_2000": dict(
+            J="4996da27c59b7563c227a48da9d93712a0337be77009b3ba1f2152afc160f329",
+            q="22f62e34365bfe390da66ef7ac1df1a0fab71b9038241c4f5ac8dcd145435eae",
+            sandwich={1e6: ("0x1.0472e5f5c0fd4p+8", "0x1.048324e65c2fep+8",
+                            "0x1.08367f02c7f6ap+8"),
+                      5e4: ("0x1.53acc97350452p+7", "0x1.5458e76345c2ep+7",
+                            "0x1.5b33fb8d5e37ep+7")},
+            series="0x1.e1cc86837cb13p+1"),
+    }
+
+    def test_alias_golden(self, wide):
+        name, spec, w_sha = wide
+        J, q = spec._alias()
+        assert J.dtype == np.int64 and q.dtype == np.float64
+        assert (sha256(J), sha256(q)) == (self.GOLDEN[name]["J"],
+                                          self.GOLDEN[name]["q"])
+        assert sha256(spec.w) == w_sha
+
+    def test_variance_sandwich_golden(self, wide):
+        name, spec, w_sha = wide
+        for t, want in self.GOLDEN[name]["sandwich"].items():
+            got = analytic.variance_sandwich(spec, t)
+            assert got == tuple(float.fromhex(x) for x in want)
+            assert sha256(spec.w) == w_sha
+
+    def test_connectedness_series_golden(self, wide):
+        name, spec, w_sha = wide
+        got = analytic.connectedness_series(spec).partial_sum
+        assert got == float.fromhex(self.GOLDEN[name]["series"])
+        assert sha256(spec.w) == w_sha
+        # a window short of n_max selects (copies) the masses it sums
+        analytic.connectedness_series(spec, 1000)
+        assert sha256(spec.w) == w_sha
+
+    def test_support_connected_leaves_masses(self, wide):
+        _, spec, w_sha = wide
+        assert spec.support_connected() == "connected-on-truncation"
+        assert sha256(spec.w) == w_sha
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunk_size_does_not_change_the_table(self, monkeypatch, chunk):
+        # one chunk covers every measure here at the default size, so only
+        # a smaller one crosses chunk boundaries
+        rng = np.random.default_rng(33)
+        specs = [power_law_product(1.5, 60)]
+        for _ in range(50):
+            spec = random_explicit_spec(rng, max_vertex=14,
+                                        n_edges=int(rng.integers(1, 92)))
+            specs.append(explicit([(e, float(np.exp(rng.normal(0, 12))))
+                                   for e in spec.edges]))
+        for spec in specs:
+            w = spec.w.copy()
+            want = measure._build_alias(spec.w / spec.total_mass)
+            with monkeypatch.context() as m:
+                m.setattr(measure, "_CHUNK", chunk)
+                got = measure._build_alias(spec.w / spec.total_mass)
+            assert np.array_equal(got[0], want[0])
+            assert got[1].tobytes() == want[1].tobytes()
+            assert np.array_equal(spec.w, w)
+
+    @pytest.mark.parametrize("heavy", ["few", "half"])
+    def test_alias_build_scratch_is_bounded(self, heavy):
+        # the whole-array build peaked at 60 (half) to 72 (few) bytes per
+        # edge; J alone is 8, the light and heavy index lists 8 and the
+        # two prefix sums 16
+        K = 1 << 20
+        rng = np.random.default_rng(34)
+        w = (np.exp(rng.normal(0, 8, K)) if heavy == "few"
+             else rng.random(K))
+        probs = w / w.sum()
+        del w
+        tracemalloc.start()
+        try:
+            J, q = measure._build_alias(probs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * K
+        assert q is probs  # built in place
 
 
 class TestSupportConnected:

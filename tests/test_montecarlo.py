@@ -309,6 +309,13 @@ DEGENERATE = {
         lambda s: mc.estimate_event(s, ("I_joint", (1, 2), (1, 2, 3)), 1.0,
                                     10, 0),
         "unknown event descriptor"),
+    "event_I_int_edge": (
+        lambda s: mc.estimate_event(s, ("I", 5), 1.0, 10, 0),
+        "unknown event descriptor"),
+    # an id must be integral: 1.5 is refused, not truncated to 1
+    "event_I_float_id": (
+        lambda s: mc.estimate_event(s, ("I", (1.5, 2)), 1.0, 10, 0),
+        "vertex id 1.5 is not an integer"),
     "variance_se_one_sample": (
         lambda s: mc.variance_standard_error([1.0]), "2 samples, got 1"),
     "variance_se_no_samples": (
