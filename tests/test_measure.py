@@ -331,8 +331,8 @@ class TestBoundedScratch:
     their chunking, and leave the stored masses alone."""
 
     # sha256 of J and q, and exact values of variance_sandwich at t = 1e6
-    # and 5e4 and of the series' partial sum, from the whole-array passes
-    # these chunked ones replaced
+    # and 5e4 and of the series' partial sum, pinned from whole-array
+    # passes: no chunking may change a bit
     GOLDEN = {
         "power_law_2.5_2000": dict(
             J="3cda6a77c2f902fffe49a257fc7d4824a20c9e582347976f5b3aeb44c4d13dd9",
