@@ -30,7 +30,7 @@ _OPTIONS = {
     "horizon-n": {"type": int, "default": None},
     "window": {"type": int, "default": None},
     "replicas": {"type": int, "default": 10_000},
-    "threads": {"type": int, "default": 1},
+    "threads": {"type": int, "default": None},
 }
 
 

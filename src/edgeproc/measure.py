@@ -370,7 +370,9 @@ def _canonical_arrays(ei, ej, w):
 def _window_pairs(n_max):
     """All canonical pairs i < j <= n_max as index arrays."""
     i, j = np.triu_indices(n_max, k=1)
-    return i + 1, j + 1
+    i += 1
+    j += 1
+    return i, j
 
 
 # -- families ------------------------------------------------------------
@@ -381,7 +383,9 @@ def power_law_product(gamma, n_max, normalize=False):
     if gamma <= 1:
         raise ValueError("gamma must exceed 1 for a finite measure")
     ei, ej = _window_pairs(n_max)
-    w = (ei.astype(float) * ej.astype(float)) ** (-gamma)
+    w = ei.astype(float)
+    w *= ej
+    w **= -gamma
     # exact off-window mass of the full family via zeta sums
     s_win = np.sum(np.arange(1, n_max + 1, dtype=float) ** (-gamma))
     q_win = np.sum(np.arange(1, n_max + 1, dtype=float) ** (-2 * gamma))
@@ -400,7 +404,9 @@ def first_rank(sigma, normalize=False):
         raise ValueError("sigma weights must be non-negative")
     n_max = len(sigma)
     ei, ej = _window_pairs(n_max)
-    w = sigma[ei - 1] * sigma[ej - 1]
+    padded = np.concatenate([[0.0], sigma])  # padded[i] is sigma_i
+    w = padded[ei]
+    w *= padded[ej]
     spec = MeasureSpec("first_rank", {"sigma": sigma.tolist()}, ei, ej, w,
                        n_max)
     return spec.normalize() if normalize else spec

@@ -2,11 +2,17 @@
 
 Every estimator draws per-replica RNG streams with the single splitting rule,
 ``process.replica_rng``, so reports are byte-identical regardless of worker
-count.  Replicas are drawn in blocks: row r of a ``(B, E)`` block holds
-replica k's exponential arrival times, exactly the values
-``replica_rng(seed, k).exponential(1 / w)`` returns.  This module owns how a
-block is seeded and drawn (``_replica_seed_words``, ``_draw_block``); a call
-takes at most 2^32 replicas.  Estimators reduce whole blocks with array
+count.  Replicas are drawn in blocks of B rows: row r holds replica k's
+exponential arrival times, exactly the values
+``replica_rng(seed, k).exponential(1 / w)`` returns.  A block holds at most
+2^16 draws for every E: B rows fill it, or, when a row does not fit twice,
+one row is drawn in chunks of at most 2^16 columns.  It reaches its
+reducer as its arrivals up to the latest time the estimator reads: rows,
+columns and times in row-major order.  This module owns how a block is
+seeded and drawn (``_replica_seed_words``, ``_draw_block``) and which pool
+reduces it: by default one-row blocks are spread over the CPUs the process
+may use and multi-row blocks stay on the calling thread.  A call takes at
+most 2^32 replicas.  Estimators reduce whole blocks with array
 operations.  Event estimators take a block's arrivals in
 ``process.arrival_order``, the one first-arrival order, which
 ``run_continuous`` reads too (its docstring gives the tie rule), and count
@@ -20,6 +26,7 @@ properties target finite-horizon proxies; reports say so.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -49,7 +56,8 @@ __all__ = [
 ]
 
 # arrival times per replica block: B = max(1, _BLOCK_ELEMENTS // E) rows,
-# or // (E * n) for full streams of n arrivals
+# or // (E * n) for full streams of n arrivals; a one-row block is drawn in
+# chunks of at most this many columns
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -147,40 +155,80 @@ class _GivenWords(ISeedSequence):
         return self.words
 
 
-def _draw_block(words, a, b, scale):
-    """Exponential draws with the given scales for replicas a..b-1, one row
-    each: the same values as ``replica_rng(seed, k).exponential(scale)``,
-    where ``words = _replica_seed_words(seed)``.  Each row's PCG64 is
-    seeded with its k's words, which numpy reads by pointer from the
-    C-contiguous array; the seeding and the draws are numpy's."""
-    tau = np.empty((b - a, len(scale)))
+def _draw_block(words, a, b, rates, t_max):
+    """Rows (0 for replica a), columns and times of the exponential draws
+    <= t_max at the given rates for replicas a..b-1, in row-major order.
+    Row k's draws are the values ``replica_rng(seed, k).exponential(1 /
+    rates)`` returns, where ``words = _replica_seed_words(seed)``: each
+    row's PCG64 is seeded with its k's words, which numpy reads by pointer
+    from the C-contiguous array; the seeding and the draws are numpy's.
+
+    A block holds at most ``_BLOCK_ELEMENTS`` draws at a time, for every E.
+    A multi-row block is drawn whole and thresholded at once.  A one-row
+    block refills one buffer of at most that many columns from its
+    generator, chunk after chunk: filling a generator in pieces gives the
+    values of one whole fill.
+    """
+    E = len(rates)
     src = _GivenWords()
-    for w, row in zip(words(a, b), tau):
-        src.words = w
-        np.random.Generator(np.random.PCG64(src)).standard_exponential(
-            out=row)
-    tau *= scale
-    return tau
+    if b - a != 1:
+        tau = np.empty((b - a, E))
+        for w, row in zip(words(a, b), tau):
+            src.words = w
+            np.random.Generator(np.random.PCG64(src)).standard_exponential(
+                out=row)
+        return _arrived(tau, rates, t_max, 0)
+    src.words = words(a, b)[0]
+    gen = np.random.Generator(np.random.PCG64(src))
+    buf = np.empty((1, min(E, _BLOCK_ELEMENTS)))
+    parts = []
+    for c in range(0, E, buf.shape[1]):
+        chunk = buf[:, :E - c]
+        gen.standard_exponential(out=chunk[0])
+        parts.append(_arrived(chunk, rates[c:c + chunk.shape[1]], t_max, c))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
-def _map_blocks(seed, replicas, threads, rates, reduce):
-    """reduce(block) over every replica block drawn at rates, in replica order.
+def _arrived(tau, rates, t_max, c):
+    """Rows, columns (counted from c) and times of the entries <= t_max of
+    standard exponential draws tau, scaled in place to the rates, in
+    row-major order."""
+    tau *= exponential_scales(rates)
+    at = np.flatnonzero(tau <= t_max)  # np.nonzero on 2-d arrays is slower
+    rows, ks = np.divmod(at, tau.shape[1])
+    ks += c
+    return rows, ks, tau.reshape(-1)[at]
+
+
+def _map_blocks(seed, replicas, threads, rates, t_max, reduce):
+    """reduce(B, rows, columns, times) over every replica block drawn at
+    rates, in replica order; a block of B rows comes as its arrivals up to
+    t_max, from ``_draw_block``.
 
     Blocks start at replicas 0, rows, 2 rows, ...; threads take whole
     blocks.  Rows come from their own streams, so neither the thread count
-    nor the block size changes a result.
+    nor the block size changes a result.  With ``threads=None`` the pool is
+    picked from the block shape: one-row blocks go to one thread per CPU
+    this process may use, since numpy's exponential fill releases the GIL;
+    multi-row blocks stay on the calling thread, since seeding their rows
+    holds it.
     """
     _check_replicas(replicas, 0)
-    if threads < 1:
+    if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if replicas > 1 << 32:  # replica k's key is one uint32 word
         raise ValueError(f"replicas must be at most 2^32, got {replicas}")
     words = _replica_seed_words(seed)
-    scale = exponential_scales(rates)
-    rows = max(1, _BLOCK_ELEMENTS // len(scale))
+    rows = max(1, _BLOCK_ELEMENTS // len(rates))
+    if threads is None:
+        threads = 1
+        if rows == 1:  # the CPUs this process may use, where the OS says
+            threads = (len(os.sched_getaffinity(0))
+                       if hasattr(os, "sched_getaffinity") else os.cpu_count())
 
     def work(a):
-        return reduce(_draw_block(words, a, min(a + rows, replicas), scale))
+        b = min(a + rows, replicas)
+        return reduce(b - a, *_draw_block(words, a, b, rates, t_max))
 
     # zero replicas still make one empty block, so outputs keep shape
     starts = range(0, replicas, rows) or [0]
@@ -209,14 +257,14 @@ def _grid(ts, name):
 # -- vertex and edge arrivals --------------------------------------------
 
 
-def _arrivals(spec, tau, t_max):
-    """(rows, edges, times, i, j, new vertices) of the arrivals up to t_max in
-    a (B, E) block, in ``arrival_order``.  Vertex v of row r becomes
+def _arrivals(spec, rows, ks, t):
+    """(rows, edges, times, i, j, new vertices) of a block's arrivals, given
+    in row-major order, in ``arrival_order``.  Vertex v of row r becomes
     r * (n_max + 1) + v in i and j, so rows share no vertex."""
-    rows, ks = arrival_order(tau, t_max)
+    rows, ks, t = arrival_order(rows, ks, t)
     off = rows * (spec.n_max + 1)
     i, j = off + spec.ei[ks], off + spec.ej[ks]
-    return rows, ks, tau[rows, ks], i, j, new_vertex_counts(i, j)
+    return rows, ks, t, i, j, new_vertex_counts(i, j)
 
 
 def _components(rows, t, i, j, nv, B, ts):
@@ -229,40 +277,41 @@ def _components(rows, t, i, j, nv, B, ts):
 # -- raw samples ---------------------------------------------------------
 
 
-def _presence(spec, col, tau, t):
-    """(B, V): which support vertices an edge has reached by time t, per row
-    of a (B, E) block.  ``col`` is cumsum(M > 0) - 1 over the ids, so the
-    support ids (M_i > 0) take columns 0..V-1 in ascending order."""
-    rows, ks = np.divmod(np.flatnonzero(tau <= t), tau.shape[1])
-    pres = np.zeros((len(tau), col[-1] + 1), dtype=bool)
-    rows *= pres.shape[1]
+def _presence(spec, col, B, rows, ks):
+    """(B, V): which support vertices the arrived edges (rows, ks) of a
+    block of B rows reach.  ``col`` is cumsum(M > 0) - 1 over the ids, so
+    the support ids (M_i > 0) take columns 0..V-1 in ascending order."""
+    pres = np.zeros((B, col[-1] + 1), dtype=bool)
+    rows = rows * pres.shape[1]
     pres.reshape(-1)[rows + col[spec.ei[ks]]] = True
     pres.reshape(-1)[rows + col[spec.ej[ks]]] = True
     return pres
 
 
 def _count_samples(ts, replicas, seed, threads, rates, count):
-    """(len(ts), replicas): count(block, t), one count per row, at each time
-    in the grid ts, over blocks drawn at rates."""
+    """(len(ts), replicas): count(B, rows, columns), one count per row of
+    a block's arrivals by t, at each time t in the grid ts, over blocks
+    drawn at rates."""
     ts = _grid(ts, "ts")
     return np.concatenate(_map_blocks(
-        seed, replicas, threads, rates,
-        lambda tau: np.stack([count(tau, t) for t in ts])), axis=1)
+        seed, replicas, threads, rates, ts.max(),
+        lambda B, rows, ks, t: np.stack([
+            count(B, rows[t <= s], ks[t <= s]) for s in ts])), axis=1)
 
 
-def vertex_count_samples(spec, ts, replicas, seed, threads=1):
+def vertex_count_samples(spec, ts, replicas, seed, threads=None):
     """|V_t| samples: shape (len(ts), replicas), from per-edge arrival draws."""
     col = np.cumsum(spec.marginals.M > 0) - 1
     return _count_samples(
-        ts, replicas, seed, threads, spec.w, lambda tau, t: np.count_nonzero(
-            _presence(spec, col, tau, t), axis=1))
+        ts, replicas, seed, threads, spec.w, lambda B, rows, ks:
+        np.count_nonzero(_presence(spec, col, B, rows, ks), axis=1))
 
 
-def urn_count_samples(spec, ts, replicas, seed, threads=1):
+def urn_count_samples(spec, ts, replicas, seed, threads=None):
     """|U_t| samples for the urn scheme with rates M_i."""
     M = spec.marginals.M[1:]
     return _count_samples(ts, replicas, seed, threads, M[M > 0],
-                          lambda fill, t: np.count_nonzero(fill <= t, axis=1))
+                          lambda B, rows, _: np.bincount(rows, minlength=B))
 
 
 def vertex_presence_samples(spec, t, replicas, seed):
@@ -274,25 +323,26 @@ def vertex_presence_samples(spec, t, replicas, seed):
     (t,) = ts
     col = np.cumsum(spec.marginals.M > 0) - 1
     out = np.concatenate(_map_blocks(
-        seed, replicas, 1, spec.w,
-        lambda tau: _presence(spec, col, tau, t)))
+        seed, replicas, None, spec.w, t,
+        lambda B, rows, ks, _: _presence(spec, col, B, rows, ks)))
     return out, np.flatnonzero(spec.marginals.M)
 
 
 # -- event estimators ----------------------------------------------------
 
 
-def _event_holds(spec, kind, ks, tau, horizon):
-    """Per row of a (B, E) block, whether the event holds at the horizon;
-    ks are the indices of the target edges of "I" and "I_joint"."""
-    rows, k, t, i, j, nv = _arrivals(spec, tau, horizon)
-    B = len(tau)
+def _event_holds(spec, kind, targets, B, rows, ks, t):
+    """Per row of a block of B rows, whether the event holds at the horizon,
+    from the block's arrivals up to it; targets are the indices of the
+    target edges of "I" and "I_joint"."""
+    rows, k, t, i, j, nv = _arrivals(spec, rows, ks, t)
     if kind == "connected":
-        return _components(rows, t, i, j, nv, B, [horizon])[0] == 1
+        return _components(rows, t, i, j, nv, B, [np.inf])[0] == 1
     if kind in ("I", "I_joint"):
-        first = np.zeros(tau.shape, dtype=bool)
-        first[rows[nv == 2], k[nv == 2]] = True
-        return first[:, ks].all(axis=1)
+        first = np.zeros((B, len(targets)), dtype=bool)
+        for m, target in enumerate(targets):
+            first[rows[(nv == 2) & (k == target)], m] = True
+        return first.all(axis=1)
     # the arrived vertices are {1..m}, m >= 2, and {1..m} or {1..m-1} is
     # complete; either way every edge at vertex m joins it to the rest
     m = np.bincount(rows, weights=nv, minlength=B)
@@ -310,7 +360,7 @@ _EVENTS = {"I": (1, analytic.prob_Ie), "I_joint": (2, analytic.prob_Ie_and_If),
            "connected": (0, None), "essentially_complete": (0, None)}
 
 
-def estimate_event(spec, event, horizon, replicas, seed, threads=1):
+def estimate_event(spec, event, horizon, replicas, seed, threads=None):
     """Empirical probability of a named event on continuous runs to horizon.
 
     event is one of ("I", e) (one edge), ("I_joint", e, f) (two edges),
@@ -336,9 +386,9 @@ def estimate_event(spec, event, horizon, replicas, seed, threads=1):
     hits = 0  # an edge off the support never arrives
     if None not in ks:
         hits = int(sum(_map_blocks(
-            seed, replicas, threads, spec.w,
-            lambda tau: np.count_nonzero(_event_holds(
-                spec, kind, ks, tau, horizon)))))
+            seed, replicas, threads, spec.w, horizon,
+            lambda *block: np.count_nonzero(_event_holds(
+                spec, kind, ks, *block)))))
     est = hits / replicas
     se = float(np.sqrt(est * (1.0 - est) / replicas))
     z = None
@@ -367,29 +417,29 @@ def _growth(spec, t_grid, replicas, seed, threads, connected):
     t_grid = _grid(t_grid, "t_grid")
     _check_replicas(replicas, 1)
 
-    def reduce(tau):
-        rows, _, t, i, j, nv = _arrivals(spec, tau, t_grid.max())
+    def reduce(B, *arrivals):
+        rows, _, t, i, j, nv = _arrivals(spec, *arrivals)
         out = [np.searchsorted(np.sort(t[nv == 2]), t_grid, side="right")]
         if connected:
             out.append(np.count_nonzero(
-                _components(rows, t, i, j, nv, len(tau), t_grid) == 1, axis=1))
+                _components(rows, t, i, j, nv, B, t_grid) == 1, axis=1))
         return out
 
-    parts = _map_blocks(seed, replicas, threads, spec.w, reduce)
+    parts = _map_blocks(seed, replicas, threads, spec.w, t_grid.max(), reduce)
     return tuple(sum(curve) / replicas for curve in zip(*parts))
 
 
-def connectivity_growth(spec, t_grid, replicas, seed, threads=1):
+def connectivity_growth(spec, t_grid, replicas, seed, threads=None):
     """Mean cumulative new-component counts and connected frequency per t."""
     return _growth(spec, t_grid, replicas, seed, threads, connected=True)
 
 
-def connected_frequency_curve(spec, t_grid, replicas, seed, threads=1):
+def connected_frequency_curve(spec, t_grid, replicas, seed, threads=None):
     _, conn = connectivity_growth(spec, t_grid, replicas, seed, threads=threads)
     return list(zip(_grid(t_grid, "t_grid").tolist(), conn.tolist()))
 
 
-def i_event_growth(spec, t_grid, replicas, seed, threads=1):
+def i_event_growth(spec, t_grid, replicas, seed, threads=None):
     """Mean cumulative new-component counts per t, with no component
     tracking."""
     return _growth(spec, t_grid, replicas, seed, threads, connected=False)[0]
@@ -422,7 +472,7 @@ def plateaued(t_grid, means):
 # -- CLT diagnostics -----------------------------------------------------
 
 
-def clt_diagnostic(spec, t, replicas, seed, threads=1):
+def clt_diagnostic(spec, t, replicas, seed, threads=None):
     """Standardized vertex-count samples against the standard normal.
 
     Standardization uses the exact analytic moments, never sample moments:

@@ -68,22 +68,20 @@ class ArrivalEvent(NamedTuple):
     new_component: bool  # true iff new_vertices == 2
 
 
-def arrival_order(tau, t_max):
-    """Rows and columns of the entries <= t_max of a (B, E) block of
-    first-arrival times, row by row in time order; ties go to the lower
-    column, as in a stable sort.
+def arrival_order(rows, ks, t):
+    """Arrivals given as rows, columns and times in row-major order (as
+    ``np.nonzero`` lists a block's entries up to a horizon), reordered row
+    by row in time order; ties go to the lower column, as in a stable sort.
 
     One stable sort on complex keys does it: numpy orders complex numbers
     by real part, then imaginary part, so the row is the real part and the
     time the imaginary part.  The parts are set one by one because
     ``rows + 1j * t`` turns an infinite time into a nan key (0 * inf).
     """
-    arrived = tau <= t_max
-    rows, ks = np.nonzero(arrived)
     key = np.empty(len(rows), dtype=complex)
-    key.real, key.imag = rows, tau[arrived]
+    key.real, key.imag = rows, t
     order = key.argsort(kind="stable")
-    return rows[order], ks[order]
+    return rows[order], ks[order], t[order]
 
 
 def new_vertex_counts(i, j):
@@ -175,8 +173,9 @@ def run_continuous(spec, horizon_T, rng):
     if not horizon_T > 0:  # NaN too
         raise ValueError("horizon must be positive")
     times = rng.exponential(exponential_scales(spec.w))
-    _, ks = arrival_order(times[None], horizon_T)
-    return Trajectory(times[ks], spec.ei[ks], spec.ej[ks])
+    ks = np.flatnonzero(times <= horizon_T)
+    _, ks, t = arrival_order(np.zeros_like(ks), ks, times[ks])
+    return Trajectory(t, spec.ei[ks], spec.ej[ks])
 
 
 def full_stream_arrivals(rates, n, size, rng):

@@ -52,6 +52,15 @@ def subnormal_block_edges():
             + [[14, 15, 5e-324], [1, 16, 1.0]])
 
 
+def block_arrivals(tau, t_max):
+    """Rows, columns and times of the entries <= t_max of a dense (B, E)
+    block, in row-major order: what ``montecarlo._draw_block`` returns for
+    the block it draws."""
+    arrived = tau <= t_max
+    rows, ks = np.nonzero(arrived)
+    return rows, ks, tau[arrived]
+
+
 def random_trajectories(seed, count):
     """Discrete, continuous and de-Poissonized trajectories on random small
     measures."""

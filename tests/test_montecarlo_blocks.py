@@ -1,6 +1,9 @@
 """Block-vectorized estimators: golden outputs, ties, threads, block size."""
 
 import hashlib
+import os
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from edgeproc import analytic, montecarlo as mc
 from edgeproc.measure import (
     explicit,
     factorial_max,
+    first_rank,
     isolated_edges,
     power_law_product,
 )
@@ -17,6 +21,7 @@ from edgeproc.process import replica_rng
 
 from conftest import (
     GraphState,
+    block_arrivals,
     path_spec,
     random_explicit_spec,
     triangle_spec,
@@ -173,20 +178,106 @@ def _block_shapes(monkeypatch):
     shapes = []
     draw = mc._draw_block
 
-    def spy(*args):
-        tau = draw(*args)
-        shapes.append(tau.shape)
-        return tau
+    def spy(words, a, b, rates, t_max):
+        shapes.append((b - a, len(rates)))
+        return draw(words, a, b, rates, t_max)
     monkeypatch.setattr(mc, "_draw_block", spy)
     return shapes
 
 
-def test_wide_spec_is_drawn_in_one_row_blocks(monkeypatch):
-    spec = power_law_product(2.5, 400)
+def test_one_row_blocks_hold_no_whole_row():
+    """A one-row block is drawn in chunks of at most _BLOCK_ELEMENTS
+    columns, so no call on a wide measure holds an E-length float array,
+    neither its draws nor their scales, at any thread count."""
+    spec = power_law_product(2.5, 1000)
+    assert spec.n_edges > 7 * mc._BLOCK_ELEMENTS
+    spec.marginals  # cached on first use, outside the traced calls
+    for threads in (None, 1):
+        tracemalloc.start()
+        try:
+            mc.vertex_count_samples(spec, [1.0, 3.0], 3, 5, threads=threads)
+            mc.estimate_event(spec, ("connected",), 3.0, 3, 5,
+                              threads=threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * spec.n_edges, threads
+
+
+@pytest.mark.parametrize("threads", [None, 1, 2, 3])
+def test_pool_is_picked_from_the_block_shape(monkeypatch, threads, triangle):
+    """By default one-row blocks go to a thread per usable CPU and
+    multi-row blocks stay on the calling thread; an explicit count holds
+    for both."""
+    pools = []
+
+    class Spy(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", Spy)
+    wide = power_law_product(2.5, 363)
+    assert mc._BLOCK_ELEMENTS // wide.n_edges == 0  # one-row blocks
+    mc.vertex_count_samples(wide, [1.0], 3, 5, threads=threads)
+    mc.vertex_count_samples(triangle, [1.0], 3, 5, threads=threads)
+    cpus = len(os.sched_getaffinity(0))
+    want = {None: [cpus] if cpus > 1 else [], 1: [], 2: [2, 2], 3: [3, 3]}
+    assert pools == want[threads]
+
+
+# spec factory, horizon T, block size, I target: E = 65,703 is a chunk of
+# 2^16 columns and a ragged one of 167; with blocks of 10 elements, 435
+# columns are 43 chunks of 10 and one of 5.  The grids run from T / 10^10
+# to 10 T.  The power law's last chunk arrives only at the late times;
+# rising sigma puts the heaviest edges, the first to arrive, in it
+CHUNKED = {
+    "wide": (lambda: power_law_product(2.5, 363), 1e11, None, (1, 2)),
+    "wide_rising": (lambda: first_rank(np.arange(1.0, 364.0)), 3e-8, None,
+                    (362, 363)),
+    "ragged_10": (lambda: power_law_product(2.5, 30), 6.0, 10, (1, 2)),
+}
+CHUNK_SEED, CHUNK_GRID = 31, np.array([1e-10, 1e-5, 1.0, 10.0])
+ESTIMATORS = {
+    "vertex_count_samples": lambda spec, T, e, kw: mc.vertex_count_samples(
+        spec, T * CHUNK_GRID, 5, CHUNK_SEED, **kw),
+    "vertex_presence_samples": lambda spec, T, e, kw:
+        mc.vertex_presence_samples(spec, T, 5, CHUNK_SEED),
+    "I": lambda spec, T, e, kw:
+        mc.estimate_event(spec, ("I", e), T, 5, CHUNK_SEED, **kw),
+    "connected": lambda spec, T, e, kw:
+        mc.estimate_event(spec, ("connected",), T, 5, CHUNK_SEED, **kw),
+    "essentially_complete": lambda spec, T, e, kw: mc.estimate_event(
+        spec, ("essentially_complete",), 10 * T, 5, CHUNK_SEED, **kw),
+    "connectivity_growth": lambda spec, T, e, kw: mc.connectivity_growth(
+        spec, T * CHUNK_GRID, 5, CHUNK_SEED, **kw),
+    "i_event_growth": lambda spec, T, e, kw: mc.i_event_growth(
+        spec, T * CHUNK_GRID, 5, CHUNK_SEED, **kw),
+}
+
+
+def _dense_rows(words, a, b, rates, t_max):
+    """The arrivals of a dense block of replica_rng rows at CHUNK_SEED."""
+    tau = np.array([replica_rng(CHUNK_SEED, k).exponential(1 / rates)
+                    for k in range(a, b)]).reshape(b - a, len(rates))
+    return block_arrivals(tau, t_max)
+
+
+@pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+@pytest.mark.parametrize("name", sorted(CHUNKED))
+def test_chunked_rows_match_dense_rows(monkeypatch, name, estimator):
+    make, T, block, e = CHUNKED[name]
+    spec, call = make(), ESTIMATORS[estimator]
+    if block:
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block)
+    # one-row blocks of several chunks, the last one ragged
     assert spec.n_edges > mc._BLOCK_ELEMENTS
-    shapes = _block_shapes(monkeypatch)
-    mc.vertex_count_samples(spec, [1.0], 3, 5)
-    assert shapes == [(1, spec.n_edges)] * 3
+    assert spec.n_edges % mc._BLOCK_ELEMENTS
+    got = {threads: _digest(call(spec, T, e, {"threads": threads}))
+           for threads in (None, 1, 2, 3)}
+    with monkeypatch.context() as m:
+        m.setattr(mc, "_draw_block", _dense_rows)
+        want = _digest(call(spec, T, e, {"threads": 1}))
+    assert got == dict.fromkeys(got, want)
 
 
 def test_small_spec_is_drawn_in_one_block(monkeypatch, triangle):
@@ -198,8 +289,11 @@ def test_small_spec_is_drawn_in_one_block(monkeypatch, triangle):
 def test_block_rows_are_the_replica_draws():
     spec = power_law_product(2.5, 12)
     for seed in [3, 0, 2**32, 2**130 + 7]:
-        tau = mc._draw_block(_replica_seed_words(seed), 5, 25, 1.0 / spec.w)
-        for r, row in enumerate(tau):
+        rows, ks, t = mc._draw_block(_replica_seed_words(seed), 5, 25,
+                                     spec.w, np.inf)
+        assert np.array_equal(rows, np.repeat(range(20), spec.n_edges))
+        assert np.array_equal(ks, np.tile(range(spec.n_edges), 20))
+        for r, row in enumerate(t.reshape(20, spec.n_edges)):
             want = replica_rng(seed, 5 + r).exponential(1.0 / spec.w)
             assert np.array_equal(row, want)
 
@@ -273,7 +367,7 @@ def test_first_arrivals_match_stable_replay_with_ties():
     spec = random_explicit_spec(np.random.default_rng(9), max_vertex=6,
                                 n_edges=10)
     tau = _tie_block(spec, 10)
-    rows, ks, _, _, _, nv = mc._arrivals(spec, tau, np.inf)
+    rows, ks, _, _, _, nv = mc._arrivals(spec, *block_arrivals(tau, np.inf))
     mask = np.zeros(tau.shape, dtype=bool)
     mask[rows[nv == 2], ks[nv == 2]] = True
     for row, got in zip(tau, mask):
@@ -317,12 +411,13 @@ def test_event_flags_match_stable_replay(name):
     # the horizons equal arrival times, and 0.5 precedes every arrival
     for horizon in (0.5, 1.0, 2.0, 3.0):
         states, opened = zip(*(_replay(spec, row, horizon) for row in tau))
+        block = len(tau), *block_arrivals(tau, horizon)
         for kind in ("connected", "essentially_complete"):
             want = [getattr(state, "is_" + kind)() for state in states]
-            got = mc._event_holds(spec, kind, [], tau, horizon)
+            got = mc._event_holds(spec, kind, [], *block)
             assert got.tolist() == want, (kind, horizon)
         for k in range(spec.n_edges):
-            got = mc._event_holds(spec, "I", [k], tau, horizon)
+            got = mc._event_holds(spec, "I", [k], *block)
             assert np.array_equal(got, np.array(opened)[:, k])
         subcases |= {state.essential_completeness()[1] for state in states}
     if name == "factorial_max_5":
@@ -332,7 +427,8 @@ def test_event_flags_match_stable_replay(name):
 def test_growth_and_estimates_match_stable_replay(monkeypatch):
     spec = EVENT_SPECS["random_explicit"]()
     tau = _tie_block(spec, 12)
-    monkeypatch.setattr(mc, "_draw_block", lambda words, a, b, scale: tau[a:b])
+    monkeypatch.setattr(mc, "_draw_block", lambda words, a, b, rates, t_max:
+                        block_arrivals(tau[a:b], t_max))
     grid = [0.5, 1.0, 1.5, 2.0, 3.0]
     states = [[_replay(spec, row, t)[0] for row in tau] for t in grid]
     R = len(tau)

@@ -14,7 +14,6 @@ from edgeproc.process import (
     arrival_order,
     component_merges,
     depoissonize,
-    exponential_scales,
     new_vertex_counts,
     replica_rng,
     run_continuous,
@@ -23,6 +22,7 @@ from edgeproc.process import (
 from edgeproc.graphstate import replay
 
 from conftest import (
+    block_arrivals,
     random_explicit_spec,
     random_trajectories,
     single_edge_spec,
@@ -239,18 +239,19 @@ class TestArrivalOrder:
                 for k in sorted(range(tau.shape[1]),
                                 key=lambda k: (tau[r, k], k))
                 if tau[r, k] <= t_max]
-        rows, ks = arrival_order(tau, t_max)
+        rows, ks, t = arrival_order(*block_arrivals(tau, t_max))
         assert list(zip(rows.tolist(), ks.tolist())) == want
+        assert t.tolist() == [tau[r, k] for r, k in want]
 
     @pytest.mark.parametrize("spec", [
         triangle_spec(), random_explicit_spec(np.random.default_rng(78))],
         ids=["triangle", "random"])
     def test_run_continuous_is_a_one_row_block(self, spec):
-        scale = exponential_scales(spec.w)
         for k in range(30):
             traj = run_continuous(spec, 2.0, replica_rng(6, k))
-            tau = mc._draw_block(_replica_seed_words(6), k, k + 1, scale)
-            _, _, t, i, j, nv = mc._arrivals(spec, tau, 2.0)
+            block = mc._draw_block(_replica_seed_words(6), k, k + 1, spec.w,
+                                   2.0)
+            _, _, t, i, j, nv = mc._arrivals(spec, *block)
             for got, want in [(traj.time, t), (traj.i, i), (traj.j, j),
                               (traj.new_vertices, nv)]:
                 np.testing.assert_array_equal(got, want)
