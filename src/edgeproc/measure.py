@@ -98,12 +98,14 @@ class MeasureSpec:
     def __post_init__(self):
         if len(self.ei) == 0:
             raise ValueError("measure has empty support")
-        if not np.all((self.w >= 0) & (self.w < np.inf)):  # NaN too
+        a, b, w = self.ei, self.ej, self.w
+        if not _holds(lambda s: (w[s] >= 0) & (w[s] < np.inf), len(w)):
             raise ValueError("edge masses must be finite and non-negative")
-        if not np.all(self.ei < self.ej):
+        if not _holds(lambda s: a[s] < b[s], len(a)):
             raise ValueError("edges must be stored canonically (i < j)")
-        a, b = self.ei, self.ej
-        if not np.all((a[1:] > a[:-1]) | ((a[1:] == a[:-1]) & (b[1:] > b[:-1]))):
+        a0, a1, b0, b1 = a[:-1], a[1:], b[:-1], b[1:]
+        if not _holds(lambda s: (a1[s] > a0[s])
+                      | ((a1[s] == a0[s]) & (b1[s] > b0[s])), len(a) - 1):
             raise ValueError("edges must be sorted by (i, j), without repeats")
         with np.errstate(over="ignore"):
             total = float(np.sum(self.w))
@@ -115,8 +117,8 @@ class MeasureSpec:
             raise ValueError("total mass over the truncated support must be > 0")
         if self.normalized and abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"normalized flag set but total mass is {total!r}")
-        pos = self.w > 0
-        if not pos.all():
+        if not w.min() > 0:
+            pos = w > 0
             for name in ("ei", "ej", "w"):
                 object.__setattr__(self, name, getattr(self, name)[pos])
             self._cache.clear()  # tables built for the unstripped arrays
@@ -266,6 +268,12 @@ def _chunks(n):
     return (slice(a, a + _CHUNK) for a in range(0, n, _CHUNK))
 
 
+def _holds(test, n):
+    """Whether the boolean array test(s) is all true on every chunk slice s
+    of range(n): its scratch exists one chunk at a time."""
+    return all(np.all(test(s)) for s in _chunks(n))
+
+
 def _build_alias(q):
     """Alias table (J, q) for a normalized probability vector, in O(K).
 
@@ -368,10 +376,18 @@ def _canonical_arrays(ei, ej, w):
 
 
 def _window_pairs(n_max):
-    """All canonical pairs i < j <= n_max as index arrays."""
-    i, j = np.triu_indices(n_max, k=1)
-    i += 1
-    j += 1
+    """All canonical pairs i < j <= n_max as index arrays, in (i, j) order.
+
+    No n_max x n_max array is built: i repeats each id once per larger id,
+    and j is the running sum of its steps, which are 1 within a row of i.
+    """
+    counts = np.arange(n_max - 1, 0, -1)  # pairs of i = 1..n_max-1
+    i = np.repeat(np.arange(1, n_max), counts)
+    j = np.ones(len(i), dtype=np.int64)
+    # row i begins at j = i + 1, a step of i + 1 - n_max after row i - 1
+    j[np.cumsum(counts) - counts] = np.arange(2, n_max + 1) - n_max
+    j[:1] = 2
+    np.cumsum(j, out=j)
     return i, j
 
 
@@ -406,7 +422,8 @@ def first_rank(sigma, normalize=False):
     ei, ej = _window_pairs(n_max)
     padded = np.concatenate([[0.0], sigma])  # padded[i] is sigma_i
     w = padded[ei]
-    w *= padded[ej]
+    for s in _chunks(len(w)):  # no edge-length temporary
+        w[s] *= padded[ej[s]]
     spec = MeasureSpec("first_rank", {"sigma": sigma.tolist()}, ei, ej, w,
                        n_max)
     return spec.normalize() if normalize else spec

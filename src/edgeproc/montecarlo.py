@@ -8,19 +8,21 @@ exponential arrival times, exactly the values
 2^16 draws for every E: B rows fill it, or, when a row does not fit twice,
 one row is drawn in chunks of at most 2^16 columns.  It reaches its
 reducer as its arrivals up to the latest time the estimator reads: rows,
-columns and times in row-major order.  This module owns how a block is
-seeded and drawn (``_replica_seed_words``, ``_draw_block``) and which pool
-reduces it: by default one-row blocks are spread over the CPUs the process
-may use and multi-row blocks stay on the calling thread.  A call takes at
-most 2^32 replicas.  Estimators reduce whole blocks with array
-operations.  Event estimators take a block's arrivals in
-``process.arrival_order``, the one first-arrival order, which
-``run_continuous`` reads too (its docstring gives the tie rule), and count
-I-events, components and completeness with the arrival kernels
-``new_vertex_counts`` and ``component_merges``, so no row is replayed.
-Vertex presence scatters the endpoints of the arrivals into one column per
-support vertex, and vertex counts count it.  All empirical checks of tail
-properties target finite-horizon proxies; reports say so.
+columns and times in row-major order.  A block's rows are seeded with
+``process._replica_seed_words``, the words ``replica_rng`` seeds one
+replica with, hashed for every row at once.  This module owns how a block
+is drawn (``_draw_block``) and which pool reduces it: by default one-row
+blocks are spread over the CPUs the process may use and multi-row blocks
+stay on the calling thread.  A call takes at most 2^32 replicas.
+Estimators reduce whole blocks with array operations.  Event estimators
+take a block's arrivals in ``process.arrival_order``, the one
+first-arrival order, which ``run_continuous`` reads too (its docstring
+gives the tie rule), and count I-events, components and completeness with
+the arrival kernels ``new_vertex_counts`` and ``component_merges``, so no
+row is replayed.  Vertex presence scatters the endpoints of the arrivals
+into one column per support vertex, and vertex counts count it.  All
+empirical checks of tail properties target finite-horizon proxies; reports
+say so.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 from scipy.stats import kstest
 
 from . import analytic
 from .measure import edge
-from .process import (arrival_order, component_merges, exponential_scales,
+from .process import (_GivenWords, _replica_seed_words, arrival_order,
+                      component_merges, exponential_scales,
                       full_stream_arrivals, new_vertex_counts, replica_rng)
 
 __all__ = [
@@ -84,75 +86,6 @@ class CltReport:
 
 
 # -- replica blocks ------------------------------------------------------
-
-
-# SeedSequence's uint32 hash constants (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash_consts(init, mult, start, n):
-    """Hash constants init * mult^i mod 2^32, i = start..start+n-1, as uint32."""
-    return np.array([init * pow(mult, i, 1 << 32) % (1 << 32)
-                     for i in range(start, start + n)], dtype=np.uint32)
-
-
-def _hash(value, xor, mult):
-    """SeedSequence's hash step on numpy uint32 arrays, which wrap mod 2^32:
-    the hash constant is ``xor`` before it and ``mult`` after it."""
-    value = (value ^ xor) * mult
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    value = _MIX_L * x - _MIX_R * y
-    return value ^ value >> 16
-
-
-# generate_state(4, uint64) hashes pool word d into output word 4j + d with
-# hash constants _OUT_HASH[j, d] before the step and _OUT_HASH[j, d + 1]
-# after it
-_OUT_HASH = _hash_consts(_INIT_B, _MULT_B, 0, 9)
-_OUT_XOR = _OUT_HASH[:-1].reshape(2, 4, 1)
-_OUT_MULT = _OUT_HASH[1:].reshape(2, 4, 1)
-
-
-def _replica_seed_words(seed):
-    """``words(a, b)``: for replicas k = a..b-1 (k < 2^32), the words
-    ``SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)``
-    that seed ``replica_rng(seed, k)``'s PCG64, as a C-contiguous
-    (b - a, 4) uint64 array.
-
-    SeedSequence hashes the seed's words into its pool of 4 words, then the
-    key word k into each pool word.  The seed's part is the same for every
-    k, and numpy computes it: ``SeedSequence(seed).pool``.  ``words`` hashes
-    only k, as (4, B) uint32 arrays (one row per pool word).
-    """
-    if not isinstance(seed, (int, np.integer)):  # SeedSequence takes lists
-        raise TypeError(f"seed must be a non-negative int, not {seed!r}")
-    pool = np.random.SeedSequence(seed).pool[:, None]
-    # the seed's words, padded to 4, took 4 hash steps each; k meets pool
-    # word d with hash constants lane[d] before the step, lane[d + 1] after
-    steps = 4 * max(4, -(-int(seed).bit_length() // 32))
-    lane = _hash_consts(_INIT_A, _MULT_A, steps, 5)[:, None]
-
-    def words(a, b):
-        key = np.arange(a, b, dtype=np.uint32)
-        state = _hash(_mix(pool, _hash(key, lane[:-1], lane[1:])),
-                      _OUT_XOR, _OUT_MULT)  # (2, 4, B)
-        # uint32 words 2i (low) and 2i + 1 (high) make uint64 word i
-        return state.transpose(2, 0, 1).astype("<u4", order="C").view(
-            "<u8").reshape(b - a, 4).astype(np.uint64, copy=False)
-
-    return words
-
-
-class _GivenWords(ISeedSequence):
-    """A seed source whose generate_state returns ``self.words``, as is."""
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
 
 
 def _draw_block(words, a, b, rates, t_max):

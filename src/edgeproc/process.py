@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
@@ -35,13 +36,131 @@ __all__ = [
 
 
 def replica_rng(master_seed, replica_index):
-    """Independent per-replica stream: SeedSequence(master, spawn_key=(k,)).
+    """Independent per-replica stream: the PCG64 generator that
+    ``np.random.default_rng(SeedSequence(master_seed, spawn_key=(k,)))``
+    gives, for an int seed >= 0 and 0 <= k < 2^32.
 
     This is the single splitting rule used everywhere; replicas are safe to
     run in parallel and results reduce deterministically in index order.
+    The PCG64 is seeded with k's words from ``_replica_seed_words``, the
+    ones the replica blocks of ``montecarlo`` use, computed for this k
+    alone; it takes the same seeds and k, and refuses others alike.  Its
+    ``bit_generator.seed_seq`` holds those words, not a SeedSequence, so
+    the generator cannot ``spawn``.
     """
-    ss = np.random.SeedSequence(master_seed, spawn_key=(replica_index,))
-    return np.random.default_rng(ss)
+    pool, lane = _memo_seed_pool(_seed_int(master_seed))
+    k = _replica_key(replica_index)
+    mixed = [_mix(p, _hash(k, a, b)) for p, a, b in zip(pool, lane, lane[1:])]
+    # output word w hashes pool word w % 4; uint32 words 2i (low) and
+    # 2i + 1 (high) make uint64 word i
+    out = list(map(_hash, mixed * 2, _OUT_HASH, _OUT_HASH[1:]))
+    src = _GivenWords()
+    src.words = np.array(out, dtype="<u4").view("<u8").astype(np.uint64,
+                                                             copy=False)
+    return np.random.Generator(np.random.PCG64(src))
+
+
+# -- replica seeding -----------------------------------------------------
+
+
+# SeedSequence's uint32 hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_consts(init, mult, start, n):
+    """Hash constants init * mult^i mod 2^32, i = start..start+n-1."""
+    return tuple(init * pow(mult, i, 1 << 32) & _MASK32
+                 for i in range(start, start + n))
+
+
+def _hash(value, xor, mult):
+    """SeedSequence's hash step, on Python ints or on numpy uint32 arrays,
+    mod 2^32: the hash constant is ``xor`` before it and ``mult`` after it."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = _MIX_L * x - _MIX_R * y & _MASK32
+    return value ^ value >> 16
+
+
+# generate_state(4, uint64) hashes pool word d into output uint32 word
+# 4j + d with hash constants _OUT_HASH[4j + d] before the step and
+# _OUT_HASH[4j + d + 1] after it
+_OUT_HASH = _hash_consts(_INIT_B, _MULT_B, 0, 9)
+_OUT_XOR = np.array(_OUT_HASH[:-1], dtype=np.uint32).reshape(2, 4, 1)
+_OUT_MULT = np.array(_OUT_HASH[1:], dtype=np.uint32).reshape(2, 4, 1)
+
+
+def _seed_int(seed):
+    """The seed as an int; a TypeError unless it is one (SeedSequence would
+    take a list of ints, or None for fresh entropy)."""
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be a non-negative int, not {seed!r}")
+    return int(seed)
+
+
+def _seed_pool(seed):
+    """The int seed's half of every replica's words: SeedSequence(seed)'s
+    pool of 4 words (SeedSequence refuses a negative seed), and the 5 lane
+    constants that meet the replica key."""
+    pool = tuple(np.random.SeedSequence(seed).pool.tolist())
+    # the seed's words, padded to 4, took 4 hash steps each; k meets pool
+    # word d with hash constants lane[d] before the step, lane[d + 1] after
+    steps = 4 * max(4, -(-seed.bit_length() // 32))
+    return pool, _hash_consts(_INIT_A, _MULT_A, steps, 5)
+
+
+# replica_rng's seeds: a caller takes its streams from a few seeds
+_memo_seed_pool = lru_cache(maxsize=64)(_seed_pool)
+
+
+def _replica_key(k):
+    """Replica index k as an int, refused unless 0 <= k < 2^32: the key is
+    one uint32 word."""
+    if not isinstance(k, (int, np.integer)):
+        raise TypeError(f"replica index must be an int, not {k!r}")
+    k = int(k)
+    if not 0 <= k <= _MASK32:
+        raise ValueError(f"replica index must be in 0..2^32 - 1, got {k}")
+    return k
+
+
+def _replica_seed_words(seed):
+    """``words(a, b)``: for replicas k = a..b-1 (k < 2^32), the words
+    ``SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)``
+    that seed ``replica_rng(seed, k)``'s PCG64, as a C-contiguous
+    (b - a, 4) uint64 array.
+
+    SeedSequence hashes the seed's words into its pool of 4 words, then the
+    key word k into each pool word.  The seed's part is the same for every
+    k (``_seed_pool``); ``words`` hashes only k, as (4, B) uint32 arrays
+    (one row per pool word).
+    """
+    pool, lane = _seed_pool(_seed_int(seed))
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    lane = np.array(lane, dtype=np.uint32)[:, None]
+
+    def words(a, b):
+        key = np.arange(a, b, dtype=np.uint32)
+        state = _hash(_mix(pool, _hash(key, lane[:-1], lane[1:])),
+                      _OUT_XOR, _OUT_MULT)  # (2, 4, B)
+        # uint32 words 2i (low) and 2i + 1 (high) make uint64 word i
+        return state.transpose(2, 0, 1).astype("<u4", order="C").view(
+            "<u8").reshape(b - a, 4).astype(np.uint64, copy=False)
+
+    return words
+
+
+class _GivenWords(ISeedSequence):
+    """A seed source whose generate_state returns ``self.words``, as is."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def exponential_scales(rates):

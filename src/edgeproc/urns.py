@@ -8,6 +8,7 @@ index, then edges canonically, then the null outcome).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,6 +120,13 @@ class CouplingEngine:
     most ``_TABLE_BUDGET`` bytes of lambda and cumulative sums, 16 (n + 1)
     per table, and is emptied when full.  A built table is never changed, so
     threads may share an engine; a race on the memo costs only a rebuild.
+
+    ``step`` and ``run`` share one epoch routine.  ``step`` looks the table
+    up on every call, since the masks may have been written since the last
+    one; ``run`` owns its state, so it carries the table from epoch to epoch
+    and looks it up again only after an urn or edge outcome: a null outcome
+    leaves (V, U) as they were.  Edge outcomes are found by a binary search
+    of the edge cumulative sum as a list of the same float64 values.
     """
 
     def __init__(self, spec):
@@ -129,8 +137,9 @@ class CouplingEngine:
         mat[spec.ei, spec.ej] = spec.w
         mat[spec.ej, spec.ei] = spec.w
         self.mat = mat
-        self._edge_cum3 = np.cumsum(spec.w) / 3.0
+        self._edge_cum3 = (np.cumsum(spec.w) / 3.0).tolist()
         self._e3 = self._edge_cum3[-1]
+        self._ei, self._ej = spec.ei.tolist(), spec.ej.tolist()
         self._tables = {}
         self._max_tables = max(1, _TABLE_BUDGET // (16 * (n + 1)))
 
@@ -139,15 +148,18 @@ class CouplingEngine:
 
     def lambda_vector(self, state):
         """Urn-only intensities for every i outside the urn set (else 0)."""
-        not_v = ~state.in_v
-        not_u = ~state.in_u
-        not_v[0] = not_u[0] = False
-        a = self.mat @ (not_v & not_u).astype(float)
-        b = self.mat @ (state.in_v & ~state.in_u).astype(float)
-        lam = np.where(state.in_v, 0.5 * b + a, 0.5 * a)
-        lam[state.in_u] = 0.0
-        lam[0] = 0.0
-        return lam
+        in_v, in_u = state.in_v, state.in_u
+        free = ~(in_v | in_u)  # in neither set
+        free[0] = False
+        a = self.mat @ free.astype(float)
+        b = self.mat @ (in_v > in_u).astype(float)  # in V, not in U
+        b *= 0.5
+        b += a  # lambda on V
+        a *= 0.5  # lambda off V
+        np.copyto(a, b, where=in_v)
+        a[in_u] = 0.0
+        a[0] = 0.0
+        return a
 
     def epoch_table(self, state):
         """The epoch table for the state's current masks (see the class doc)."""
@@ -163,34 +175,8 @@ class CouplingEngine:
     def step(self, state, rng, record=False):
         """One exp(3) epoch; mutates and returns the state."""
         wait = rng.exponential(1.0 / 3.0)
-        self._step_with_wait(state, wait, rng, record)
+        self._epoch(state, self.epoch_table(state), wait, rng, record)
         return state
-
-    def _apply_edge(self, state, i, j, rng):
-        """The full colored branch table for an edge outcome {i, j}."""
-        in_v, in_u = state.in_v, state.in_u
-        miss_v = [v for v in (i, j) if not in_v[v]]
-        miss_u = [v for v in (i, j) if not in_u[v]]
-        color = "pass"
-        if len(miss_v) == 1:
-            x = miss_v[0]
-            y = j if x == i else i
-            if not in_u[x]:
-                in_u[x] = True
-                color = "yellow"
-            elif not in_u[y]:
-                in_u[y] = True
-                color = "violet"
-        elif miss_u:
-            # both endpoints in V or both new: urn the one not yet urned,
-            # or a fair coin's pick of the two
-            in_u[miss_u[0] if len(miss_u) == 1
-                 else i if rng.random() < 0.5 else j] = True
-            color = {(0, 1): "green", (0, 2): "magenta", (2, 1): "orange",
-                     (2, 2): "brown"}[len(miss_v), len(miss_u)]
-        for v in miss_v:
-            in_v[v] = True
-        return color
 
     def run(self, horizon_t, rng, record=False):
         """Epochs until the next wait would pass the horizon, which must be
@@ -198,33 +184,71 @@ class CouplingEngine:
         if not 0 < horizon_t < np.inf:
             raise ValueError("horizon must be positive and finite")
         state = self.new_state()
+        tab = self.epoch_table(state)
         while True:
             wait = rng.exponential(1.0 / 3.0)
             if state.clock + wait > horizon_t:
                 state.clock = horizon_t
                 return state
-            self._step_with_wait(state, wait, rng, record)
+            tab = self._epoch(state, tab, wait, rng, record)
+            if tab is None:
+                tab = self.epoch_table(state)
 
-    def _step_with_wait(self, state, wait, rng, record):
+    def _epoch(self, state, tab, wait, rng, record):
+        """One epoch of the given wait from the state, whose table is tab.
+        Returns the table of the state it leaves, or None when an urn or
+        edge outcome changed the masks and ``record`` is off: then the next
+        table has not been looked up."""
         state.clock += wait
         state.step += 1
-        tab = self.epoch_table(state)
         eta = rng.random()
-        kind, value, color = "null", "", ""
         if eta < tab.s3:
             i = int(tab.urn_cum().searchsorted(eta, side="right"))
             state.in_u[i] = True
             kind, value, color = "urn", str(i), "blue"
         elif eta < tab.s3 + self._e3:
-            k = int(self._edge_cum3.searchsorted(eta - tab.s3, side="right"))
-            i, j = int(self.spec.ei[k]), int(self.spec.ej[k])
+            k = bisect_right(self._edge_cum3, eta - tab.s3)
+            i, j = self._ei[k], self._ej[k]
             color = self._apply_edge(state, i, j, rng)
             kind, value = "edge", f"{i}-{j}"
-        if record:
-            if kind != "null":
-                tab = self.epoch_table(state)
-            state.log.append((state.step, state.clock, kind, value, color)
-                             + tab.counts())
+        else:
+            if record:
+                state.log.append((state.step, state.clock, "null", "", "")
+                                 + tab.counts())
+            return tab
+        if not record:
+            return None
+        tab = self.epoch_table(state)
+        state.log.append((state.step, state.clock, kind, value, color)
+                         + tab.counts())
+        return tab
+
+    def _apply_edge(self, state, i, j, rng):
+        """The full colored branch table for an edge outcome {i, j}; both
+        endpoints join V."""
+        in_v, in_u = state.in_v, state.in_u
+        vi, vj = in_v[i], in_v[j]
+        in_v[i] = in_v[j] = True
+        if vi != vj:
+            # one new vertex x: urn x, or else the old vertex y
+            x, y = (j, i) if vi else (i, j)
+            if not in_u[x]:
+                in_u[x] = True
+                return "yellow"
+            if not in_u[y]:
+                in_u[y] = True
+                return "violet"
+            return "pass"
+        ui, uj = in_u[i], in_u[j]
+        if ui and uj:
+            return "pass"
+        # both endpoints in V or both new: urn the one not yet urned, or a
+        # fair coin's pick of the two
+        if ui or uj:
+            in_u[j if ui else i] = True
+            return "green" if vi else "orange"
+        in_u[i if rng.random() < 0.5 else j] = True
+        return "magenta" if vi else "brown"
 
 
 def _engine(spec):

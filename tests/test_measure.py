@@ -422,6 +422,36 @@ class TestBoundedScratch:
         assert peak <= 48 * K
         assert q is probs  # built in place
 
+    @pytest.mark.parametrize("name", sorted(WIDE))
+    def test_window_family_build_peak(self, name):
+        # ei, ej and w store 24 bytes per edge, 48.0 MB here; the whole-array
+        # build peaked at 54 (power law) and 64 MB (first rank)
+        tracemalloc.start()
+        try:
+            spec = WIDE[name]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.n_edges == 1_999_000
+        assert peak < 50e6
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 7, 60])
+    def test_window_pairs_are_the_upper_triangle(self, n_max):
+        i, j = measure._window_pairs(n_max)
+        want_i, want_j = np.triu_indices(n_max, k=1)
+        assert i.dtype == j.dtype == np.int64
+        assert np.array_equal(i, want_i + 1)
+        assert np.array_equal(j, want_j + 1)
+
+    def test_first_rank_chunks_do_not_change_the_masses(self, monkeypatch):
+        sigma = np.random.default_rng(35).random(40)
+        want = first_rank(sigma).w.tobytes()
+        monkeypatch.setattr(measure, "_CHUNK", 7)
+        spec = first_rank(sigma)
+        assert spec.w.tobytes() == want
+        assert spec.w.tobytes() == (sigma[spec.ei - 1]
+                                    * sigma[spec.ej - 1]).tobytes()
+
 
 class TestSupportConnected:
     def test_single_edge(self):

@@ -207,6 +207,69 @@ class TestReplicaSeedWords:
             _replica_seed_words(seed)
 
 
+def _seed_sequence_rng(seed, k):
+    return np.random.default_rng(np.random.SeedSequence(seed,
+                                                        spawn_key=(k,)))
+
+
+def assert_same_stream(got, want):
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.random(4).tobytes() == want.random(4).tobytes()
+    assert got.exponential(1.0, 3).tobytes() \
+        == want.exponential(1.0, 3).tobytes()
+
+
+class TestReplicaRng:
+    """replica_rng seeds PCG64 with the block rule's words for one k: the
+    stream of PCG64(SeedSequence(seed, spawn_key=(k,))), on the domain of
+    the blocks."""
+
+    @pytest.mark.parametrize("seed", [
+        0, 1, 1001, 2**32 - 1, 2**32, 5_000_001_000, 2**64 + 3, 2**130 + 7])
+    @pytest.mark.parametrize("k", [0, 49, 2**32 - 1])
+    def test_stream_is_the_seed_sequences(self, seed, k):
+        assert_same_stream(replica_rng(seed, k), _seed_sequence_rng(seed, k))
+
+    # seeds of 1 to 10 words; every k < 2^32
+    @given(st.integers(0, 2**320 - 1), st.integers(0, 2**32 - 1))
+    @example(2**320 - 1, 2**32 - 1)
+    @example(2**128, 0)
+    @settings(max_examples=200, deadline=None)
+    def test_stream_is_the_seed_sequences_for_any_seed(self, seed, k):
+        assert_same_stream(replica_rng(seed, k), _seed_sequence_rng(seed, k))
+
+    @pytest.mark.parametrize("seed, k", [
+        (np.int64(9), 3), (9, np.int64(3)), (np.uint32(9), np.uint32(3)),
+        (np.uint64(2**64 - 1), np.uint64(2**32 - 1))])
+    def test_numpy_ints(self, seed, k):
+        assert_same_stream(replica_rng(seed, k),
+                           _seed_sequence_rng(int(seed), int(k)))
+
+    @pytest.mark.parametrize("seed", [[1, 2], None, 1.5])
+    def test_non_int_seed_is_refused_as_by_the_blocks(self, seed):
+        with pytest.raises(TypeError, match="non-negative int"):
+            replica_rng(seed, 0)
+
+    def test_negative_seed_is_refused_as_by_the_blocks(self):
+        with pytest.raises(Exception) as want:
+            _replica_seed_words(-1)
+        with pytest.raises(want.type, match=str(want.value)):
+            replica_rng(-1, 0)
+
+    @pytest.mark.parametrize("k", [-1, 2**32])
+    def test_key_outside_one_word_is_refused(self, k):
+        # the blocks refuse a negative count and more than 2^32 replicas,
+        # each with a ValueError, so their keys are 0..2^32 - 1
+        with pytest.raises(ValueError, match=r"0\.\.2\^32 - 1, got "
+                           + str(k)):
+            replica_rng(0, k)
+
+    @pytest.mark.parametrize("k", [1.5, None, "3"])
+    def test_non_int_key_is_a_type_error(self, k):
+        with pytest.raises(TypeError, match="replica index"):
+            replica_rng(0, k)
+
+
 class TestTrajectoryExport:
     def test_csv_columns(self, tmp_path, triangle):
         traj = run_continuous(triangle, 10.0, replica_rng(15, 0))

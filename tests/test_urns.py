@@ -367,6 +367,59 @@ class TestEpochTable:
             assert np.array_equal(a.in_v, b.in_v)
             assert np.array_equal(a.in_u, b.in_u)
 
+    RUN_SPECS = dict(SPECS, factorial_max_8=lambda: factorial_max(8, True))
+
+    @pytest.mark.parametrize("tables", [None, 3])
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("name", sorted(RUN_SPECS))
+    def test_run_equals_a_loop_of_steps(self, name, record, tables,
+                                        monkeypatch):
+        # run carries its table between epochs; step looks it up each call
+        spec = self.RUN_SPECS[name]()
+        if tables:
+            monkeypatch.setattr(urns, "_TABLE_BUDGET",
+                                tables * 16 * (spec.n_max + 1))
+
+        def by_steps(eng, t, rng):
+            # run's stop rule: a wait that would pass t ends the run
+            state = eng.new_state()
+            while True:
+                before = rng.bit_generator.state
+                if state.clock + rng.exponential(1.0 / 3.0) > t:
+                    state.clock = t
+                    return state
+                rng.bit_generator.state = before
+                eng.step(state, rng, record=record)
+        a, b = CouplingEngine(spec), CouplingEngine(spec)
+        for r in range(60):
+            got = a.run(5.0, replica_rng(79, r), record=record)
+            want = by_steps(b, 5.0, replica_rng(79, r))
+            assert got.log == want.log
+            assert np.array_equal(got.in_v, want.in_v)
+            assert np.array_equal(got.in_u, want.in_u)
+            assert (got.step, got.clock) == (want.step, want.clock)
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("name", sorted(RUN_SPECS))
+    def test_run_looks_up_a_table_only_after_a_change(self, name, record):
+        # a null outcome leaves (V, U), and so the table, as it was
+        eng = CouplingEngine(self.RUN_SPECS[name]())
+        lookups, lookup = [], eng.epoch_table
+
+        def spy(state):
+            lookups.append(state.step)
+            return lookup(state)
+        eng.epoch_table = spy
+        nulls = 0
+        for r in range(100):
+            log = eng.run(5.0, replica_rng(80, r), record=True).log
+            del lookups[:]
+            eng.run(5.0, replica_rng(80, r), record=record)
+            changed = sum(rec[2] != "null" for rec in log)
+            nulls += len(log) - changed
+            assert len(lookups) <= changed + 1
+        assert nulls > 0
+
     def test_direct_mask_writes_between_steps(self):
         # writes to the public masks must reach the next epoch exactly as a
         # fresh state with the same masks on a fresh engine sees them
