@@ -32,7 +32,7 @@ def main():
     grid = np.arange(5.0, 51.0, 5.0)
     for gamma in (2.5, 1.5):
         spec = power_law_product(gamma, 100, normalize=True)
-        ic, conn = mc.connectivity_growth(spec, grid, 400, seed=1, threads=2)
+        ic, conn = mc.connectivity_growth(spec, grid, 400, seed=1)
         tag = "plateaus" if mc.plateaued(grid, ic) else "still growing"
         print(f"gamma={gamma}: mean I-count {ic[0]:.2f} -> {ic[-1]:.2f} "
               f"({tag}); P(connected at t=50) ~ {conn[-1]:.3f}")

@@ -52,7 +52,7 @@ def main():
     for name, spec in [("factorial-max(8)", fm),
                        ("power-law(2.5, 8)", power_law_product(2.5, 8))]:
         est = mc.estimate_event(spec, ("essentially_complete",), 50.0,
-                                400, seed=5, threads=2)
+                                400, seed=5)
         print(f"{name:20s} P(essentially complete) ~ {est.estimate:.3f}")
 
 

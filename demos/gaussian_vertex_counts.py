@@ -25,7 +25,7 @@ def main():
     print("\n=== CLT diagnostic on isolated edges (vertices = 2x binomial) ===")
     iso = isolated_edges(np.full(200, 1.0))
     for t in (0.3, 0.7):
-        rep = mc.clt_diagnostic(iso, t, replicas=3000, seed=2, threads=2)
+        rep = mc.clt_diagnostic(iso, t, replicas=3000, seed=2)
         print(f"t={t}: standardized mean {rep.mean:+.3f}, "
               f"variance {rep.variance:.3f}, KS vs N(0,1) = "
               f"{rep.ks_statistic:.4f}")
@@ -33,7 +33,7 @@ def main():
     print("\n=== CLT in the connected regime (power-law, gamma=2.5) ===")
     plp = power_law_product(2.5, 300)
     for t in (3e4, 3e5):
-        rep = mc.clt_diagnostic(plp, t, replicas=2000, seed=3, threads=2)
+        rep = mc.clt_diagnostic(plp, t, replicas=2000, seed=3)
         warn = "  [low-variance warning]" if rep.low_variance_warning else ""
         print(f"t={t:8.0f}: analytic variance {rep.normalization[1]:6.1f}, "
               f"KS = {rep.ks_statistic:.4f}{warn}")

@@ -30,7 +30,6 @@ _OPTIONS = {
     "horizon-n": {"type": int, "default": None},
     "window": {"type": int, "default": None},
     "replicas": {"type": int, "default": 10_000},
-    "threads": {"type": int, "default": None},
 }
 
 
@@ -122,7 +121,7 @@ def _cmd_series(args, spec):
 
 def _cmd_clt(args, spec):
     rep = montecarlo.clt_diagnostic(spec, args.horizon_t, args.replicas,
-                                    args.seed, threads=args.threads)
+                                    args.seed)
     _write(args.out, _header(args, spec), [
         ("t", rep.t),
         ("replicas", rep.replicas),
@@ -244,7 +243,7 @@ _COMMANDS = {
     "series": _Command(_cmd_series, ("measure", "window"),
                        out="series_report.txt"),
     "clt": _Command(_cmd_clt,
-                    ("measure", "seed", "horizon-t", "replicas", "threads"),
+                    ("measure", "seed", "horizon-t", "replicas"),
                     ("horizon-t",), "clt_report.txt"),
     "urns": _Command(_cmd_urns, ("measure", "window"), out="urns_report.txt"),
     "complete": _Command(_cmd_complete, ("measure", "window"),

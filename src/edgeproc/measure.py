@@ -41,7 +41,7 @@ def edge(i, j):
     ids.  An id must equal an integer: 2.0 is vertex 2, while 1.5, NaN, inf
     and "2" are refused, not truncated."""
     if type(i) is not int or type(j) is not int:
-        i, j = _vertex_id(i), _vertex_id(j)
+        i, j = _integer(i, "vertex id"), _integer(j, "vertex id")
     if i <= 0 or j <= 0:
         raise ValueError(f"vertex ids must be positive, got {{{i},{j}}}")
     if i == j:
@@ -49,15 +49,17 @@ def edge(i, j):
     return (i, j) if i < j else (j, i)
 
 
-def _vertex_id(v):
-    """v as an int, or a ValueError unless v equals an integer."""
+def _integer(v, name):
+    """v as an int, or a ValueError naming the argument unless v equals an
+    integer: 3.0 and np.int64(3) are 3, while 3.7, NaN, inf and "3" are
+    refused, not truncated."""
     try:
         k = int(v)
         if k == v:
             return k
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ValueError(f"vertex id {v!r} is not an integer")
+    raise ValueError(f"{name} {v!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,8 @@ class Marginals:
     total: float
 
     def __getitem__(self, i):
-        i = int(i)
+        if type(i) is not int:
+            i = _integer(i, "vertex id")
         if i < 1 or i >= len(self.M):
             return 0.0
         return float(self.M[i])
@@ -155,7 +158,7 @@ class MeasureSpec:
         ValueError outside 1..n_max."""
         if window is None:
             return self.n_max
-        window = int(window)
+        window = _integer(window, "window")
         if not 1 <= window <= self.n_max:
             raise ValueError(f"window must be in 1..{self.n_max}, got {window}")
         return window

@@ -11,9 +11,9 @@ reducer as its arrivals up to the latest time the estimator reads: rows,
 columns and times in row-major order.  A block's rows are seeded with
 ``process._replica_seed_words``, the words ``replica_rng`` seeds one
 replica with, hashed for every row at once.  This module owns how a block
-is drawn (``_draw_block``) and which pool reduces it: by default one-row
-blocks are spread over the CPUs the process may use and multi-row blocks
-stay on the calling thread.  A call takes at most 2^32 replicas.
+is drawn (``_draw_block``) and which pool reduces it: one-row blocks are
+spread over the CPUs the process may use and multi-row blocks stay on the
+calling thread.  A call takes at most 2^32 replicas.
 Estimators reduce whole blocks with array operations.  Event estimators
 take a block's arrivals in ``process.arrival_order``, the one
 first-arrival order, which ``run_continuous`` reads too (its docstring
@@ -144,7 +144,8 @@ def _map_blocks(seed, replicas, threads, rates, t_max, reduce):
     picked from the block shape: one-row blocks go to one thread per CPU
     this process may use, since numpy's exponential fill releases the GIL;
     multi-row blocks stay on the calling thread, since seeding their rows
-    holds it.
+    holds it.  Only ``estimate_event`` and ``vertex_count_samples`` pass a
+    count, and only when their caller gives one.
     """
     _check_replicas(replicas, 0)
     if threads is not None and threads < 1:
@@ -233,17 +234,22 @@ def _count_samples(ts, replicas, seed, threads, rates, count):
 
 
 def vertex_count_samples(spec, ts, replicas, seed, threads=None):
-    """|V_t| samples: shape (len(ts), replicas), from per-edge arrival draws."""
+    """|V_t| samples: shape (len(ts), replicas), from per-edge arrival draws.
+
+    Leave ``threads`` out for the pool picked from the block shape.  It is
+    kept for one caller, the benchmark's ``threads2_speedup``, which times
+    1 against 2 threads (ROADMAP item 9); a count below 1 is refused.
+    """
     col = np.cumsum(spec.marginals.M > 0) - 1
     return _count_samples(
         ts, replicas, seed, threads, spec.w, lambda B, rows, ks:
         np.count_nonzero(_presence(spec, col, B, rows, ks), axis=1))
 
 
-def urn_count_samples(spec, ts, replicas, seed, threads=None):
+def urn_count_samples(spec, ts, replicas, seed):
     """|U_t| samples for the urn scheme with rates M_i."""
     M = spec.marginals.M[1:]
-    return _count_samples(ts, replicas, seed, threads, M[M > 0],
+    return _count_samples(ts, replicas, seed, None, M[M > 0],
                           lambda B, rows, _: np.bincount(rows, minlength=B))
 
 
@@ -303,6 +309,10 @@ def estimate_event(spec, event, horizon, replicas, seed, threads=None):
     The estimate is a finite-horizon proxy for the corresponding limiting
     statement.  ``z_score`` is set whenever the target is known; at an
     estimate of 0 or 1 it uses the null-hypothesis standard error.
+
+    Leave ``threads`` out for the pool picked from the block shape.  It is
+    kept for one caller, the benchmark's ``threads2_speedup``, which times
+    1 against 2 threads (ROADMAP item 9); a count below 1 is refused.
     """
     _check_replicas(replicas, 1)
     if not horizon > 0:  # NaN too
@@ -343,7 +353,7 @@ def estimate_event(spec, event, horizon, replicas, seed, threads=None):
 # -- growth curves -------------------------------------------------------
 
 
-def _growth(spec, t_grid, replicas, seed, threads, connected):
+def _growth(spec, t_grid, replicas, seed, connected):
     """Means per t of the cumulative I-event count (arrivals that brought two
     new vertices) and, if ``connected``, of the connected indicator; only
     then are component merges counted."""
@@ -358,24 +368,24 @@ def _growth(spec, t_grid, replicas, seed, threads, connected):
                 _components(rows, t, i, j, nv, B, t_grid) == 1, axis=1))
         return out
 
-    parts = _map_blocks(seed, replicas, threads, spec.w, t_grid.max(), reduce)
+    parts = _map_blocks(seed, replicas, None, spec.w, t_grid.max(), reduce)
     return tuple(sum(curve) / replicas for curve in zip(*parts))
 
 
-def connectivity_growth(spec, t_grid, replicas, seed, threads=None):
+def connectivity_growth(spec, t_grid, replicas, seed):
     """Mean cumulative new-component counts and connected frequency per t."""
-    return _growth(spec, t_grid, replicas, seed, threads, connected=True)
+    return _growth(spec, t_grid, replicas, seed, connected=True)
 
 
-def connected_frequency_curve(spec, t_grid, replicas, seed, threads=None):
-    _, conn = connectivity_growth(spec, t_grid, replicas, seed, threads=threads)
+def connected_frequency_curve(spec, t_grid, replicas, seed):
+    _, conn = connectivity_growth(spec, t_grid, replicas, seed)
     return list(zip(_grid(t_grid, "t_grid").tolist(), conn.tolist()))
 
 
-def i_event_growth(spec, t_grid, replicas, seed, threads=None):
+def i_event_growth(spec, t_grid, replicas, seed):
     """Mean cumulative new-component counts per t, with no component
     tracking."""
-    return _growth(spec, t_grid, replicas, seed, threads, connected=False)[0]
+    return _growth(spec, t_grid, replicas, seed, connected=False)[0]
 
 
 _PLATEAU_FRAC, _PLATEAU_REL_TOL = 0.25, 0.01
@@ -405,7 +415,7 @@ def plateaued(t_grid, means):
 # -- CLT diagnostics -----------------------------------------------------
 
 
-def clt_diagnostic(spec, t, replicas, seed, threads=None):
+def clt_diagnostic(spec, t, replicas, seed):
     """Standardized vertex-count samples against the standard normal.
 
     Standardization uses the exact analytic moments, never sample moments:
@@ -417,7 +427,7 @@ def clt_diagnostic(spec, t, replicas, seed, threads=None):
     if not var_a > 0:
         raise ValueError(f"the analytic variance at t={t} is 0, so the counts "
                          "cannot be standardized")
-    counts = vertex_count_samples(spec, [t], replicas, seed, threads=threads)[0]
+    counts = vertex_count_samples(spec, [t], replicas, seed)[0]
     if np.all(counts == counts[0]):
         raise ValueError(f"all {replicas} sampled vertex counts at t={t} equal "
                          f"{counts[0]}, so the skewness is undefined")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import tanhsinh
 
+from .measure import _integer
 from .process import exponential_scales, write_table
 
 __all__ = [
@@ -264,8 +265,9 @@ def _engine(spec):
 
 
 def _free_vertex(state, spec, i):
-    """Vertex id i, checked to lie in 1..n_max and outside the urn set."""
-    i = int(i)
+    """Vertex id i, checked to be an integer in 1..n_max outside the urn
+    set."""
+    i = _integer(i, "vertex id")
     if not 1 <= i <= spec.n_max:
         raise ValueError(f"vertex {i} is outside 1..{spec.n_max}")
     if state.in_u[i]:
@@ -511,7 +513,7 @@ def essential_completeness_product(spec, blocks_used):
     zero mass, unless the family gives every pair positive mass: then it
     underflowed, the family's verdict stands and the basis names the block.
     """
-    blocks_used = int(blocks_used)
+    blocks_used = _integer(blocks_used, "blocks_used")
     if not 1 <= blocks_used <= spec.n_max - 1:
         raise ValueError(f"blocks_used must be in 1..{spec.n_max - 1} (the "
                          f"window has {spec.n_max} vertices), got {blocks_used}")

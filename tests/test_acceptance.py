@@ -34,8 +34,6 @@ from conftest import (
     two_edge_spec,
 )
 
-THREADS = 4
-
 
 def report(number, title, ok, detail=""):
     line = f"[{'PASS' if ok else 'FAIL'}] acceptance {number:2d}: {title}"
@@ -47,7 +45,7 @@ def report(number, title, ok, detail=""):
 
 def test_01_i_event_probability():
     rep = mc.estimate_event(triangle_spec(), ("I", (1, 2)), 200.0, 100_000,
-                            1001, threads=THREADS)
+                            1001)
     ok = abs(rep.z_score) < 3
     report(1, "triangle P(I_e) within 3 sigma of 1/3", ok,
            f"estimate={rep.estimate:.5f} z={rep.z_score:.2f}")
@@ -56,9 +54,9 @@ def test_01_i_event_probability():
 def test_02_joint_probability():
     path = path_spec()
     rep = mc.estimate_event(path, ("I_joint", (1, 2), (3, 4)), 200.0,
-                            100_000, 1002, threads=THREADS)
+                            100_000, 1002)
     sharing = mc.estimate_event(path, ("I_joint", (1, 2), (2, 3)), 200.0,
-                                100_000, 1003, threads=THREADS)
+                                100_000, 1003)
     ok = abs(rep.z_score) < 3 and sharing.estimate == 0.0
     report(2, "path joint within 3 sigma of 1/3; sharing pair exactly 0", ok,
            f"z={rep.z_score:.2f} sharing={sharing.estimate}")
@@ -88,12 +86,11 @@ def test_04_connectedness_dichotomy():
     # normalized: puts the convergent case on the unit-mass clock so the
     # horizon covers the interesting range (rescaling mass = rescaling time)
     conv = power_law_product(2.5, 200, normalize=True)
-    ic_c, conn = mc.connectivity_growth(conv, grid, 1000, 2005,
-                                        threads=THREADS)
+    ic_c, conn = mc.connectivity_growth(conv, grid, 1000, 2005)
     div = power_law_product(1.5, 200)
-    ic_d = mc.i_event_growth(div, grid, 1000, 1006, threads=THREADS)
+    ic_d = mc.i_event_growth(div, grid, 1000, 1006)
     div2 = power_law_product(1.5, 400)
-    ic_d2 = mc.i_event_growth(div2, grid, 1000, 1007, threads=THREADS)
+    ic_d2 = mc.i_event_growth(div2, grid, 1000, 1007)
     conv_ok = mc.plateaued(grid, ic_c) and conn[-1] > 0.95
     div_ok = (not mc.plateaued(grid, ic_d)) and ic_d2[-1] > ic_d[-1]
     report(4, "gamma=2.5 plateaus+connects; gamma=1.5 keeps growing",
@@ -104,8 +101,8 @@ def test_04_connectedness_dichotomy():
 
 def _moment_check(spec, ts, seed):
     n = 100_000
-    vc = mc.vertex_count_samples(spec, ts, n, seed, threads=THREADS)
-    uc = mc.urn_count_samples(spec, ts, n, seed + 1, threads=THREADS)
+    vc = mc.vertex_count_samples(spec, ts, n, seed)
+    uc = mc.urn_count_samples(spec, ts, n, seed + 1)
     ok = True
     details = []
     for row_v, row_u, t in zip(vc, uc, ts):
@@ -215,8 +212,8 @@ def test_08_clt_diagnostics():
     ok = True
     details = []
     for name, spec, ts in cases:
-        stats = [mc.clt_diagnostic(spec, t, 4000, 7,
-                                   threads=THREADS).ks_statistic for t in ts]
+        stats = [mc.clt_diagnostic(spec, t, 4000, 7).ks_statistic
+                 for t in ts]
         ok = ok and all(s < 0.05 for s in stats) \
             and stats[1] <= stats[0] + 0.01
         details.append(f"{name}: ks={stats[0]:.4f}->{stats[1]:.4f}")
@@ -278,7 +275,7 @@ def test_11_essential_completeness():
         and prod7.partial_product > 0.8 \
         and np.all(np.diff(factors) > 0) and factors[-1] > 0.98
     freq = mc.estimate_event(fm, ("essentially_complete",), 50.0, 1000,
-                             1020, threads=THREADS).estimate
+                             1020).estimate
     fm_ok = fm_prod_ok and freq >= 0.80
 
     plp = power_law_product(2.5, 25)
@@ -287,11 +284,11 @@ def test_11_essential_completeness():
     plp_prod_ok = all(a > b or a == b == 0.0
                       for a, b in zip(prods, prods[1:])) and prods[-1] < 1e-12
     f4 = mc.estimate_event(power_law_product(2.5, 4),
-                           ("essentially_complete",), 50.0, 1000, 1021,
-                           threads=THREADS).estimate
+                           ("essentially_complete",), 50.0, 1000,
+                           1021).estimate
     f8 = mc.estimate_event(power_law_product(2.5, 8),
-                           ("essentially_complete",), 50.0, 1000, 1022,
-                           threads=THREADS).estimate
+                           ("essentially_complete",), 50.0, 1000,
+                           1022).estimate
     plp_ok = plp_prod_ok and f8 < f4
     report(11, "factorial-max stays complete; power-law completeness decays",
            fm_ok and plp_ok,

@@ -197,8 +197,6 @@ class TestConfigErrors:
     ["couple", "--horizon-t", "0"],
     ["couple", "--horizon-t", "nan"],
     ["couple", "--horizon-t", "inf"],
-    ["clt", "--horizon-t", "1", "--threads", "-2"],
-    ["clt", "--horizon-t", "1", "--threads", "0"],
 ], ids=" ".join)
 def test_bad_numeric_flag_is_config_error(argv, tmp_path, single_edge_cfg,
                                           capsys):
@@ -333,6 +331,7 @@ class TestVerify:
     ("series", ["--seed", "1"]),
     ("urns", ["--seed", "1"]),
     ("complete", ["--seed", "1"]),
+    ("clt", ["--threads", "2"]),
 ])
 def test_flags_only_where_read(command, flag):
     with pytest.raises(SystemExit) as exc:

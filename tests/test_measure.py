@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from edgeproc import analytic, measure
+from edgeproc import analytic, measure, urns
 from edgeproc.measure import (
     MeasureSpec,
     edge,
@@ -83,6 +83,39 @@ class TestEdgeCanonicalization:
         else:
             a, b = edge(i, j)
             assert a < b and {a, b} == {i, j}
+
+
+# every integer argument takes edge()'s rule: a value equal to an integer
+# is that integer, any other is refused, not truncated through int()
+INTEGER_ARGUMENTS = {
+    "window": lambda spec, v: spec.window(v),
+    "series_window": lambda spec, v:
+        analytic.connectedness_series(spec, v).window,
+    "marginal": lambda spec, v: spec.marginals[v],
+    "coupling_lambda": lambda spec, v: urns.coupling_lambda(
+        urns.CouplingState.empty(spec.n_max), spec, v),
+    "rate_audit": lambda spec, v: urns.coupling_rate_audit(
+        urns.CouplingState.empty(spec.n_max), spec, v),
+    "completeness_blocks": lambda spec, v:
+        urns.essential_completeness_product(spec, v).factors,
+}
+
+
+@pytest.mark.parametrize("bad", [3.7, 1.5, 2.5, "3"])
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_non_integral_arguments_refused(name, bad):
+    spec = power_law_product(3.0, 6, normalize=True)
+    with pytest.raises(ValueError, match=f"{re.escape(repr(bad))} is not an "
+                                         "integer"):
+        INTEGER_ARGUMENTS[name](spec, bad)
+
+
+@pytest.mark.parametrize("good", [3.0, np.int64(3)])
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_integral_arguments_accepted(name, good):
+    spec = power_law_product(3.0, 6, normalize=True)
+    call = INTEGER_ARGUMENTS[name]
+    assert call(spec, good) == call(spec, 3)
 
 
 class TestMass:

@@ -1,6 +1,7 @@
 """Replica orchestration: event estimates, growth curves, CLT, de-Poissonization."""
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -218,11 +219,29 @@ class TestDeterminism:
                               threads=4)
         assert a == b
 
-    def test_clt_thread_invariant(self):
-        spec = isolated_edges(np.full(50, 1.0))
-        a = mc.clt_diagnostic(spec, 0.7, 2_000, 20, threads=1)
-        b = mc.clt_diagnostic(spec, 0.7, 2_000, 20, threads=3)
-        assert a == b
+    def test_one_row_outputs_do_not_depend_on_the_cpus(self, monkeypatch):
+        """One-row blocks go to a thread per usable CPU: the estimators
+        that take no thread count give the same bits on 1 and 3 CPUs."""
+        spec = power_law_product(2.5, 363)
+        assert mc._BLOCK_ELEMENTS // spec.n_edges == 0  # one-row blocks
+        grid, pools = [0.5, 2.0, 8.0], []
+
+        class Spy(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", Spy)
+
+        def outputs(cpus):
+            monkeypatch.setattr(mc.os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
+            conn = mc.connectivity_growth(spec, grid, 6, 23)
+            ic = mc.i_event_growth(spec, grid, 6, 24)
+            return ([a.tobytes() for a in (*conn, ic)],
+                    mc.clt_diagnostic(spec, 2.0, 6, 25))
+        one = outputs(1)
+        assert pools == []
+        assert outputs(3) == one and pools == [3, 3, 3]
 
     def test_vertex_counts_thread_invariant(self, triangle):
         a = mc.vertex_count_samples(triangle, [1.0], 1_000, 21, threads=1)
@@ -280,9 +299,6 @@ DEGENERATE = {
     "counts_negative_threads": (
         lambda s: mc.vertex_count_samples(s, [1.0], 100, 0, threads=-2),
         "threads must be at least 1, got -2"),
-    "growth_zero_threads": (
-        lambda s: mc.i_event_growth(s, [1.0], 100, 0, threads=0),
-        "threads must be at least 1, got 0"),
     # a descriptor must name as many edges as its kind reads, each of two ids
     "event_I_two_edges": (
         lambda s: mc.estimate_event(s, ("I", (1, 2), (1, 3)), 1.0, 10, 0),
@@ -342,8 +358,7 @@ def test_samples_of_no_replicas_are_empty(triangle):
     for threads in (1, 2, 3):
         assert mc.vertex_count_samples(triangle, [0.5, 1.0], 0, 0,
                                        threads=threads).shape == (2, 0)
-        assert mc.urn_count_samples(triangle, [0.5, 1.0], 0, 0,
-                                    threads=threads).shape == (2, 0)
+    assert mc.urn_count_samples(triangle, [0.5, 1.0], 0, 0).shape == (2, 0)
     pres, verts = mc.vertex_presence_samples(triangle, 1.0, 0, 0)
     assert pres.shape == (0, 3) and verts.tolist() == [1, 2, 3]
 

@@ -66,7 +66,8 @@ def estimator_outputs(name, threads):
 
 
 def outputs(spec, T, e, pair, threads):
-    """{estimator: digest} of every estimator on spec at fixed seeds."""
+    """{estimator: digest} of every estimator on spec at fixed seeds; the
+    two estimators that take a thread count run on ``threads``."""
     grid = np.linspace(0.1, 2.0, 7) * T
     kw = {"threads": threads}
     out = {
@@ -76,17 +77,15 @@ def outputs(spec, T, e, pair, threads):
         "connected": mc.estimate_event(spec, ("connected",), T, 150, 13, **kw),
         "essentially_complete": mc.estimate_event(
             spec, ("essentially_complete",), T, 150, 14, **kw),
-        "connectivity_growth": mc.connectivity_growth(spec, grid, 150, 15,
-                                                      **kw),
-        "i_event_growth": mc.i_event_growth(spec, grid, 300, 16, **kw),
+        "connectivity_growth": mc.connectivity_growth(spec, grid, 150, 15),
+        "i_event_growth": mc.i_event_growth(spec, grid, 300, 16),
         "vertex_count_samples": mc.vertex_count_samples(spec, grid, 300, 17,
                                                         **kw),
-        "urn_count_samples": mc.urn_count_samples(spec, grid, 300, 18, **kw),
-        "clt_diagnostic": mc.clt_diagnostic(spec, T, 300, 19, **kw),
+        "urn_count_samples": mc.urn_count_samples(spec, grid, 300, 18),
+        "clt_diagnostic": mc.clt_diagnostic(spec, T, 300, 19),
+        "vertex_presence_samples": mc.vertex_presence_samples(
+            spec, T, 300, 20),
     }
-    if threads == 1:  # the only estimator without a thread count
-        out["vertex_presence_samples"] = mc.vertex_presence_samples(
-            spec, T, 300, 20)
     return {k: _digest(v) for k, v in out.items()}
 
 
@@ -162,9 +161,7 @@ GOLDEN = {
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_outputs_match_golden(name, threads):
-    got = estimator_outputs(name, threads)
-    want = {k: v for k, v in GOLDEN[name].items() if k in got}
-    assert got == want
+    assert estimator_outputs(name, threads) == GOLDEN[name]
 
 
 def test_outputs_do_not_depend_on_block_size(monkeypatch):
@@ -249,9 +246,9 @@ ESTIMATORS = {
     "essentially_complete": lambda spec, T, e, kw: mc.estimate_event(
         spec, ("essentially_complete",), 10 * T, 5, CHUNK_SEED, **kw),
     "connectivity_growth": lambda spec, T, e, kw: mc.connectivity_growth(
-        spec, T * CHUNK_GRID, 5, CHUNK_SEED, **kw),
+        spec, T * CHUNK_GRID, 5, CHUNK_SEED),
     "i_event_growth": lambda spec, T, e, kw: mc.i_event_growth(
-        spec, T * CHUNK_GRID, 5, CHUNK_SEED, **kw),
+        spec, T * CHUNK_GRID, 5, CHUNK_SEED),
 }
 
 
@@ -323,8 +320,8 @@ def test_estimators_never_seed_a_row_on_its_own(monkeypatch, threads,
     assert mc.vertex_count_samples(triangle, [0.5, 1.0], 3_000, 5,
                                    **kw).shape == (2, 3_000)
     assert made == [5] * 2
-    assert mc.urn_count_samples(triangle, [0.5, 1.0], 3_000, 5,
-                                **kw).shape == (2, 3_000)
+    assert mc.urn_count_samples(triangle, [0.5, 1.0], 3_000,
+                                5).shape == (2, 3_000)
     assert made == [5] * 3
 
 
