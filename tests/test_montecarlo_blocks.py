@@ -67,7 +67,7 @@ def estimator_outputs(name, threads):
 
 def outputs(spec, T, e, pair, threads):
     """{estimator: digest} of every estimator on spec at fixed seeds; the
-    two estimators that take a thread count run on ``threads``."""
+    estimators that take no thread count run only at ``threads=1``."""
     grid = np.linspace(0.1, 2.0, 7) * T
     kw = {"threads": threads}
     out = {
@@ -77,15 +77,18 @@ def outputs(spec, T, e, pair, threads):
         "connected": mc.estimate_event(spec, ("connected",), T, 150, 13, **kw),
         "essentially_complete": mc.estimate_event(
             spec, ("essentially_complete",), T, 150, 14, **kw),
-        "connectivity_growth": mc.connectivity_growth(spec, grid, 150, 15),
-        "i_event_growth": mc.i_event_growth(spec, grid, 300, 16),
         "vertex_count_samples": mc.vertex_count_samples(spec, grid, 300, 17,
                                                         **kw),
-        "urn_count_samples": mc.urn_count_samples(spec, grid, 300, 18),
-        "clt_diagnostic": mc.clt_diagnostic(spec, T, 300, 19),
-        "vertex_presence_samples": mc.vertex_presence_samples(
-            spec, T, 300, 20),
     }
+    if threads == 1:
+        out.update({
+            "connectivity_growth": mc.connectivity_growth(spec, grid, 150, 15),
+            "i_event_growth": mc.i_event_growth(spec, grid, 300, 16),
+            "urn_count_samples": mc.urn_count_samples(spec, grid, 300, 18),
+            "clt_diagnostic": mc.clt_diagnostic(spec, T, 300, 19),
+            "vertex_presence_samples": mc.vertex_presence_samples(
+                spec, T, 300, 20),
+        })
     return {k: _digest(v) for k, v in out.items()}
 
 
@@ -161,7 +164,9 @@ GOLDEN = {
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_outputs_match_golden(name, threads):
-    assert estimator_outputs(name, threads) == GOLDEN[name]
+    got = estimator_outputs(name, threads)
+    want = {k: v for k, v in GOLDEN[name].items() if k in got}
+    assert got == want
 
 
 def test_outputs_do_not_depend_on_block_size(monkeypatch):
