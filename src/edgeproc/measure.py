@@ -64,7 +64,8 @@ def _integer(v, name):
 
 @dataclass(frozen=True)
 class Marginals:
-    """Per-vertex mass M_i (sum of incident edge masses) over the window."""
+    """Per-vertex mass M_i (sum of incident edge masses) over the window;
+    a vertex past the window reads 0.0."""
 
     M: np.ndarray  # index 0 unused; M[i] for vertex i
     total: float
@@ -72,7 +73,9 @@ class Marginals:
     def __getitem__(self, i):
         if type(i) is not int:
             i = _integer(i, "vertex id")
-        if i < 1 or i >= len(self.M):
+        if i <= 0:
+            raise ValueError(f"vertex ids must be positive, got {i}")
+        if i >= len(self.M):
             return 0.0
         return float(self.M[i])
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import tanhsinh
@@ -75,39 +77,17 @@ class CouplingState:
         return bool(np.array_equal(self.in_v, self.in_u))
 
 
-# bytes of lambda and urn cumulative sums one engine's table memo may hold
+# bytes of lambda and urn cumulative sums one engine's table cache may hold
 _TABLE_BUDGET = 2 << 20
 
 
-class _EpochTable:
-    """What an epoch reads for one (V, U): lambda, sum(lambda)/3 and, on
-    first use, the urn cumulative sum and the log's (|V|, |U|, V == U).
-    Once built it never changes: lambda is read-only, and the lazy fields
-    are computed from it alone."""
+class _EpochTable(NamedTuple):
+    """What an epoch reads for one (V, U), all built at once."""
 
-    __slots__ = ("key", "lam", "s3", "_urn_cum", "_counts")
-
-    def __init__(self, key, lam):
-        s_lam = float(lam.sum())
-        if 2.0 / 3.0 - s_lam / 3.0 < -1e-12:
-            raise RuntimeError("null-outcome probability went negative")
-        lam.flags.writeable = False
-        self.key, self.lam, self.s3 = key, lam, s_lam / 3.0
-        self._urn_cum = self._counts = None
-
-    def urn_cum(self):
-        if self._urn_cum is None:
-            self._urn_cum = np.cumsum(self.lam) / 3.0
-        return self._urn_cum
-
-    def counts(self):
-        """The log triple, read off the key: the masks are boolean, so each
-        of their bytes is 1 exactly where the mask holds."""
-        if self._counts is None:
-            half = len(self.key) // 2
-            v, u = self.key[:half], self.key[half:]
-            self._counts = (half - v.count(0), half - u.count(0), v == u)
-        return self._counts
+    lam: np.ndarray      # read-only
+    s3: float            # sum(lam) / 3
+    urn_cum: np.ndarray  # cumsum(lam) / 3
+    counts: tuple        # the log's (|V|, |U|, V == U)
 
 
 class CouplingEngine:
@@ -115,19 +95,18 @@ class CouplingEngine:
 
     Lambda depends on the state only through (V, U), and every run starts
     from the same empty masks and passes through the same few states, so the
-    engine memoizes one epoch table per (V, U) across epochs and runs.  The
+    engine caches one epoch table per (V, U) across epochs and runs.  The
     masks are public and may be written directly, which is why a table is
-    keyed by their bytes rather than by a step counter.  The memo holds at
-    most ``_TABLE_BUDGET`` bytes of lambda and cumulative sums, 16 (n + 1)
-    per table, and is emptied when full.  A built table is never changed, so
-    threads may share an engine; a race on the memo costs only a rebuild.
+    keyed by their bytes rather than by a step counter.  The cache drops the
+    least recently used table when it would pass ``_TABLE_BUDGET`` bytes,
+    16 (n + 1) a table.  A built table is never changed, so threads may share
+    an engine; a race on the cache costs only a duplicate build.
 
     ``step`` and ``run`` share one epoch routine.  ``step`` looks the table
     up on every call, since the masks may have been written since the last
-    one; ``run`` owns its state, so it carries the table from epoch to epoch
-    and looks it up again only after an urn or edge outcome: a null outcome
-    leaves (V, U) as they were.  Edge outcomes are found by a binary search
-    of the edge cumulative sum as a list of the same float64 values.
+    one; ``run`` owns its state, so it carries the table from epoch to
+    epoch.  Edge outcomes are found by a binary search of the edge
+    cumulative sum as a list of the same float64 values.
     """
 
     def __init__(self, spec):
@@ -141,8 +120,8 @@ class CouplingEngine:
         self._edge_cum3 = (np.cumsum(spec.w) / 3.0).tolist()
         self._e3 = self._edge_cum3[-1]
         self._ei, self._ej = spec.ei.tolist(), spec.ej.tolist()
-        self._tables = {}
-        self._max_tables = max(1, _TABLE_BUDGET // (16 * (n + 1)))
+        self._table = lru_cache(max(1, _TABLE_BUDGET // (16 * (n + 1))))(
+            self._build_table)
 
     def new_state(self):
         return CouplingState.empty(self.spec.n_max)
@@ -164,14 +143,21 @@ class CouplingEngine:
 
     def epoch_table(self, state):
         """The epoch table for the state's current masks (see the class doc)."""
-        key = state.in_v.tobytes() + state.in_u.tobytes()
-        tab = self._tables.get(key)
-        if tab is None:
-            if len(self._tables) >= self._max_tables:
-                self._tables.clear()
-            tab = self._tables[key] = _EpochTable(key,
-                                                  self.lambda_vector(state))
-        return tab
+        return self._table(state.in_v.tobytes() + state.in_u.tobytes())
+
+    def _build_table(self, key):
+        """The table of the masks whose bytes are key: they are boolean, so
+        each of their bytes is 1 exactly where the mask holds."""
+        half = len(key) // 2
+        v, u = key[:half], key[half:]
+        lam = self.lambda_vector(CouplingState(np.frombuffer(v, dtype=bool),
+                                               np.frombuffer(u, dtype=bool)))
+        s3 = float(lam.sum()) / 3.0
+        if 2.0 / 3.0 - s3 < -1e-12:
+            raise RuntimeError("null-outcome probability went negative")
+        lam.flags.writeable = False
+        return _EpochTable(lam, s3, np.cumsum(lam) / 3.0,
+                           (half - v.count(0), half - u.count(0), v == u))
 
     def step(self, state, rng, record=False):
         """One exp(3) epoch; mutates and returns the state."""
@@ -192,19 +178,16 @@ class CouplingEngine:
                 state.clock = horizon_t
                 return state
             tab = self._epoch(state, tab, wait, rng, record)
-            if tab is None:
-                tab = self.epoch_table(state)
 
     def _epoch(self, state, tab, wait, rng, record):
         """One epoch of the given wait from the state, whose table is tab.
-        Returns the table of the state it leaves, or None when an urn or
-        edge outcome changed the masks and ``record`` is off: then the next
-        table has not been looked up."""
+        Returns the table of the state it leaves: tab again after a null
+        outcome, which leaves (V, U) as they were."""
         state.clock += wait
         state.step += 1
         eta = rng.random()
         if eta < tab.s3:
-            i = int(tab.urn_cum().searchsorted(eta, side="right"))
+            i = int(tab.urn_cum.searchsorted(eta, side="right"))
             state.in_u[i] = True
             kind, value, color = "urn", str(i), "blue"
         elif eta < tab.s3 + self._e3:
@@ -213,15 +196,12 @@ class CouplingEngine:
             color = self._apply_edge(state, i, j, rng)
             kind, value = "edge", f"{i}-{j}"
         else:
-            if record:
-                state.log.append((state.step, state.clock, "null", "", "")
-                                 + tab.counts())
-            return tab
-        if not record:
-            return None
-        tab = self.epoch_table(state)
-        state.log.append((state.step, state.clock, kind, value, color)
-                         + tab.counts())
+            kind, value, color = "null", "", ""
+        if kind != "null":
+            tab = self.epoch_table(state)
+        if record:
+            state.log.append((state.step, state.clock, kind, value, color)
+                             + tab.counts)
         return tab
 
     def _apply_edge(self, state, i, j, rng):
@@ -525,7 +505,7 @@ def essential_completeness_product(spec, blocks_used):
         tail = float(spec.w[spec.ej > n].sum()) + spec.off_window_mass
         if np.any(lam == 0):
             zero_blocks.append(n)
-        if tail <= 0:
+        if tail <= 0 or np.any(lam == 0):  # a zero-mass pair never arrives
             factors.append(1.0 if np.all(lam > 0) else 0.0)
             methods.append("closed-form")
             continue

@@ -222,6 +222,13 @@ class TestMarginals:
         spec = explicit([((1, 2), 1.0)])
         assert spec.marginals[99] == 0.0
 
+    @pytest.mark.parametrize("vertex", [0, -1, -1.0])
+    def test_non_positive_vertex_refused(self, vertex):
+        # as in edge(): ids start at 1, while one past the window reads 0.0
+        spec = power_law_product(2.5, 6)
+        with pytest.raises(ValueError, match="must be positive"):
+            spec.marginals[vertex]
+
 
 class TestNormalization:
     def test_total_mass_one(self):

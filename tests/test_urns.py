@@ -274,8 +274,8 @@ def counting_builds(eng):
 
 class TestEpochTable:
     # digests of coupling_digest taken before the engine cached lambda
-    # between epochs; its memo of tables, emptied whenever it is full, must
-    # leave every trajectory bit-identical
+    # between epochs; its cache of tables, of any size, must leave every
+    # trajectory bit-identical
     GOLDEN = {
         "K6":
             "f6acf40fb13fbdd6a3975c5985d415cff6d5433b54661eb8b5739c27811e6a9b",
@@ -303,14 +303,15 @@ class TestEpochTable:
         eng = CouplingEngine(spec)
         built = counting_builds(eng)
         assert coupling_digest(eng) == self.GOLDEN[name]
-        assert 1 <= len(eng._tables) <= 3 < len(built)
+        assert 1 <= eng._table.cache_info().currsize <= 3 < len(built)
 
     def test_each_state_builds_once_while_the_budget_holds(self):
         eng = CouplingEngine(k_n_spec(6))
         built = counting_builds(eng)
         epochs = sum(len(eng.run(5.0, replica_rng(76, r), record=True).log)
                      for r in range(500))
-        assert len(set(built)) == len(built) == len(eng._tables)
+        assert len(set(built)) == len(built) \
+            == eng._table.cache_info().currsize
         assert epochs > 5 * len(built)
         n_built = len(built)
         for r in range(500):  # the same runs again build nothing
@@ -318,16 +319,33 @@ class TestEpochTable:
         assert len(built) == n_built
 
     def test_memo_stays_within_its_byte_budget(self):
-        eng = CouplingEngine(power_law_product(2.5, 200, True))
+        spec = power_law_product(2.5, 200, True)
+        eng = CouplingEngine(spec)
+        table_bytes = 16 * (spec.n_max + 1)
+        tab = eng.epoch_table(eng.new_state())
+        assert tab.lam.nbytes + tab.urn_cum.nbytes == table_bytes
         built = counting_builds(eng)
         for r in range(2000):
             eng.run(5.0, replica_rng(77, r))
-            # the urn cumulative sum is as long as lambda
-            assert sum(2 * t.lam.nbytes for t in eng._tables.values()) \
+            assert eng._table.cache_info().currsize * table_bytes \
                 <= urns._TABLE_BUDGET
-        assert sum(t.lam.nbytes + t.urn_cum().nbytes
-                   for t in eng._tables.values()) <= urns._TABLE_BUDGET
-        assert len(built) > eng._max_tables  # the memo was emptied
+        # more states than the cache holds: some were evicted
+        assert len(built) > eng._table.cache_info().maxsize
+
+    def test_cache_evicts_the_least_recently_used_table(self, monkeypatch):
+        spec = power_law_product(3.0, 12, True)
+        monkeypatch.setattr(urns, "_TABLE_BUDGET", 3 * 16 * (spec.n_max + 1))
+        eng = CouplingEngine(spec)
+        built = counting_builds(eng)
+        states = {}
+        for name, vertex in zip("ABCD", (1, 2, 3, 4)):
+            states[name] = eng.new_state()
+            states[name].in_v[vertex] = True
+        for name in "ABCADA":
+            eng.epoch_table(states[name])
+        # D evicts B, the least recently used; A, looked up again, stays
+        assert built == [states[name].in_v.tobytes()
+                         + states[name].in_u.tobytes() for name in "ABCD"]
 
     @pytest.mark.parametrize("tables", [None, 3])
     def test_threads_sharing_an_engine_match_serial_runs(self, tables,
@@ -791,6 +809,20 @@ class TestEssentialCompletenessProduct:
         rep = essential_completeness_product(spec, 2)
         assert rep.partial_product == 0.0
         assert rep.verdict == "zero-analytic"
+
+    def test_zero_block_is_closed_form(self, monkeypatch):
+        # block 3 misses {1, 3} while {3, 4} and {1, 4} give it a tail: its
+        # factor is 0 without a respect factor run
+        spec = explicit([((1, 2), 1.0), ((2, 3), 1.0), ((3, 4), 1.0),
+                         ((1, 4), 1.0)])
+        calls, factor = [], urns.respect_factor
+        monkeypatch.setattr(urns, "respect_factor",
+                            lambda *a: calls.append(a) or factor(*a))
+        rep = essential_completeness_product(spec, 3)
+        assert rep.factors == (0.25, 0.0, 0.0)
+        assert rep.methods == ("subset-expansion", "closed-form",
+                               "closed-form")
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("blocks", [0, 5, 6])
     def test_blocks_must_stay_in_the_window(self, blocks):
