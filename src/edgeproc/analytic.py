@@ -13,7 +13,6 @@ import numpy as np
 from .measure import edge
 
 __all__ = [
-    "JointProbTerms",
     "SeriesReport",
     "prob_Ie",
     "prob_Ie_and_If",
@@ -26,49 +25,6 @@ __all__ = [
     "check_exp_bound",
     "check_ratio_of_sums",
 ]
-
-
-@dataclass(frozen=True)
-class JointProbTerms:
-    """Mass decomposition around a disjoint edge pair e, f.
-
-    b_ef sums edges touching both e and f; r_e / r_f sum edges touching only
-    e / only f.  {e}, {f} and the three classes partition everything that
-    interferes with the two target edges.
-    """
-
-    mu_e: float
-    mu_f: float
-    b_ef: float
-    r_e: float
-    r_f: float
-
-    @property
-    def a_e(self):
-        return self.r_e + self.mu_e
-
-    @property
-    def a_f(self):
-        return self.r_f + self.mu_f
-
-    @classmethod
-    def from_spec(cls, spec, e, f):
-        e, f = edge(*e), edge(*f)
-        if set(e) & set(f):
-            raise ValueError("e and f must be vertex-disjoint")
-        (te, is_e), (tf, is_f) = _touching(spec, e), _touching(spec, f)
-        w = spec.w
-        # no edge touches both of two disjoint edges and is one of them
-        return cls(mu_e=float(w[is_e].sum()), mu_f=float(w[is_f].sum()),
-                   b_ef=float(w[te & tf].sum()),
-                   r_e=float(w[te & ~tf & ~is_e].sum()),
-                   r_f=float(w[tf & ~te & ~is_f].sum()))
-
-
-def _touching(spec, e):
-    """Masks of the support edges that share a vertex with e, and of e."""
-    i0, j1 = spec.ei == e[0], spec.ej == e[1]
-    return i0 | j1 | (spec.ei == e[1]) | (spec.ej == e[0]), i0 & j1
 
 
 def prob_Ie(spec, e):
@@ -89,15 +45,21 @@ def prob_Ie_and_If(spec, e, f):
         return prob_Ie(spec, e)
     if shared == 1:
         return 0.0
-    t = JointProbTerms.from_spec(spec, e, f)
-    if t.mu_e * t.mu_f == 0.0:
+    mu_e, mu_f = spec.mass(e), spec.mass(f)
+    if mu_e * mu_f == 0.0:
         return 0.0
-    a, c, b = t.a_e, t.a_f, t.b_ef
-    # (mu_e/a)(mu_f/c)(1 - b/(a+b) - b/(c+b) + b/(a+c+b)) in positive terms;
-    # that sum cancels below zero when b dominates.  Each factor is scale-free,
-    # so unnormalized masses neither over- nor underflow
-    return ((t.mu_e / (a + b)) * (t.mu_f / (c + b))
-            * ((a + c + 2.0 * b) / (a + c + b)))
+    m = spec.marginals
+    # the mass at e's endpoints other than e: the edges touching only e, and
+    # the bridges b that touch both e and f
+    o_e = (m[e[0]] - mu_e) + (m[e[1]] - mu_e)
+    o_f = (m[f[0]] - mu_f) + (m[f[1]] - mu_f)
+    b = sum(spec.mass((x, y)) for x in e for y in f)
+    s = mu_e + o_e + mu_f + o_f
+    # (mu_e/a)(mu_f/c)(1 - b/(a+b) - b/(c+b) + b/(a+c+b)), with a + b =
+    # mu_e + o_e and c + b = mu_f + o_f, in positive terms: that sum cancels
+    # below zero when b dominates.  Each factor is scale-free, so
+    # unnormalized masses neither over- nor underflow
+    return (mu_e / (mu_e + o_e)) * (mu_f / (mu_f + o_f)) * (s / (s - b))
 
 
 def joint_ratio(spec, e, f):

@@ -462,8 +462,6 @@ def double_exp(n_max, normalize=False):
     cap = 7
     ei, ej = _window_pairs(n_max)
     w = np.exp(-(3.0**np.minimum(ei, cap)) - (3.0**np.minimum(ej, cap)))
-    if not np.any(w > 0):
-        raise ValueError("all masses underflow; reduce n_max")
     # tail over max(e) = m > n_max: exp(-3^m) * sum_{i<m} exp(-3^i)
     s = sum(math.exp(-(3.0**i)) for i in range(1, min(n_max, cap) + 1))
     m = min(n_max + 1, cap)

@@ -1,5 +1,6 @@
 """Shared fixtures and helpers for the test suite."""
 
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -145,6 +146,63 @@ class GraphState:
     def snapshot(self):
         return (len(self.vertices), len(self.simple_edges), self.components,
                 self.i_event_count)
+
+
+# -- the independent oracle of the joint I-event law ----------------------
+
+
+@dataclass(frozen=True)
+class JointProbTerms:
+    """Mass decomposition around a disjoint edge pair e, f, read off
+    edge-length masks of the support.
+
+    b_ef sums edges touching both e and f; r_e / r_f sum edges touching only
+    e / only f.  {e}, {f} and the three classes partition everything that
+    interferes with the two target edges.  ``analytic.prob_Ie_and_If`` reads
+    the same law off the marginals and four pair lookups.
+    """
+
+    mu_e: float
+    mu_f: float
+    b_ef: float
+    r_e: float
+    r_f: float
+
+    @property
+    def a_e(self):
+        return self.r_e + self.mu_e
+
+    @property
+    def a_f(self):
+        return self.r_f + self.mu_f
+
+    @property
+    def prob_joint(self):
+        """P(I_e and I_f) in positive terms; 0.0 when mu_e mu_f is."""
+        if self.mu_e * self.mu_f == 0.0:
+            return 0.0
+        a, c, b = self.a_e, self.a_f, self.b_ef
+        return ((self.mu_e / (a + b)) * (self.mu_f / (c + b))
+                * ((a + c + 2.0 * b) / (a + c + b)))
+
+    @classmethod
+    def from_spec(cls, spec, e, f):
+        e, f = edge(*e), edge(*f)
+        if set(e) & set(f):
+            raise ValueError("e and f must be vertex-disjoint")
+        (te, is_e), (tf, is_f) = _touching(spec, e), _touching(spec, f)
+        w = spec.w
+        # no edge touches both of two disjoint edges and is one of them
+        return cls(mu_e=float(w[is_e].sum()), mu_f=float(w[is_f].sum()),
+                   b_ef=float(w[te & tf].sum()),
+                   r_e=float(w[te & ~tf & ~is_e].sum()),
+                   r_f=float(w[tf & ~te & ~is_f].sum()))
+
+
+def _touching(spec, e):
+    """Masks of the support edges that share a vertex with e, and of e."""
+    i0, j1 = spec.ei == e[0], spec.ej == e[1]
+    return i0 | j1 | (spec.ei == e[1]) | (spec.ej == e[0]), i0 & j1
 
 
 @pytest.fixture

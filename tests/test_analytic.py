@@ -1,5 +1,7 @@
 """Closed-form probabilities, series verdicts, moments and inequalities."""
 
+import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeproc.analytic import (
-    JointProbTerms,
     check_exp_bound,
     check_ratio_of_sums,
     connectedness_series,
@@ -20,10 +21,20 @@ from edgeproc.analytic import (
     urn_variance,
     variance_sandwich,
 )
-from edgeproc.measure import double_exp, explicit, power_law_product
+from edgeproc.measure import (
+    double_exp,
+    explicit,
+    factorial_max,
+    power_law_product,
+)
 from edgeproc.process import replica_rng
 
-from conftest import random_explicit_spec, triangle_spec, path_spec
+from conftest import (
+    JointProbTerms,
+    path_spec,
+    random_explicit_spec,
+    triangle_spec,
+)
 
 
 def joint_ratio_closed_form(spec, e, f):
@@ -133,6 +144,46 @@ class TestProbJoint:
             assert abs(freq - target) < 4 * se
 
 
+class TestJointLawFromMarginals:
+    """prob_Ie_and_If reads the joint law off mu_e, mu_f, the endpoint
+    marginals and the four cross pairs; the oracle reads it off masks."""
+
+    def test_matches_the_mask_oracle(self):
+        rng = np.random.default_rng(1004)
+        specs = [random_explicit_spec(rng, max_vertex=8) for _ in range(1000)]
+        # double_exp(6)'s subnormal edges {1, 6} and {2, 6} make 12 products
+        # mu_e mu_f underflow to 0
+        specs += [double_exp(5), double_exp(6), factorial_max(8),
+                  power_law_product(2.5, 30)]
+        zeros = 0
+        for spec in specs:
+            for e, f in itertools.combinations(spec.edges, 2):
+                if set(e) & set(f):
+                    continue
+                want = JointProbTerms.from_spec(spec, e, f).prob_joint
+                got = prob_Ie_and_If(spec, e, f)
+                if want == 0.0:
+                    zeros += 1
+                    assert got == 0.0
+                else:
+                    assert abs(got - want) <= 2e-15 * want
+        assert zeros == 12
+
+    def test_wide_window_allocates_no_edge_length_array(self):
+        spec = power_law_product(2.5, 2000)  # 1,999,000 edges
+        spec.marginals  # built and cached before tracing
+        tracemalloc.start()
+        try:
+            got = prob_Ie_and_If(spec, (1, 2), (3, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one boolean mask of the support alone takes 2 MB
+        assert peak < 64 << 10
+        want = JointProbTerms.from_spec(spec, (1, 2), (3, 4)).prob_joint
+        assert got == pytest.approx(want, rel=2e-15)
+
+
 class TestJointTerms:
     def test_path_decomposition(self, path):
         t = JointProbTerms.from_spec(path, (1, 2), (3, 4))
@@ -178,6 +229,14 @@ class TestJointRatio:
                         continue
                     assert joint_ratio(spec, e, f) == pytest.approx(
                         joint_ratio_closed_form(spec, e, f), rel=1e-10)
+
+    def test_sharing_pair_refused(self, path):
+        with pytest.raises(ValueError, match="disjoint edges"):
+            joint_ratio(path, (1, 2), (2, 3))
+
+    def test_zero_mass_edge_refused(self, two_edges):
+        with pytest.raises(ValueError, match="joint probability is zero"):
+            joint_ratio(two_edges, (1, 2), (5, 6))
 
     def test_half_bound_random_specs(self):
         rng = np.random.default_rng(36)
@@ -364,6 +423,11 @@ class TestAuxiliaryInequalities:
         assert peak == pytest.approx(4 / 27, rel=1e-9)
         assert ok and peak <= 0.5
 
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)])
+    def test_exp_bound_refuses_non_positive_rates(self, a, b):
+        with pytest.raises(ValueError, match="must be positive"):
+            check_exp_bound(a, b, [1.0])
+
     @given(st.floats(0.05, 20), st.floats(0.05, 20))
     @settings(max_examples=200, deadline=None)
     def test_exp_bound_property(self, a, b):
@@ -378,6 +442,14 @@ class TestAuxiliaryInequalities:
     def test_ratio_of_sums_zero_denominator(self):
         lo, ratio, hi, ok = check_ratio_of_sums([1, 1], [1, 0])
         assert hi == np.inf and ok
+
+    def test_ratio_of_sums_refuses_a_negative_entry(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            check_ratio_of_sums([1.0, -1.0], [1.0, 1.0])
+
+    def test_ratio_of_sums_refuses_two_zero_collections(self):
+        with pytest.raises(ValueError, match="both be identically zero"):
+            check_ratio_of_sums([0.0, 0.0], [0.0, 0.0])
 
     def test_ratio_of_sums_overflow_is_silent_inf(self):
         with warnings.catch_warnings():

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from edgeproc import cli
 from edgeproc.cli import main
 
 from conftest import subnormal_block_edges
@@ -96,6 +97,15 @@ class TestAnalytic:
         for field in ("expected_vertices", "urn_variance",
                       "vertex_variance_exact"):
             assert field in text
+
+
+    def test_missing_horizon_is_config_error(self, tmp_path, single_edge_cfg,
+                                             capsys):
+        out = tmp_path / "analytic.txt"
+        assert main(["analytic", "--measure", single_edge_cfg,
+                     "--out", str(out)]) == 2
+        assert "analytic needs --horizon-t" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestHeaders:
@@ -267,6 +277,26 @@ class TestOtherCommands:
             assert "--window" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_urns_window_with_a_zero_marginal_is_config_error(self, tmp_path,
+                                                              capsys):
+        # vertex 3 touches no edge, so its urn never rings
+        cfg = tmp_path / "gap.json"
+        cfg.write_text(json.dumps({"family": "explicit", "edges": [
+            [1, 2, 1.0], [2, 4, 1.0]]}))
+        out = tmp_path / "urns.txt"
+        assert main(["urns", "--measure", str(cfg), "--out", str(out)]) == 2
+        assert "positive marginal rates" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_complete_window_of_one_is_config_error(self, tmp_path, plp_cfg,
+                                                    capsys):
+        # a window of one vertex holds no block
+        out = tmp_path / "complete.txt"
+        assert main(["complete", "--measure", plp_cfg, "--window", "1",
+                     "--out", str(out)]) == 2
+        assert "blocks_used must be in 1..29" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_complete(self, tmp_path, plp_cfg):
         out = tmp_path / "complete.txt"
         rc = main(["complete", "--measure", plp_cfg, "--window", "8",
@@ -308,6 +338,14 @@ class TestVerify:
             "[PASS] geometric in-order product exact\n"
             "[PASS] coupling rate audit 3p == M_i  (max err=1.11e-16)\n"
             "verify: 0 failure(s)\n")
+
+    def test_failed_check_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.analytic, "check_exp_bound",
+                            lambda a, b, x_grid: (0.75, False))
+        assert main(["verify", "--seed", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] exponential product bound  (peak=0.7500)\n" in out
+        assert out.endswith("verify: 1 failure(s)\n")
 
     @pytest.mark.parametrize("flag", [["--suite", "all"],
                                       ["--measure", "x"],

@@ -82,3 +82,21 @@ def test_lookup_matches_a_dict_of_the_support(spec):
             assert (spec.ei[k], spec.ej[k]) == e
         else:
             assert k is None
+
+
+@examples
+@given(explicit_items, st.integers(-60, 60))
+def test_power_of_two_scaling_changes_no_bit(items, k):
+    # 2^k scales every mass, sum and marginal exactly, and each probability
+    # is a ratio of them
+    spec = explicit(items)
+    scaled = explicit([(e, m * 2.0**k) for e, m in items])
+    for e in spec.edges:
+        assert analytic.prob_Ie(scaled, e) == analytic.prob_Ie(spec, e)
+    for e, f in itertools.combinations(spec.edges, 2):
+        if set(e) & set(f):
+            continue
+        assert (analytic.prob_Ie_and_If(scaled, e, f)
+                == analytic.prob_Ie_and_If(spec, e, f))
+        assert (analytic.joint_ratio(scaled, e, f)
+                == analytic.joint_ratio(spec, e, f))

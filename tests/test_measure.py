@@ -153,6 +153,16 @@ class TestMass:
             MeasureSpec("explicit", {}, np.array(ei), np.array(ej),
                         np.ones(len(ei)), 3)
 
+    def test_empty_support_rejected(self):
+        empty = np.array([], dtype=np.int64)
+        with pytest.raises(ValueError, match="empty support"):
+            MeasureSpec("explicit", {}, empty, empty, np.array([]), 3)
+
+    def test_non_canonical_edge_rejected(self):
+        with pytest.raises(ValueError, match="canonically"):
+            MeasureSpec("explicit", {}, np.array([2]), np.array([1]),
+                        np.ones(1), 2)
+
     def test_lookup_builds_no_per_edge_table(self):
         spec = power_law_product(2.5, 500)  # 124,750 edges
         tracemalloc.start()
@@ -542,6 +552,10 @@ class TestFamilies:
         assert spec.mass((1, 3)) == pytest.approx(0.5 * 0.125)
         assert spec.mass((2, 3)) == pytest.approx(0.25 * 0.125)
 
+    def test_first_rank_refuses_a_negative_weight(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            first_rank([1.0, -0.5, 0.25])
+
     def test_factorial_max_masses(self):
         spec = factorial_max(4)
         assert spec.mass((1, 2)) == pytest.approx(2.0**-4)
@@ -580,6 +594,11 @@ class TestFamilies:
         spec = double_exp(n_max)
         assert len(spec.w) == 12 and spec.off_window_mass == 0.0
         assert spec.edges == double_exp(6).edges
+
+    @pytest.mark.parametrize("n_max", range(2, 13))
+    def test_double_exp_keeps_the_heaviest_pair(self, n_max):
+        # {1, 2} weighs e^-12 on every window, so no window underflows whole
+        assert double_exp(n_max).mass((1, 2)) > 0
 
     @pytest.mark.parametrize("n_max", [0, 1])
     def test_double_exp_window_without_pairs_rejected(self, n_max):

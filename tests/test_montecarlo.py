@@ -57,6 +57,13 @@ class TestEstimateEvent:
         assert rep.z_score == pytest.approx(want, rel=1e-12)
         assert rep.z_score == pytest.approx(-7.07, abs=5e-3)
 
+    def test_certain_target_missed_has_infinite_z(self, two_edges):
+        # target 1 has no null error either: an estimate of 0 is infinitely
+        # far below it
+        rep = mc.estimate_event(two_edges, ("I", (1, 2)), 1e-9, 10, 5)
+        assert (rep.estimate, rep.target) == (0.0, 1.0)
+        assert rep.z_score == -np.inf
+
     def test_certain_target_met_has_zero_z(self, single_edge, path):
         rep = mc.estimate_event(single_edge, ("I", (1, 2)), 100.0, 5_000, 0)
         assert rep.z_score == 0.0

@@ -137,6 +137,11 @@ class TestDepoissonize:
         stat = np.sum((counts - n * probs) ** 2 / (n * probs))
         assert stat < chi2.ppf(0.999, 2)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_nonpositive_arrivals(self, triangle, n):
+        with pytest.raises(ValueError, match="n must be positive"):
+            depoissonize(triangle, n, replica_rng(14, 0))
+
     def test_times_increasing(self, triangle):
         traj = depoissonize(triangle, 3, replica_rng(14, 0))
         ts = [ev.time for ev in traj.events]

@@ -18,6 +18,7 @@ from edgeproc.measure import (
     double_exp,
     explicit,
     factorial_max,
+    first_rank,
     power_law_product,
 )
 from edgeproc.process import replica_rng, run_continuous
@@ -584,6 +585,10 @@ class TestRespectFactor:
     def test_empty_block_is_one(self):
         assert respect_factor([], 1.0) == 1.0
 
+    def test_unknown_method_refused(self):
+        with pytest.raises(ValueError, match="unknown method 'simpson'"):
+            respect_factor([1.0, 2.0], 1.0, method="simpson")
+
     def test_zero_rate_kills_factor(self):
         assert respect_factor([1.0, 0.0], 1.0) == 0.0
 
@@ -793,6 +798,12 @@ class TestEssentialCompletenessProduct:
             tail = float(spec.w[spec.ej > n].sum()) + spec.off_window_mass
             want = np.prod([j * lam / (j * lam + tail) for j in range(1, n)])
             assert abs(rep.factors[n - 2] - want) < 1e-9
+
+    def test_other_family_is_inconclusive(self):
+        rep = essential_completeness_product(
+            first_rank([1.0, 0.5, 0.25, 0.125]), 3)
+        assert rep.verdict == "inconclusive"
+        assert rep.verdict_basis == "no analytic tail argument for this family"
 
     def test_power_law_decays_to_zero(self):
         spec = power_law_product(2.5, 25)
