@@ -5,7 +5,6 @@ import warnings
 
 import pytest
 
-from edgeproc import cli
 from edgeproc.cli import main
 
 from conftest import subnormal_block_edges
@@ -97,7 +96,6 @@ class TestAnalytic:
         for field in ("expected_vertices", "urn_variance",
                       "vertex_variance_exact"):
             assert field in text
-
 
     def test_missing_horizon_is_config_error(self, tmp_path, single_edge_cfg,
                                              capsys):
@@ -340,7 +338,7 @@ class TestVerify:
             "verify: 0 failure(s)\n")
 
     def test_failed_check_exits_one(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli.analytic, "check_exp_bound",
+        monkeypatch.setattr("edgeproc.analytic.check_exp_bound",
                             lambda a, b, x_grid: (0.75, False))
         assert main(["verify", "--seed", "1"]) == 1
         out = capsys.readouterr().out
