@@ -46,14 +46,10 @@ def prob_Ie_and_If(spec, e, f):
     if shared == 1:
         return 0.0
     mu_e, mu_f = spec.mass(e), spec.mass(f)
-    if mu_e * mu_f == 0.0:
+    # each on its own: the product of two tiny masses underflows
+    if mu_e == 0.0 or mu_f == 0.0:
         return 0.0
-    m = spec.marginals
-    # the mass at e's endpoints other than e: the edges touching only e, and
-    # the bridges b that touch both e and f
-    o_e = (m[e[0]] - mu_e) + (m[e[1]] - mu_e)
-    o_f = (m[f[0]] - mu_f) + (m[f[1]] - mu_f)
-    b = sum(spec.mass((x, y)) for x in e for y in f)
+    o_e, o_f, b = _other_masses(spec, e, f, mu_e, mu_f)
     s = mu_e + o_e + mu_f + o_f
     # (mu_e/a)(mu_f/c)(1 - b/(a+b) - b/(c+b) + b/(a+c+b)), with a + b =
     # mu_e + o_e and c + b = mu_f + o_f, in positive terms: that sum cancels
@@ -62,17 +58,31 @@ def prob_Ie_and_If(spec, e, f):
     return (mu_e / (mu_e + o_e)) * (mu_f / (mu_f + o_f)) * (s / (s - b))
 
 
+def _other_masses(spec, e, f, mu_e, mu_f):
+    """For disjoint e, f of masses mu_e, mu_f: the mass at e's endpoints
+    other than e, the same for f, and the bridge mass b of the edges that
+    touch both e and f (counted in both of the first two)."""
+    m = spec.marginals
+    o_e = (m[e[0]] - mu_e) + (m[e[1]] - mu_e)
+    o_f = (m[f[0]] - mu_f) + (m[f[1]] - mu_f)
+    return o_e, o_f, sum(spec.mass((x, y)) for x in e for y in f)
+
+
 def joint_ratio(spec, e, f):
-    """P(I_e)P(I_f) / P(I_e and I_f) for disjoint e, f; always in (1/2, 1]."""
+    """P(I_e)P(I_f) / P(I_e and I_f) for disjoint e, f; always in (1/2, 1].
+
+    With the terms of ``prob_Ie_and_If`` the ratio is (s - b) / s, which is
+    scale-free: no probability is formed, so none underflows.
+    """
     e, f = edge(*e), edge(*f)
     if set(e) & set(f):
         raise ValueError("joint_ratio requires disjoint edges")
-    joint = prob_Ie_and_If(spec, e, f)
-    if joint == 0.0:
+    mu_e, mu_f = spec.mass(e), spec.mass(f)
+    if mu_e == 0.0 or mu_f == 0.0:
         raise ValueError("joint probability is zero; ratio undefined")
-    ratio = prob_Ie(spec, e) * prob_Ie(spec, f) / joint
-    # mathematically <= 1; clamp the last-ulp rounding of the quotient
-    return min(ratio, 1.0)
+    o_e, o_f, b = _other_masses(spec, e, f, mu_e, mu_f)
+    s = mu_e + o_e + mu_f + o_f
+    return (s - b) / s
 
 
 @dataclass(frozen=True)

@@ -178,8 +178,8 @@ class JointProbTerms:
 
     @property
     def prob_joint(self):
-        """P(I_e and I_f) in positive terms; 0.0 when mu_e mu_f is."""
-        if self.mu_e * self.mu_f == 0.0:
+        """P(I_e and I_f) in positive terms; 0.0 when mu_e or mu_f is."""
+        if self.mu_e == 0.0 or self.mu_f == 0.0:
             return 0.0
         a, c, b = self.a_e, self.a_f, self.b_ef
         return ((self.mu_e / (a + b)) * (self.mu_f / (c + b))

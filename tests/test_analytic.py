@@ -151,23 +151,23 @@ class TestJointLawFromMarginals:
     def test_matches_the_mask_oracle(self):
         rng = np.random.default_rng(1004)
         specs = [random_explicit_spec(rng, max_vertex=8) for _ in range(1000)]
-        # double_exp(6)'s subnormal edges {1, 6} and {2, 6} make 12 products
-        # mu_e mu_f underflow to 0
+        # double_exp(6)'s subnormal edges {1, 6} and {2, 6} put 12 joint
+        # probabilities below the normal range, where they keep few bits
         specs += [double_exp(5), double_exp(6), factorial_max(8),
                   power_law_product(2.5, 30)]
-        zeros = 0
+        subnormal = 0
         for spec in specs:
             for e, f in itertools.combinations(spec.edges, 2):
                 if set(e) & set(f):
                     continue
                 want = JointProbTerms.from_spec(spec, e, f).prob_joint
                 got = prob_Ie_and_If(spec, e, f)
-                if want == 0.0:
-                    zeros += 1
-                    assert got == 0.0
+                if want < np.finfo(float).tiny:
+                    subnormal += 1
+                    assert got == pytest.approx(want, rel=0, abs=1e-320)
                 else:
                     assert abs(got - want) <= 2e-15 * want
-        assert zeros == 12
+        assert subnormal == 12
 
     def test_wide_window_allocates_no_edge_length_array(self):
         spec = power_law_product(2.5, 2000)  # 1,999,000 edges
@@ -237,6 +237,19 @@ class TestJointRatio:
     def test_zero_mass_edge_refused(self, two_edges):
         with pytest.raises(ValueError, match="joint probability is zero"):
             joint_ratio(two_edges, (1, 2), (5, 6))
+
+    def test_subnormal_masses_keep_the_half_bound(self):
+        # {1, 6} and {2, 6} hold subnormal masses: the joint probability of
+        # each of their 12 disjoint pairs reads 0 or 2e-323, yet the ratio
+        # is a ratio of sums of normal masses
+        spec = double_exp(6)
+        pairs = [(e, f) for e, f in itertools.combinations(spec.edges, 2)
+                 if not set(e) & set(f)
+                 and min(spec.mass(e), spec.mass(f)) < np.finfo(float).tiny]
+        assert len(pairs) == 12
+        for e, f in pairs:
+            assert prob_Ie_and_If(spec, e, f) < 1e-322
+            assert 0.5 < joint_ratio(spec, e, f) <= 1.0
 
     def test_half_bound_random_specs(self):
         rng = np.random.default_rng(36)

@@ -78,3 +78,41 @@ def test_one_run_is_its_own_quartiles(tmp_path):
         [_run_log(tmp_path / "a.txt", 1, 50.0, 128.0)])
     m = bench["workloads"]["small_many"]["wall_ref"]
     assert (m["runs"], m["q1"], m["median"], m["q3"]) == (1, 50.0, 50.0, 50.0)
+
+
+def _check_costs_tool():
+    path = ROOT / "tools" / "check_costs.py"
+    spec = importlib.util.spec_from_file_location("check_costs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def _record(times):
+    """A run record of workers of passes of (check, seconds, reference)."""
+    def rec(name, seconds, reference_s):
+        return {"name": name, "ok": True, "statistical": False, "error": "",
+                "replicas": 0, "values": {}, "seconds": seconds,
+                "reference_s": reference_s}
+    return {"meta": {"workload": "coupling", "seed": 1,
+                     "git_commit": "c0ffee0", "src_sha256": "0123456789abcdef"},
+            "workers": [{"passes": [{"records": [rec(*r) for r in p]}
+                                    for p in w]} for w in times]}
+
+
+def test_check_costs_are_median_ratios_to_the_reference(tmp_path):
+    tool = _check_costs_tool()
+    record = _record([
+        [[("a", 1.0, 0.5), ("b", 0.3, 0.1)], [("a", 3.0, 1.0), ("b", 0.2, 0.1)]],
+        [[("a", 0.6, 0.1), ("b", 0.1, 0.1)]]])
+    # a: ratios 2, 3, 6 and fastest 0.6; b: ratios 3, 2, 1 and fastest 0.1
+    rows = tool.check_costs(record)
+    assert list(rows) == ["a", "b"]
+    assert rows["a"] == pytest.approx((3.0, 0.6))
+    assert rows["b"] == pytest.approx((2.0, 0.1))
+    path = tmp_path / "coupling-seed1-trace0.json"
+    path.write_text(json.dumps(record))
+    lines = tool.report(path).splitlines()
+    assert lines[0].endswith("coupling seed 1 at c0ffee0 (src 0123456789abcdef)")
+    assert lines[2].split() == ["a", "3.00", "0.6000"]
+    assert lines[-1].split() == ["total", "5.00"]

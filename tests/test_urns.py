@@ -2,10 +2,10 @@
 
 import hashlib
 import itertools
+import math
 import sys
 import threading
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -657,6 +657,30 @@ class TestRespectFactor:
             qd = respect_factor(lam, tail, method="quadrature")
             assert qd == pytest.approx(ex, rel=1e-10, abs=0)
 
+    @pytest.mark.parametrize("k", range(13, 21))
+    def test_quadrature_blocks_across_twelve_decades(self, k):
+        # the blocks that get the quadrature by default, up to the
+        # recursion's cap of 20 rates
+        rng = np.random.default_rng([32013, k])
+        for _ in range(5):
+            lam = 10.0 ** rng.uniform(-6, 6, k)
+            tail = 10.0 ** rng.uniform(-6, 6)
+            want = urns._race_recursion(lam, tail)
+            got = respect_factor(lam, tail, method="quadrature")
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_equal_rate_blocks_past_the_recursion(self):
+        # k equal rates: the j-th of the k - j + 1 left rings before the
+        # tail with chance j lam / (j lam + tail).  Rates and tails within
+        # 1e-3..1e3 keep every product here in the normal range
+        rng = np.random.default_rng(32021)
+        for lam, tail in 10.0 ** rng.uniform(-3, 3, (3, 2)):
+            for k in range(21, 41):
+                want = math.prod(j * lam / (j * lam + tail)
+                                 for j in range(1, k + 1))
+                assert respect_factor([lam] * k, tail) \
+                    == pytest.approx(want, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("n, want", [(10, 1.2887e-17), (14, 1.1481e-29),
                                          (18, 4.8132e-43)])
     def test_tiny_power_law_factors(self, n, want):
@@ -676,9 +700,10 @@ class TestRespectFactor:
             respect_factor([1.0] * 21, 0.5, method="subset-expansion")
 
     def test_quadrature_raises_when_it_does_not_converge(self, monkeypatch):
-        def stalled(f, a, b, **kwargs):
-            return SimpleNamespace(success=False, status=-2, integral=0.0)
-        monkeypatch.setattr(urns, "tanhsinh", stalled)
+        # with levels 0-2 alone the step is 1/4, whose sums are far from
+        # agreeing to 1e-14
+        monkeypatch.setattr(urns, "_ES_FIRST", 2)
+        monkeypatch.setattr(urns, "_ES_LAST", 2)
         with pytest.raises(RuntimeError, match="did not converge"):
             respect_factor([1.0, 2.0], 1.0, method="quadrature")
 
