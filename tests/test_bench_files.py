@@ -95,7 +95,8 @@ def _record(times):
                 "replicas": 0, "values": {}, "seconds": seconds,
                 "reference_s": reference_s}
     return {"meta": {"workload": "coupling", "seed": 1,
-                     "git_commit": "c0ffee0", "src_sha256": "0123456789abcdef"},
+                     "git_commit": "c0ffee0",
+                     "src_sha256": "0123456789abcdef"},
             "workers": [{"passes": [{"records": [rec(*r) for r in p]}
                                     for p in w]} for w in times]}
 
@@ -103,7 +104,8 @@ def _record(times):
 def test_check_costs_are_median_ratios_to_the_reference(tmp_path):
     tool = _check_costs_tool()
     record = _record([
-        [[("a", 1.0, 0.5), ("b", 0.3, 0.1)], [("a", 3.0, 1.0), ("b", 0.2, 0.1)]],
+        [[("a", 1.0, 0.5), ("b", 0.3, 0.1)],
+         [("a", 3.0, 1.0), ("b", 0.2, 0.1)]],
         [[("a", 0.6, 0.1), ("b", 0.1, 0.1)]]])
     # a: ratios 2, 3, 6 and fastest 0.6; b: ratios 3, 2, 1 and fastest 0.1
     rows = tool.check_costs(record)
@@ -113,6 +115,7 @@ def test_check_costs_are_median_ratios_to_the_reference(tmp_path):
     path = tmp_path / "coupling-seed1-trace0.json"
     path.write_text(json.dumps(record))
     lines = tool.report(path).splitlines()
-    assert lines[0].endswith("coupling seed 1 at c0ffee0 (src 0123456789abcdef)")
+    assert lines[0].endswith(
+        "coupling seed 1 at c0ffee0 (src 0123456789abcdef)")
     assert lines[2].split() == ["a", "3.00", "0.6000"]
     assert lines[-1].split() == ["total", "5.00"]

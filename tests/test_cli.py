@@ -303,7 +303,7 @@ class TestOtherCommands:
         assert "verdict = zero-analytic" in out.read_text()
 
     def test_complete_with_a_subnormal_pair(self, tmp_path):
-        # block 15 goes to tanh-sinh with a ratio of 5e-324 among its rates
+        # block 15 goes to the quadrature with a ratio of 5e-324 in it
         cfg = tmp_path / "subnormal.json"
         cfg.write_text(json.dumps({"family": "explicit",
                                    "edges": subnormal_block_edges()}))

@@ -670,9 +670,9 @@ class TestRespectFactor:
             assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_equal_rate_blocks_past_the_recursion(self):
-        # k equal rates: the j-th of the k - j + 1 left rings before the
-        # tail with chance j lam / (j lam + tail).  Rates and tails within
-        # 1e-3..1e3 keep every product here in the normal range
+        # while j equal rates are left, one of them rings before the tail
+        # with chance j lam / (j lam + tail), whatever rang before.  Rates
+        # and tails within 1e-3..1e3 keep every product in the normal range
         rng = np.random.default_rng(32021)
         for lam, tail in 10.0 ** rng.uniform(-3, 3, (3, 2)):
             for k in range(21, 41):
