@@ -36,7 +36,7 @@ import numpy as np
 from scipy.stats import kstest
 
 from . import analytic
-from .measure import edge
+from .measure import _integer, edge
 from .process import (_GivenWords, _replica_seed_words, arrival_order,
                       component_merges, exponential_scales,
                       full_stream_arrivals, new_vertex_counts, replica_rng)
@@ -147,7 +147,7 @@ def _map_blocks(seed, replicas, threads, rates, t_max, reduce):
     holds it.  Only ``estimate_event`` and ``vertex_count_samples`` pass a
     count, and only when their caller gives one.
     """
-    _check_replicas(replicas, 0)
+    replicas = _check_replicas(replicas, 0)
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if replicas > 1 << 32:  # replica k's key is one uint32 word
@@ -173,8 +173,11 @@ def _map_blocks(seed, replicas, threads, rates, t_max, reduce):
 
 
 def _check_replicas(replicas, least):
+    """The replica count as an int, refused unless it is one >= least."""
+    replicas = _integer(replicas, "replicas")
     if replicas < least:
         raise ValueError(f"replicas must be at least {least}, got {replicas}")
+    return replicas
 
 
 def _grid(ts, name):
@@ -314,7 +317,7 @@ def estimate_event(spec, event, horizon, replicas, seed, threads=None):
     kept for one caller, the benchmark's ``threads2_speedup``, which times
     1 against 2 threads (ROADMAP item 9); a count below 1 is refused.
     """
-    _check_replicas(replicas, 1)
+    replicas = _check_replicas(replicas, 1)
     if not horizon > 0:  # NaN too
         raise ValueError("horizon must be positive")
     kind, *edges = event or (None,)
@@ -358,7 +361,7 @@ def _growth(spec, t_grid, replicas, seed, connected):
     new vertices) and, if ``connected``, of the connected indicator; only
     then are component merges counted."""
     t_grid = _grid(t_grid, "t_grid")
-    _check_replicas(replicas, 1)
+    replicas = _check_replicas(replicas, 1)
 
     def reduce(B, *arrivals):
         rows, _, t, i, j, nv = _arrivals(spec, *arrivals)
@@ -392,7 +395,9 @@ _PLATEAU_FRAC, _PLATEAU_REL_TOL = 0.25, 0.01
 
 
 def plateaued(t_grid, means):
-    """Declares a plateau when the last quarter of the grid moved < 1% relative."""
+    """Declares a plateau when the last quarter of the grid moved < 1% relative.
+
+    The grid needs two distinct times: at one, nothing can have moved."""
     t_grid = np.asarray(t_grid, dtype=float)
     means = np.asarray(means, dtype=float)
     if len(t_grid) == 0:
@@ -403,6 +408,9 @@ def plateaued(t_grid, means):
     # the growth curves take grids in any order: read the means in time order
     order = np.argsort(t_grid, kind="stable")
     t_grid, means = t_grid[order], means[order]
+    if t_grid[0] == t_grid[-1]:
+        raise ValueError(f"t_grid holds one distinct time, {t_grid[0]}: "
+                         "nothing can have moved")
     cut = np.searchsorted(
         t_grid, t_grid[-1] - _PLATEAU_FRAC * (t_grid[-1] - t_grid[0]))
     cut = min(cut, len(means) - 1)
@@ -421,7 +429,7 @@ def clt_diagnostic(spec, t, replicas, seed):
     Standardization uses the exact analytic moments, never sample moments:
     the expected vertex count and the vertex-count variance.
     """
-    _check_replicas(replicas, 2)
+    replicas = _check_replicas(replicas, 2)
     mean_a = analytic.expected_vertices(spec, t)
     _, var_a, _ = analytic.variance_sandwich(spec, t)
     if not var_a > 0:
@@ -452,11 +460,12 @@ def depoissonization_agreement(spec, n, replicas, seed):
     stay small (<= 10 edges, n <= 3).
     """
     E = len(spec.w)
+    n = _integer(n, "n")
     if E > 10 or n > 3:
         raise ValueError("tuple histogramming needs <= 10 edges and n <= 3")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    _check_replicas(replicas, 1)
+    replicas = _check_replicas(replicas, 1)
     norm = spec.normalize()
     rng_d, rng_c = replica_rng(seed, 0), replica_rng(seed, 1)
     # discrete route: i.i.d. draws from the normalized measure

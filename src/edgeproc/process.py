@@ -19,6 +19,8 @@ from numpy.random.bit_generator import ISeedSequence
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
+from .measure import _integer
+
 __all__ = [
     "ArrivalEvent",
     "Trajectory",
@@ -42,21 +44,17 @@ def replica_rng(master_seed, replica_index):
 
     This is the single splitting rule used everywhere; replicas are safe to
     run in parallel and results reduce deterministically in index order.
-    The PCG64 is seeded with k's words from ``_replica_seed_words``, the
-    ones the replica blocks of ``montecarlo`` use, computed for this k
-    alone; it takes the same seeds and k, and refuses others alike.  Its
-    ``bit_generator.seed_seq`` holds those words, not a SeedSequence, so
-    the generator cannot ``spawn``.
+    The PCG64 is seeded with k's words from ``_replica_seed_words``, the one
+    hashing path, which the replica blocks of ``montecarlo`` use too: the
+    words of replicas k - k % 64 up to the next multiple of 64 are hashed
+    at once and memoized, for the last 64 such blocks.  It takes the same
+    seeds and k as the blocks, and refuses others alike.  Its
+    ``bit_generator.seed_seq`` holds k's words, a read-only row of a shared
+    block, not a SeedSequence, so the generator cannot ``spawn``.
     """
-    pool, lane = _memo_seed_pool(_seed_int(master_seed))
-    k = _replica_key(replica_index)
-    mixed = [_mix(p, _hash(k, a, b)) for p, a, b in zip(pool, lane, lane[1:])]
-    # output word w hashes pool word w % 4; uint32 words 2i (low) and
-    # 2i + 1 (high) make uint64 word i
-    out = list(map(_hash, mixed * 2, _OUT_HASH, _OUT_HASH[1:]))
+    seed, k = _seed_int(master_seed), _replica_key(replica_index)
     src = _GivenWords()
-    src.words = np.array(out, dtype="<u4").view("<u8").astype(np.uint64,
-                                                             copy=False)
+    src.words = _seed_block(seed, k - k % _SEED_BLOCK)[k % _SEED_BLOCK]
     return np.random.Generator(np.random.PCG64(src))
 
 
@@ -71,20 +69,21 @@ _MASK32 = 0xFFFFFFFF
 
 
 def _hash_consts(init, mult, start, n):
-    """Hash constants init * mult^i mod 2^32, i = start..start+n-1."""
-    return tuple(init * pow(mult, i, 1 << 32) & _MASK32
-                 for i in range(start, start + n))
+    """Hash constants init * mult^i mod 2^32, i = start..start+n-1, as an
+    (n, 1) uint32 array."""
+    return np.array([init * pow(mult, i, 1 << 32) & _MASK32
+                     for i in range(start, start + n)], dtype=np.uint32)[:, None]
 
 
 def _hash(value, xor, mult):
-    """SeedSequence's hash step, on Python ints or on numpy uint32 arrays,
-    mod 2^32: the hash constant is ``xor`` before it and ``mult`` after it."""
-    value = (value ^ xor) * mult & _MASK32
+    """SeedSequence's hash step on uint32 arrays, mod 2^32: the hash
+    constant is ``xor`` before it and ``mult`` after it."""
+    value = (value ^ xor) * mult
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    value = _MIX_L * x - _MIX_R * y & _MASK32
+    value = _MIX_L * x - _MIX_R * y
     return value ^ value >> 16
 
 
@@ -92,8 +91,8 @@ def _mix(x, y):
 # 4j + d with hash constants _OUT_HASH[4j + d] before the step and
 # _OUT_HASH[4j + d + 1] after it
 _OUT_HASH = _hash_consts(_INIT_B, _MULT_B, 0, 9)
-_OUT_XOR = np.array(_OUT_HASH[:-1], dtype=np.uint32).reshape(2, 4, 1)
-_OUT_MULT = np.array(_OUT_HASH[1:], dtype=np.uint32).reshape(2, 4, 1)
+_OUT_XOR = _OUT_HASH[:-1].reshape(2, 4, 1)
+_OUT_MULT = _OUT_HASH[1:].reshape(2, 4, 1)
 
 
 def _seed_int(seed):
@@ -102,21 +101,6 @@ def _seed_int(seed):
     if not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be a non-negative int, not {seed!r}")
     return int(seed)
-
-
-def _seed_pool(seed):
-    """The int seed's half of every replica's words: SeedSequence(seed)'s
-    pool of 4 words (SeedSequence refuses a negative seed), and the 5 lane
-    constants that meet the replica key."""
-    pool = tuple(np.random.SeedSequence(seed).pool.tolist())
-    # the seed's words, padded to 4, took 4 hash steps each; k meets pool
-    # word d with hash constants lane[d] before the step, lane[d + 1] after
-    steps = 4 * max(4, -(-seed.bit_length() // 32))
-    return pool, _hash_consts(_INIT_A, _MULT_A, steps, 5)
-
-
-# replica_rng's seeds: a caller takes its streams from a few seeds
-_memo_seed_pool = lru_cache(maxsize=64)(_seed_pool)
 
 
 def _replica_key(k):
@@ -134,16 +118,22 @@ def _replica_seed_words(seed):
     """``words(a, b)``: for replicas k = a..b-1 (k < 2^32), the words
     ``SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)``
     that seed ``replica_rng(seed, k)``'s PCG64, as a C-contiguous
-    (b - a, 4) uint64 array.
+    (b - a, 4) uint64 array.  This is the one place SeedSequence's hash is
+    written out; ``replica_rng`` and the replica blocks of ``montecarlo``
+    both take their words from it.
 
     SeedSequence hashes the seed's words into its pool of 4 words, then the
     key word k into each pool word.  The seed's part is the same for every
-    k (``_seed_pool``); ``words`` hashes only k, as (4, B) uint32 arrays
-    (one row per pool word).
+    k and is numpy's own (SeedSequence refuses a negative seed);
+    ``words`` hashes only k, as (4, B) uint32 arrays (one row per pool
+    word).
     """
-    pool, lane = _seed_pool(_seed_int(seed))
-    pool = np.array(pool, dtype=np.uint32)[:, None]
-    lane = np.array(lane, dtype=np.uint32)[:, None]
+    seed = _seed_int(seed)
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    # the seed's words, padded to 4, took 4 hash steps each; k meets pool
+    # word d with hash constants lane[d] before the step, lane[d + 1] after
+    lane = _hash_consts(_INIT_A, _MULT_A,
+                        4 * max(4, -(-seed.bit_length() // 32)), 5)
 
     def words(a, b):
         key = np.arange(a, b, dtype=np.uint32)
@@ -154,6 +144,19 @@ def _replica_seed_words(seed):
             "<u8").reshape(b - a, 4).astype(np.uint64, copy=False)
 
     return words
+
+
+# replicas per memoized block of replica_rng's words (2 KiB a block)
+_SEED_BLOCK = 64
+
+
+@lru_cache(maxsize=64)
+def _seed_block(seed, a):
+    """The words of replicas a..a + _SEED_BLOCK - 1 (up to 2^32 - 1) of an
+    int seed, read-only: ``replica_rng`` hands out its rows."""
+    block = _replica_seed_words(seed)(a, min(a + _SEED_BLOCK, 1 << 32))
+    block.flags.writeable = False
+    return block
 
 
 class _GivenWords(ISeedSequence):
@@ -274,6 +277,7 @@ def run_discrete(spec, n_steps, rng):
     Repeated edges are re-emitted with new_vertices = 0; identification of
     parallel edges is the graph-state layer's concern.
     """
+    n_steps = _integer(n_steps, "n_steps")
     if n_steps <= 0:
         raise ValueError("n_steps must be positive")
     ks = spec.sample_edge_indices(n_steps, rng)
@@ -313,6 +317,7 @@ def full_stream_arrivals(rates, n, size, rng):
 def depoissonize(spec, n, rng):
     """First n arrivals of the continuous process with full Poisson streams;
     the induced edge-order law coincides with ``run_discrete``'s."""
+    n = _integer(n, "n")
     if n <= 0:
         raise ValueError("n must be positive")
     (times,), (ks,) = full_stream_arrivals(spec.w, n, 1, rng)

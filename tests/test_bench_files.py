@@ -119,3 +119,46 @@ def test_check_costs_are_median_ratios_to_the_reference(tmp_path):
         "coupling seed 1 at c0ffee0 (src 0123456789abcdef)")
     assert lines[2].split() == ["a", "3.00", "0.6000"]
     assert lines[-1].split() == ["total", "5.00"]
+
+
+def _sourced(src, times, workload="coupling"):
+    record = _record(times)
+    record["meta"].update(src_sha256=src, workload=workload)
+    return record
+
+
+def test_compare_takes_medians_per_side(tmp_path):
+    tool = _check_costs_tool()
+    parent = [_sourced("p", [[[("a", 4.0, 1.0), ("b", 1.0, 1.0)]]]),
+              _sourced("p", [[[("a", 6.0, 1.0), ("b", 3.0, 1.0)]]]),
+              _sourced("p", [[[("a", 8.0, 1.0)]]])]
+    change = [_sourced("c", [[[("a", 2.0, 1.0), ("b", 2.0, 1.0)]]]),
+              _sourced("c", [[[("a", 3.0, 2.0), ("b", 1.0, 1.0)]]])]
+    # the parent's records may come in any order after the first
+    rows = tool.compare([parent[0], *change, *parent[1:]])
+    assert list(rows) == ["a", "b"]
+    # a: parent 4, 6, 8 and change 2, 1.5; b: parent 1, 3 and change 2, 1
+    assert rows["a"] == pytest.approx((6.0, 1.75, 1.75 / 6.0, 3, 2))
+    assert rows["b"] == pytest.approx((2.0, 1.5, 0.75, 2, 2))
+    paths = []
+    for k, record in enumerate(parent + change):
+        paths.append(tmp_path / f"coupling-seed{k}.json")
+        paths[-1].write_text(json.dumps(record))
+    lines = tool.compare_report(paths).splitlines()
+    assert lines[0] == ("coupling: parent src p (3 records) -> change src c "
+                        "(2 records)")
+    assert lines[2].split() == ["a", "6.00", "1.75", "0.292", "3/2"]
+    assert lines[3].split() == ["b", "2.00", "1.50", "0.750", "2/2"]
+    assert lines[-1].split() == ["total", "8.00", "3.25", "0.406"]
+
+
+@pytest.mark.parametrize("sources, workloads", [
+    (["p", "c", "x"], ["coupling"] * 3),
+    (["p", "p"], ["coupling"] * 2),
+    (["p", "c"], ["coupling", "small_many"])])
+def test_compare_refuses_other_than_two_sources_of_one_workload(
+        sources, workloads):
+    records = [_sourced(s, [[[("a", 1.0, 1.0)]]], w)
+               for s, w in zip(sources, workloads)]
+    with pytest.raises(ValueError, match="two sources of one workload"):
+        _check_costs_tool().compare(records)

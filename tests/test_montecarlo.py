@@ -122,6 +122,11 @@ class TestGrowthCurves:
         assert not mc.plateaued([5, 10, 20, 40, 50],
                                 [0.1, 0.3, 0.6, 0.99, 1.0])
 
+    @pytest.mark.parametrize("grid", [[1.0], [5, 5, 5], [np.inf] * 2])
+    def test_plateau_needs_two_distinct_times(self, grid):
+        with pytest.raises(ValueError, match="one distinct time"):
+            mc.plateaued(grid, [0.5] * len(grid))
+
     @pytest.mark.parametrize("grid, means, match", [
         ([], [], "empty"),
         ([1, 2, 3], [1.0], "1 means for a grid of 3"),
@@ -216,6 +221,15 @@ class TestDepoissonization:
     def test_rejects_degenerate_inputs(self, triangle, n, replicas):
         with pytest.raises(ValueError):
             mc.depoissonization_agreement(triangle, n, replicas, 0)
+
+    @pytest.mark.parametrize("n", [2.0, np.int64(2), 2.5, np.nan, "3"])
+    def test_arrival_count_must_equal_an_integer(self, triangle, n):
+        if n in (2.0, np.int64(2)):
+            assert mc.depoissonization_agreement(triangle, n, 200, 3) \
+                == mc.depoissonization_agreement(triangle, 2, 200, 3)
+        else:
+            with pytest.raises(ValueError, match="n .* not an integer"):
+                mc.depoissonization_agreement(triangle, n, 200, 3)
 
 
 class TestDeterminism:
@@ -368,6 +382,21 @@ def test_samples_of_no_replicas_are_empty(triangle):
     assert mc.urn_count_samples(triangle, [0.5, 1.0], 0, 0).shape == (2, 0)
     pres, verts = mc.vertex_presence_samples(triangle, 1.0, 0, 0)
     assert pres.shape == (0, 3) and verts.tolist() == [1, 2, 3]
+
+
+@pytest.mark.parametrize("replicas", [100.0, np.int64(100), 10.5, np.nan, "3"])
+def test_replica_count_must_equal_an_integer(triangle, replicas):
+    calls = [
+        lambda r: mc.estimate_event(triangle, ("I", (1, 2)), 1.0, r, 0),
+        lambda r: mc.vertex_count_samples(triangle, [1.0], r, 0)]
+    if replicas in (100.0, np.int64(100)):
+        rep = calls[0](replicas)
+        assert rep == calls[0](100) and type(rep.replicas) is int
+        assert calls[1](replicas).tolist() == calls[1](100).tolist()
+    else:
+        for call in calls:
+            with pytest.raises(ValueError, match="replicas .* not an integer"):
+                call(replicas)
 
 
 SUBNORMAL = {

@@ -1,5 +1,7 @@
 """Discrete and continuous trajectory generation, de-Poissonization, RNG rules."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,7 @@ from scipy.cluster.hierarchy import DisjointSet
 from scipy.stats import chi2
 
 from edgeproc import montecarlo as mc
+from edgeproc import process
 from edgeproc.measure import explicit
 from edgeproc.montecarlo import _replica_seed_words
 from edgeproc.process import (
@@ -65,6 +68,17 @@ class TestRunDiscrete:
     def test_rejects_nonpositive_steps(self, triangle):
         with pytest.raises(ValueError):
             run_discrete(triangle, 0, replica_rng(4, 0))
+
+    @pytest.mark.parametrize("n_steps", [2.0, np.int64(2), 2.5, np.nan, "3"])
+    def test_step_count_must_equal_an_integer(self, triangle, n_steps):
+        if n_steps in (2.0, np.int64(2)):
+            want = run_discrete(triangle, 2, replica_rng(4, 1))
+            got = run_discrete(triangle, n_steps, replica_rng(4, 1))
+            assert got.time.tolist() == want.time.tolist()
+            assert got.i.tolist() == want.i.tolist()
+        else:
+            with pytest.raises(ValueError, match="n_steps .* not an integer"):
+                run_discrete(triangle, n_steps, replica_rng(4, 1))
 
 
 class TestRunContinuous:
@@ -141,6 +155,17 @@ class TestDepoissonize:
     def test_rejects_nonpositive_arrivals(self, triangle, n):
         with pytest.raises(ValueError, match="n must be positive"):
             depoissonize(triangle, n, replica_rng(14, 0))
+
+    @pytest.mark.parametrize("n", [2.0, np.int64(2), 2.5, np.nan, "3"])
+    def test_arrival_count_must_equal_an_integer(self, triangle, n):
+        if n in (2.0, np.int64(2)):
+            want = depoissonize(triangle, 2, replica_rng(14, 1))
+            got = depoissonize(triangle, n, replica_rng(14, 1))
+            assert got.time.tolist() == want.time.tolist()
+            assert got.i.tolist() == want.i.tolist()
+        else:
+            with pytest.raises(ValueError, match="n .* not an integer"):
+                depoissonize(triangle, n, replica_rng(14, 1))
 
     def test_times_increasing(self, triangle):
         traj = depoissonize(triangle, 3, replica_rng(14, 0))
@@ -274,6 +299,85 @@ class TestReplicaRng:
         with pytest.raises(TypeError, match="replica index"):
             replica_rng(0, k)
 
+
+B = process._SEED_BLOCK
+# seeds of 1, 3 and 10 uint32 words
+MEMO_SEEDS = [1210, 2**64 + 3, 2**319 + 5]
+
+
+@pytest.fixture
+def empty_memo():
+    process._seed_block.cache_clear()
+    yield process._seed_block
+    process._seed_block.cache_clear()
+
+
+class TestReplicaRngMemo:
+    """replica_rng takes k's words from a memoized block of B replicas; the
+    memo changes no stream."""
+
+    @pytest.mark.parametrize("seed", MEMO_SEEDS)
+    @pytest.mark.parametrize("k", [
+        B - 1, B, 2 * B - 1, 2**32 - B - 1, 2**32 - 1])
+    def test_block_edges_are_the_seed_sequences(self, empty_memo, seed, k):
+        assert_same_stream(replica_rng(seed, k), _seed_sequence_rng(seed, k))
+        # the same k again, now from the memo
+        assert_same_stream(replica_rng(seed, k), _seed_sequence_rng(seed, k))
+
+    def test_last_block_ends_at_two_to_the_32(self, empty_memo):
+        replica_rng(7, 2**32 - 1)
+        block = empty_memo(7, 2**32 - B)
+        assert len(block) == B and empty_memo.cache_info().hits == 1
+        np.testing.assert_array_equal(
+            block[-1], _numpy_seed_words(7, 2**32 - 1, 2**32)[0])
+
+    def test_descending_and_interleaved_calls(self, empty_memo):
+        seeds = MEMO_SEEDS[:2]
+        for k in range(2 * B + 5, -1, -1):
+            for seed in seeds:
+                assert_same_stream(replica_rng(seed, k),
+                                   _seed_sequence_rng(seed, k))
+
+    def test_words_are_a_read_only_row(self, empty_memo):
+        rng = replica_rng(3, 10)
+        words = rng.bit_generator.seed_seq.words
+        with pytest.raises(ValueError, match="read-only"):
+            words[0] = 0
+        for k in (9, 10, 11):
+            assert_same_stream(replica_rng(3, k), _seed_sequence_rng(3, k))
+
+    def test_threads_share_blocks(self, empty_memo):
+        keys = [(seed, k) for k in range(3 * B) for seed in MEMO_SEEDS[:2]]
+
+        def draw(key):
+            return replica_rng(*key).random(4).tobytes()
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(draw, keys))
+        empty_memo.cache_clear()
+        assert got == list(map(draw, keys))
+
+    def test_memo_holds_at_most_64_blocks(self, empty_memo):
+        for k in range(0, 100 * B, B):
+            replica_rng(5, k)
+        assert empty_memo.cache_info().currsize == 64
+        assert not empty_memo(5, 99 * B).flags.writeable
+
+    @pytest.mark.parametrize("k", [0, B + 1])
+    def test_negative_seed_leaves_nothing_in_the_memo(self, empty_memo, k):
+        with pytest.raises(Exception) as want:
+            _replica_seed_words(-1)
+        with pytest.raises(want.type, match=str(want.value)):
+            replica_rng(-1, k)
+        assert empty_memo.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("seed, k", [(0, 2**32), (0, -1), (1.5, 0),
+                                         (0, 1.5)])
+    def test_refused_call_leaves_nothing_in_the_memo(self, empty_memo, seed,
+                                                     k):
+        with pytest.raises((TypeError, ValueError)):
+            replica_rng(seed, k)
+        assert empty_memo.cache_info().currsize == 0
 
 class TestTrajectoryExport:
     def test_csv_columns(self, tmp_path, triangle):
