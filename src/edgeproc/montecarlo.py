@@ -9,8 +9,9 @@ exponential arrival times, exactly the values
 one row is drawn in chunks of at most 2^16 columns.  It reaches its
 reducer as its arrivals up to the latest time the estimator reads: rows,
 columns and times in row-major order.  A block's rows are seeded with
-``process._replica_seed_words``, the words ``replica_rng`` seeds one
-replica with, hashed for every row at once.  This module owns how a block
+``process._replica_seed_words``, the one hashing path, from which
+``replica_rng`` takes its words too (in memoized blocks of 64 replicas);
+here every row of a block is hashed at once.  This module owns how a block
 is drawn (``_draw_block``) and which pool reduces it: one-row blocks are
 spread over the CPUs the process may use and multi-row blocks stay on the
 calling thread.  A call takes at most 2^32 replicas.
