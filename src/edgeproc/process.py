@@ -52,7 +52,9 @@ def replica_rng(master_seed, replica_index):
     ``bit_generator.seed_seq`` holds k's words, a read-only row of a shared
     block, not a SeedSequence, so the generator cannot ``spawn``.
     """
-    seed, k = _seed_int(master_seed), _replica_key(replica_index)
+    seed, k = master_seed, replica_index
+    if type(seed) is not int or type(k) is not int or not 0 <= k <= _MASK32:
+        seed, k = _seed_int(seed), _replica_key(k)
     src = _GivenWords()
     src.words = _seed_block(seed, k - k % _SEED_BLOCK)[k % _SEED_BLOCK]
     return np.random.Generator(np.random.PCG64(src))
