@@ -102,7 +102,7 @@ def compare_report(paths):
              f"({n_change} records)",
              f"  {'check':44s} {'parent_ref':>10s} {'change_ref':>10s} "
              f"{'ratio':>6s} {'records':>7s}"]
-    lines += [f"  {name:44s} {p:10.2f} {c:10.2f} {r:6.3f} {m:>3d}/{n:<3d}"
+    lines += [f"  {name:44s} {p:10.2f} {c:10.2f} {r:6.3f} {f'{m}/{n}':>7s}"
               for name, (p, c, r, m, n) in rows.items()]
     p, c = (sum(row[i] for row in rows.values()) for i in (0, 1))
     lines.append(f"  {'total':44s} {p:10.2f} {c:10.2f} {c / p:6.3f}")
