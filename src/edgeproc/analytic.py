@@ -198,9 +198,11 @@ def variance_sandwich(spec, t):
 
 def check_exp_bound(a, b, x_grid):
     """Max of exp(-a x)(1 - exp(-b x)) on the grid; must not exceed b / a."""
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):  # NaN too
         raise ValueError("a and b must be positive")
     x = np.asarray(x_grid, dtype=float)
+    if x.size == 0 or np.isnan(x).any():
+        raise ValueError("x_grid must hold at least one point and no NaN")
     vals = np.exp(-a * x) * -np.expm1(-b * x)
     peak = float(vals.max())
     return peak, peak <= b / a
@@ -213,8 +215,8 @@ def check_ratio_of_sums(a_list, b_list):
     """
     a = np.asarray(a_list, dtype=float)
     b = np.asarray(b_list, dtype=float)
-    if np.any(a < 0) or np.any(b < 0):
-        raise ValueError("collections must be non-negative")
+    if not all(np.all((0 <= x) & (x < np.inf)) for x in (a, b)):  # NaN too
+        raise ValueError("collections must be finite and non-negative")
     if a.sum() == 0 and b.sum() == 0:
         raise ValueError("collections must not both be identically zero")
     keep = ~((a == 0) & (b == 0))

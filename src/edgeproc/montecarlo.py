@@ -3,10 +3,11 @@
 Every estimator draws per-replica RNG streams with the single splitting rule,
 ``process.replica_rng``, so reports are byte-identical regardless of worker
 count.  Replicas are drawn in blocks of B rows: row r holds replica k's
-exponential arrival times, exactly the values
-``replica_rng(seed, k).exponential(1 / w)`` returns.  A block holds at most
-2^16 draws for every E: B rows fill it, or, when a row does not fit twice,
-one row is drawn in chunks of at most 2^16 columns.  It reaches its
+exponential arrival times, exactly what ``run_continuous`` draws from
+``replica_rng(seed, k)``: both turn standard exponential draws into
+arrivals with ``process._arrived``, the one arrival rule.  A block holds
+at most 2^16 draws for every E: B rows fill it, or, when a row does not
+fit twice, one row is drawn in chunks of at most 2^16 columns.  It reaches its
 reducer as its arrivals up to the latest time the estimator reads: rows,
 columns and times in row-major order.  A block's rows are seeded with
 ``process._replica_seed_words``, the one hashing path, from which
@@ -38,9 +39,9 @@ from scipy.stats import kstest
 
 from . import analytic
 from .measure import _integer, edge
-from .process import (_GivenWords, _replica_seed_words, arrival_order,
-                      component_merges, exponential_scales,
-                      full_stream_arrivals, new_vertex_counts, replica_rng)
+from .process import (_arrived, _GivenWords, _replica_seed_words,
+                      arrival_order, component_merges, full_stream_arrivals,
+                      new_vertex_counts, replica_rng)
 
 __all__ = [
     "EstimateReport",
@@ -92,10 +93,11 @@ class CltReport:
 def _draw_block(words, a, b, rates, t_max):
     """Rows (0 for replica a), columns and times of the exponential draws
     <= t_max at the given rates for replicas a..b-1, in row-major order.
-    Row k's draws are the values ``replica_rng(seed, k).exponential(1 /
-    rates)`` returns, where ``words = _replica_seed_words(seed)``: each
-    row's PCG64 is seeded with its k's words, which numpy reads by pointer
-    from the C-contiguous array; the seeding and the draws are numpy's.
+    Row k's draws are what ``run_continuous`` draws from ``replica_rng(seed,
+    k)``, where ``words = _replica_seed_words(seed)``: each row's PCG64 is
+    seeded with its k's words, which numpy reads by pointer from the
+    C-contiguous array, and its standard exponential draws become arrivals
+    through ``process._arrived``.
 
     A block holds at most ``_BLOCK_ELEMENTS`` draws at a time, for every E.
     A multi-row block is drawn whole and thresholded at once.  A one-row
@@ -121,17 +123,6 @@ def _draw_block(words, a, b, rates, t_max):
         gen.standard_exponential(out=chunk[0])
         parts.append(_arrived(chunk, rates[c:c + chunk.shape[1]], t_max, c))
     return tuple(map(np.concatenate, zip(*parts)))
-
-
-def _arrived(tau, rates, t_max, c):
-    """Rows, columns (counted from c) and times of the entries <= t_max of
-    standard exponential draws tau, scaled in place to the rates, in
-    row-major order."""
-    tau *= exponential_scales(rates)
-    at = np.flatnonzero(tau <= t_max)  # np.nonzero on 2-d arrays is slower
-    rows, ks = np.divmod(at, tau.shape[1])
-    ks += c
-    return rows, ks, tau.reshape(-1)[at]
 
 
 def _map_blocks(seed, replicas, threads, rates, t_max, reduce):
@@ -184,6 +175,9 @@ def _check_replicas(replicas, least):
 def _grid(ts, name):
     """A time grid as a non-empty 1-d float array of times >= 0 (inf too)."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if ts.ndim != 1:
+        raise ValueError(f"{name} must be a 1-d grid of times, got shape "
+                         f"{ts.shape}")
     if ts.size == 0:
         raise ValueError(f"{name} is empty: no time to sample at")
     if not np.all(ts >= 0):  # NaN too
@@ -398,9 +392,14 @@ _PLATEAU_FRAC, _PLATEAU_REL_TOL = 0.25, 0.01
 def plateaued(t_grid, means):
     """Declares a plateau when the last quarter of the grid moved < 1% relative.
 
-    The grid needs two distinct times: at one, nothing can have moved."""
+    The grid needs two distinct times: at one, nothing can have moved.  It
+    and the means are refused unless 1-d and finite: an infinite or NaN
+    time or mean has no relative change."""
     t_grid = np.asarray(t_grid, dtype=float)
     means = np.asarray(means, dtype=float)
+    if t_grid.ndim != 1 or means.ndim != 1:
+        raise ValueError(f"t_grid and means must be 1-d, got shapes "
+                         f"{t_grid.shape} and {means.shape}")
     if len(t_grid) == 0:
         raise ValueError("t_grid is empty: no plateau to look for")
     if len(means) != len(t_grid):
@@ -412,6 +411,8 @@ def plateaued(t_grid, means):
     if t_grid[0] == t_grid[-1]:
         raise ValueError(f"t_grid holds one distinct time, {t_grid[0]}: "
                          "nothing can have moved")
+    if not (np.all(np.isfinite(t_grid)) and np.all(np.isfinite(means))):
+        raise ValueError("t_grid and means must be finite")
     cut = np.searchsorted(
         t_grid, t_grid[-1] - _PLATEAU_FRAC * (t_grid[-1] - t_grid[0]))
     cut = min(cut, len(means) - 1)
@@ -492,6 +493,9 @@ def variance_standard_error(samples):
     if len(x) < 2:
         raise ValueError("the sample variance needs at least 2 samples, got "
                          f"{len(x)}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite, got "
+                         f"{x[~np.isfinite(x)][0]}")
     m = x.mean()
     s2 = x.var(ddof=1)
     m4 = np.mean((x - m) ** 4)

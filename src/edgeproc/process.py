@@ -175,6 +175,20 @@ def exponential_scales(rates):
         return 1.0 / np.asarray(rates, dtype=float)
 
 
+def _arrived(tau, rates, t_max, c):
+    """Rows, columns (counted from c) and times of the entries <= t_max of
+    standard exponential draws tau, scaled in place to the rates, in
+    row-major order.  This is the one rule that turns a stream's draws into
+    arrivals: single trajectories, urn fills and the replica blocks of
+    ``montecarlo`` all take theirs from it, so a single trajectory is a
+    one-row block by construction."""
+    tau *= exponential_scales(rates)
+    at = np.flatnonzero(tau <= t_max)  # np.nonzero on 2-d arrays is slower
+    rows, ks = np.divmod(at, tau.shape[1])
+    ks += c
+    return rows, ks, tau.reshape(-1)[at]
+
+
 def write_table(path, header_lines, columns, rows):
     """Writes a ``# `` line per header entry, then a CSV table of rows."""
     with open(path, "w", newline="") as fh:
@@ -292,14 +306,15 @@ def run_continuous(spec, horizon_T, rng):
 
     One exponential first-arrival per support edge is sufficient for every
     simple-graph property; they come in ``arrival_order``, whose docstring
-    gives the tie rule.  Full streams, in which parallel edges re-arrive,
-    come from ``depoissonize``.
+    gives the tie rule.  The times are one row of standard exponential
+    draws from rng, turned into arrivals by ``_arrived``, so a trajectory
+    is the one-row replica block of ``montecarlo``.  Full streams, in which
+    parallel edges re-arrive, come from ``depoissonize``.
     """
     if not horizon_T > 0:  # NaN too
         raise ValueError("horizon must be positive")
-    times = rng.exponential(exponential_scales(spec.w))
-    ks = np.flatnonzero(times <= horizon_T)
-    _, ks, t = arrival_order(np.zeros_like(ks), ks, times[ks])
+    _, ks, t = arrival_order(*_arrived(
+        rng.standard_exponential((1, len(spec.w))), spec.w, horizon_T, 0))
     return Trajectory(t, spec.ei[ks], spec.ej[ks])
 
 
@@ -307,10 +322,12 @@ def full_stream_arrivals(rates, n, size, rng):
     """Times and stream indices of the first n arrivals of full Poisson
     streams at the given rates: two (size, n) arrays, one row per replica,
     drawn in turn from rng.  No stream has more than n of them, so n
-    cumulative exponential waits per stream are enough; ties go to the
-    lower stream position, as in a stable sort."""
-    gaps = rng.exponential(exponential_scales(rates)[:, None],
-                           size=(size, len(rates), n))
+    cumulative exponential waits per stream are enough: standard
+    exponential draws scaled in place by ``exponential_scales``, as
+    ``_arrived`` scales them.  Ties go to the lower stream position, as in
+    a stable sort."""
+    gaps = rng.standard_exponential((size, len(rates), n))
+    gaps *= exponential_scales(rates)[:, None]
     times = np.cumsum(gaps, axis=2).reshape(size, -1)
     first = np.argsort(times, axis=1, kind="stable")[:, :n]
     return np.take_along_axis(times, first, axis=1), first // n

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .measure import _integer
-from .process import exponential_scales, write_table
+from .process import _arrived, write_table
 
 __all__ = [
     "run_urn",
@@ -41,16 +41,19 @@ __all__ = [
 
 def run_urn(rates, horizon, rng):
     """First-fill time of each urn of a continuous-time urn scheme with the
-    given rates: inf past the horizon or at rate 0."""
+    given rates: inf past the horizon or at rate 0.  The urns of positive
+    rate take one standard exponential draw each from rng, in order, which
+    ``process._arrived`` turns into fills up to the horizon."""
     lam = np.asarray(rates, dtype=float)
     if not np.all(lam >= 0):  # NaN too
         raise ValueError("urn intensities must be non-negative")
     if not horizon >= 0:
         raise ValueError("horizon must be non-negative")
     fill = np.full(len(lam), np.inf)
-    pos = lam > 0
-    fill[pos] = rng.exponential(exponential_scales(lam[pos]))
-    fill[fill > horizon] = np.inf
+    pos = np.flatnonzero(lam > 0)
+    _, ks, t = _arrived(rng.standard_exponential((1, len(pos))), lam[pos],
+                        horizon, 0)
+    fill[pos[ks]] = t
     return fill
 
 

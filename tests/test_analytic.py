@@ -441,6 +441,17 @@ class TestAuxiliaryInequalities:
         with pytest.raises(ValueError, match="must be positive"):
             check_exp_bound(a, b, [1.0])
 
+    @pytest.mark.parametrize("a, b, grid, match", [
+        (1.0, 1.0, [], "at least one point"),
+        (1.0, 1.0, [np.nan], "no NaN"),
+        (1.0, 1.0, [0.5, np.nan, 2.0], "no NaN"),
+        (np.nan, 1.0, [1.0], "must be positive"),
+        (1.0, np.nan, [1.0], "must be positive")])
+    def test_exp_bound_refuses_an_empty_or_nan_input(self, a, b, grid, match):
+        # an empty grid has no maximum, and a NaN point no value to bound
+        with pytest.raises(ValueError, match=match):
+            check_exp_bound(a, b, grid)
+
     @given(st.floats(0.05, 20), st.floats(0.05, 20))
     @settings(max_examples=200, deadline=None)
     def test_exp_bound_property(self, a, b):
@@ -459,6 +470,14 @@ class TestAuxiliaryInequalities:
     def test_ratio_of_sums_refuses_a_negative_entry(self):
         with pytest.raises(ValueError, match="non-negative"):
             check_ratio_of_sums([1.0, -1.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("a, b", [
+        ([np.nan], [1.0]), ([1.0], [np.nan]), ([np.inf], [np.inf]),
+        ([1.0, 2.0], [np.inf, 1.0])])
+    def test_ratio_of_sums_refuses_a_non_finite_entry(self, a, b):
+        # a NaN or infinite entry has no ratio to bound
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            check_ratio_of_sums(a, b)
 
     def test_ratio_of_sums_refuses_two_zero_collections(self):
         with pytest.raises(ValueError, match="both be identically zero"):

@@ -162,3 +162,69 @@ def test_compare_refuses_other_than_two_sources_of_one_workload(
                for s, w in zip(sources, workloads)]
     with pytest.raises(ValueError, match="two sources of one workload"):
         _check_costs_tool().compare(records)
+
+
+def _src_lines_tool():
+    path = ROOT / "tools" / "src_lines.py"
+    spec = importlib.util.spec_from_file_location("src_lines", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+OLD_MODULE = '''"""A module docstring,
+on two lines."""
+
+# a comment line
+import os
+
+
+def f(x):
+    """One docstring line."""
+    return x  # a trailing comment counts as code
+'''
+
+NEW_MODULE = OLD_MODULE + '''
+
+class C:
+    """Class docstring."""
+
+    text = """a multi-line string
+    that is not a docstring"""
+
+    def g(self):
+        """Method
+        docstring."""
+        """A second string is code."""
+'''
+
+
+def test_src_lines_counts_code_apart_from_docstrings_and_comments(tmp_path):
+    tool = _src_lines_tool()
+    assert tool.count(OLD_MODULE) == (10, 3)
+    # class C, text on two lines, def g and the second string
+    assert tool.count(NEW_MODULE) == (22, 8)
+    old, new = tmp_path / "old", tmp_path / "new"
+    (old / "sub").mkdir(parents=True)
+    (new / "sub").mkdir(parents=True)
+    (old / "a.py").write_text(OLD_MODULE)
+    (old / "gone.py").write_text("x = 1\n")
+    (old / "sub" / "b.py").write_text("\n\nx = 1\ny = 2\n")
+    (new / "a.py").write_text(NEW_MODULE)
+    (new / "sub" / "b.py").write_text("x = 1\n")
+    (new / "notes.txt").write_text("not python\n")
+    assert tool.counts(new) == {"a.py": (22, 8), "sub/b.py": (1, 1)}
+    lines = tool.report(new).splitlines()
+    assert lines[0].split() == ["module", "lines", "code"]
+    assert [line.split() for line in lines[1:]] == [
+        ["a.py", "22", "8"], ["sub/b.py", "1", "1"], ["total", "23", "9"]]
+    lines = tool.report(new, old).splitlines()
+    assert lines[0].split() == ["module", "lines", "code", "old", "change"]
+    assert [line.split() for line in lines[1:]] == [
+        ["a.py", "22", "8", "3", "+5"], ["gone.py", "0", "0", "1", "-1"],
+        ["sub/b.py", "1", "1", "2", "-1"], ["total", "23", "9", "6", "+3"]]
+
+
+def test_src_lines_refuses_a_missing_directory(tmp_path):
+    with pytest.raises(ValueError, match="is not a directory"):
+        _src_lines_tool().counts(tmp_path / "missing")

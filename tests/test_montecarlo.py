@@ -135,6 +135,37 @@ class TestGrowthCurves:
         with pytest.raises(ValueError, match=match):
             mc.plateaued(grid, means)
 
+    @pytest.mark.parametrize("grid, means, match", [
+        ([1, 2, np.inf], [0.1, 0.5, 1.0], "must be finite"),
+        ([1, 2, np.nan], [0.1, 0.5, 1.0], "must be finite"),
+        ([1, 2, 3], [0.1, np.inf, np.inf], "must be finite"),
+        ([1, 2, 3], [0.1, np.nan, np.nan], "must be finite"),
+        ([[1, 2, 3]], [[0.1, 0.5, 1.0]], r"1-d, got shapes \(1, 3\)"),
+        ([1, 2, 3], [[0.1, 0.5, 1.0]], "1-d")])
+    def test_plateau_needs_finite_1d_input(self, grid, means, match):
+        # an infinite or NaN time or mean has no relative change to read
+        with pytest.raises(ValueError, match=match):
+            mc.plateaued(grid, means)
+
+
+GRID_ESTIMATORS = {
+    "vertex_count_samples": mc.vertex_count_samples,
+    "urn_count_samples": mc.urn_count_samples,
+    "vertex_presence_samples": mc.vertex_presence_samples,
+    "connectivity_growth": mc.connectivity_growth,
+    "connected_frequency_curve": mc.connected_frequency_curve,
+    "i_event_growth": mc.i_event_growth,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_ESTIMATORS))
+@pytest.mark.parametrize("grid", [[[1.0, 2.0]], [[1.0]]])
+def test_grid_of_more_than_one_dimension_refused(name, grid, triangle):
+    # a grid is one axis of times: a nested one is not read as a curve
+    with pytest.raises(ValueError, match=r"must be a 1-d grid of times, got "
+                                         r"shape \(1, "):
+        GRID_ESTIMATORS[name](triangle, grid, 3, 0)
+
 
 class TestCltDiagnostic:
     def test_isolated_edges_near_normal(self):
@@ -180,6 +211,15 @@ class TestMomentSamples:
         target = analytic.urn_variance(spec, t)
         se = mc.variance_standard_error(row)
         assert abs(row.var(ddof=1) - target) < 4 * se
+
+    @pytest.mark.parametrize("samples, bad", [
+        ([1.0, np.inf, 2.0], "inf"), ([1.0, np.nan, 2.0], "nan"),
+        ([-np.inf, 1.0], "-inf")])
+    def test_variance_standard_error_needs_finite_samples(self, samples,
+                                                          bad):
+        # a sample that is not finite has no variance to estimate
+        with pytest.raises(ValueError, match=f"must be finite, got {bad}$"):
+            mc.variance_standard_error(samples)
 
     def test_presence_probabilities(self):
         spec = random_explicit_spec(np.random.default_rng(75), n_edges=6)

@@ -23,6 +23,7 @@ from edgeproc.process import (
     run_discrete,
 )
 from edgeproc.graphstate import replay
+from edgeproc.urns import run_urn
 
 from conftest import (
     block_arrivals,
@@ -420,6 +421,40 @@ class TestArrivalOrder:
             for got, want in [(traj.time, t), (traj.i, i), (traj.j, j),
                               (traj.new_vertices, nv)]:
                 np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("M", [
+        [1.0, 2.5, 0.3], np.random.default_rng(3501).uniform(0.01, 3.0, 40)],
+        ids=["three", "forty"])
+    def test_run_urn_is_a_one_row_block(self, M):
+        # every rate is positive, so urn m fills at column m's arrival
+        M = np.asarray(M)
+        for k in range(30):
+            fill = run_urn(M, 1.0, replica_rng(3502, k))
+            rows, ks, t = mc._draw_block(_replica_seed_words(3502), k, k + 1,
+                                         M, 1.0)
+            assert not rows.any()
+            want = np.full(len(M), np.inf)
+            want[ks] = t
+            np.testing.assert_array_equal(fill, want)
+
+    @pytest.mark.parametrize("rates", [
+        [1.0, 2.0, 0.5], [5e-324, 1.0, 1e300, 3.0]],
+        ids=["plain", "extreme"])
+    def test_full_stream_arrivals_match_the_scaled_exponentials(self, rates):
+        # the reference route: numpy's exponential at scale 1 / rate, the
+        # cumulative waits, the first n of each row in a stable sort
+        rates, n, size = np.asarray(rates), 3, 40
+        times, streams = process.full_stream_arrivals(
+            rates, n, size, replica_rng(3503, 0))
+        with np.errstate(over="ignore"):
+            scales = 1 / rates[:, None]
+        gaps = replica_rng(3503, 0).exponential(
+            scales, size=(size, len(rates), n))
+        want = np.cumsum(gaps, axis=2).reshape(size, -1)
+        first = np.argsort(want, axis=1, kind="stable")[:, :n]
+        assert times.tobytes() == np.take_along_axis(
+            want, first, axis=1).tobytes()
+        assert streams.tolist() == (first // n).tolist()
 
 
 class TestNewVertexCounts:
