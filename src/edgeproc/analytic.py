@@ -217,13 +217,20 @@ def check_ratio_of_sums(a_list, b_list):
     b = np.asarray(b_list, dtype=float)
     if not all(np.all((0 <= x) & (x < np.inf)) for x in (a, b)):  # NaN too
         raise ValueError("collections must be finite and non-negative")
-    if a.sum() == 0 and b.sum() == 0:
+    if not (a.any() or b.any()):
         raise ValueError("collections must not both be identically zero")
     keep = ~((a == 0) & (b == 0))
     a, b = a[keep], b[keep]
     with np.errstate(divide="ignore", over="ignore"):
         ratios = np.where(b > 0, a / np.where(b > 0, b, 1.0), np.inf)
-        ratio = a.sum() / b.sum() if b.sum() > 0 else np.inf
+        sa, sb = a.sum(), b.sum()
+        if not sb > 0:
+            ratio = np.inf
+        elif max(sa, sb) < np.inf or sa == 0:
+            ratio = sa / sb
+        else:  # a sum of finite entries overflowed: scale each by its largest
+            ma, mb = a.max(), b.max()
+            ratio = (a / ma).sum() / (b / mb).sum() * (ma / mb)
     lo, hi = float(ratios.min()), float(ratios.max())
     ok = lo <= ratio <= hi
     return lo, float(ratio), hi, ok

@@ -415,7 +415,9 @@ def plateaued(t_grid, means):
         raise ValueError("t_grid and means must be finite")
     cut = np.searchsorted(
         t_grid, t_grid[-1] - _PLATEAU_FRAC * (t_grid[-1] - t_grid[0]))
-    cut = min(cut, len(means) - 1)
+    # a cut on the last point (a short grid) would compare the last mean
+    # with itself: the point before it is the base then
+    cut = min(cut, len(means) - 2)
     base = means[cut]
     if base == 0:
         return bool(means[-1] == 0)
@@ -496,6 +498,18 @@ def variance_standard_error(samples):
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite, got "
                          f"{x[~np.isfinite(x)][0]}")
+    try:
+        with np.errstate(over="raise"):
+            return _variance_se(x)
+    except FloatingPointError:
+        # finite samples whose powers overflow: the error scales as x², so
+        # take it on x / max|x| (inf if past the largest float)
+        s = np.abs(x).max()
+        with np.errstate(over="ignore"):
+            return float(_variance_se(x / s) * s * s)
+
+
+def _variance_se(x):
     m = x.mean()
     s2 = x.var(ddof=1)
     m4 = np.mean((x - m) ** 4)

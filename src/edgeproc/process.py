@@ -320,24 +320,67 @@ def run_continuous(spec, horizon_T, rng):
 
 def full_stream_arrivals(rates, n, size, rng):
     """Times and stream indices of the first n arrivals of full Poisson
-    streams at the given rates: two (size, n) arrays, one row per replica,
-    drawn in turn from rng.  No stream has more than n of them, so n
-    cumulative exponential waits per stream are enough: standard
+    streams at the given positive rates: two (size, n) arrays, one row per
+    replica, drawn in turn from rng.  No stream has more than n of them, so
+    n cumulative exponential waits per stream are enough: standard
     exponential draws scaled in place by ``exponential_scales``, as
-    ``_arrived`` scales them.  Ties go to the lower stream position, as in
-    a stable sort."""
-    gaps = rng.standard_exponential((size, len(rates), n))
-    gaps *= exponential_scales(rates)[:, None]
-    times = np.cumsum(gaps, axis=2).reshape(size, -1)
-    first = np.argsort(times, axis=1, kind="stable")[:, :n]
-    return np.take_along_axis(times, first, axis=1), first // n
+    ``_arrived`` scales them, then summed in place one position at a time
+    (the sequential sum of ``np.cumsum``; a sum past the largest float is
+    inf, a clock that never rings).  Each stream's times are then in
+    order, so ``_merge_streams`` takes the first n of a row without a
+    sort; ties go to the lower stream, as in a stable sort."""
+    rates = np.asarray(rates, dtype=float)
+    n, size = _integer(n, "n"), _integer(size, "size")
+    if rates.ndim != 1 or not len(rates):
+        raise ValueError("rates must be a non-empty 1-d array, got shape "
+                         f"{rates.shape}")
+    if not np.all(rates > 0):  # NaN too
+        raise ValueError("rates must be positive, got "
+                         f"{rates[~(rates > 0)][0]}")
+    if n <= 0:
+        raise ValueError("n must be positive")
+    if size <= 0:
+        raise ValueError("size must be positive")
+    times = rng.standard_exponential((size, len(rates), n))
+    times *= exponential_scales(rates)[:, None]
+    with np.errstate(over="ignore"):
+        for a in range(1, n):
+            times[:, :, a] += times[:, :, a - 1]
+    return _merge_streams(times)
+
+
+def _merge_streams(times):
+    """The first n of each row's arrival times, given as (size, E, n) times
+    of E streams that are each non-decreasing, with any NaN last: (size, n)
+    times and stream indices, as a stable sort of the row's E·n times
+    (NaN after every number) would list them.
+
+    A merge: each of n rounds takes every row's earliest stream head, the
+    first minimum, so ties go to the lower stream and then to the earlier
+    position, as in the stable sort, and advances that stream's head.
+    """
+    size, E, n = times.shape
+    heads = times[:, :, 0].copy()
+    at = np.arange(0, times.size, n)  # each head's flat index in times
+    row = np.arange(0, heads.size, E)
+    out_t, out_k = np.empty((size, n)), np.empty((size, n), dtype=np.intp)
+    for r in range(n):
+        k = heads.argmin(axis=1)
+        # argmin takes a row's first NaN; the sort ranks NaN after inf
+        nan = np.flatnonzero(np.isnan(heads.take(row + k)))
+        h = heads[nan]
+        k[nan] = (h == np.fmin.reduce(h, axis=1)[:, None]).argmax(axis=1)
+        j = row + k
+        out_t[:, r], out_k[:, r] = heads.take(j), k
+        # a stream holding n times runs out only in the last round, whose
+        # clipped read is never used
+        at[j] += 1
+        heads.put(j, times.take(at[j], mode="clip"))
+    return out_t, out_k
 
 
 def depoissonize(spec, n, rng):
     """First n arrivals of the continuous process with full Poisson streams;
     the induced edge-order law coincides with ``run_discrete``'s."""
-    n = _integer(n, "n")
-    if n <= 0:
-        raise ValueError("n must be positive")
     (times,), (ks,) = full_stream_arrivals(spec.w, n, 1, rng)
     return Trajectory(times, spec.ei[ks], spec.ej[ks])

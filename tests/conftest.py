@@ -62,6 +62,17 @@ def block_arrivals(tau, t_max):
     return rows, ks, tau[arrived]
 
 
+def sorted_stream_arrivals(times):
+    """The first n of each row's arrival times, given as (size, E, n)
+    cumulative times of E streams, by a stable sort of the row's E·n times
+    (NaN last): (size, n) times and stream indices.  The oracle of
+    ``process._merge_streams``, which takes them by a merge."""
+    size, E, n = times.shape
+    flat = times.reshape(size, -1)
+    first = np.argsort(flat, axis=1, kind="stable")[:, :n]
+    return np.take_along_axis(flat, first, axis=1), first // n
+
+
 def random_trajectories(seed, count):
     """Discrete, continuous and de-Poissonized trajectories on random small
     measures."""

@@ -489,6 +489,18 @@ class TestAuxiliaryInequalities:
             lo, ratio, hi, ok = check_ratio_of_sums([10.0], [5e-324])
         assert lo == ratio == hi == np.inf and ok
 
+    def test_ratio_of_sums_of_overflowing_sums(self):
+        # sums past the largest float are taken scaled by each collection's
+        # largest entry, so a ratio in range comes out finite
+        assert check_ratio_of_sums([1e308, 1e308], [1.0, 1.0]) == (
+            1e308, 1e308, 1e308, True)
+        lo, ratio, hi, ok = check_ratio_of_sums([1e308, 1e308, 1.0],
+                                                [1e308, 1e308, 4.0])
+        assert (lo, hi, ok) == (0.25, 1.0, True)
+        assert ratio == pytest.approx(1.0)
+        assert check_ratio_of_sums([1e308, 1e308], [1e-300, 1e-300]) == (
+            np.inf, np.inf, np.inf, True)
+
     @given(st.lists(st.floats(0, 10), min_size=1, max_size=8),
            st.lists(st.floats(0, 10), min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)

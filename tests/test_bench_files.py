@@ -80,6 +80,34 @@ def test_one_run_is_its_own_quartiles(tmp_path):
     assert (m["runs"], m["q1"], m["median"], m["q3"]) == (1, 50.0, 50.0, 50.0)
 
 
+def test_bench_file_writes_the_summary_to_a_new_file(tmp_path):
+    tool = _bench_file_tool()
+    log = _run_log(tmp_path / "a.txt", 1, 50.0, 128.0)
+    tool.main([str(tmp_path / "BENCH.json"), str(log)])
+    assert json.loads((tmp_path / "BENCH.json").read_text()) == \
+        tool.summarize([log])
+
+
+def test_bench_file_refuses_to_run_without_logs(tmp_path):
+    # naming only a BENCH file, as if to read it, leaves it as it was
+    out = tmp_path / "BENCH.json"
+    out.write_text("kept\n")
+    with pytest.raises(SystemExit, match="usage"):
+        _bench_file_tool().main([str(out)])
+    assert out.read_text() == "kept\n"
+    with pytest.raises(SystemExit, match="usage"):
+        _bench_file_tool().main([])
+
+
+def test_bench_file_refuses_to_replace_a_file(tmp_path):
+    out = tmp_path / "BENCH.json"
+    out.write_text("kept\n")
+    log = _run_log(tmp_path / "a.txt", 1, 50.0, 128.0)
+    with pytest.raises(SystemExit, match="exists"):
+        _bench_file_tool().main([str(out), str(log)])
+    assert out.read_text() == "kept\n"
+
+
 def _check_costs_tool():
     path = ROOT / "tools" / "check_costs.py"
     spec = importlib.util.spec_from_file_location("check_costs", path)

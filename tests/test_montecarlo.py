@@ -115,6 +115,13 @@ class TestGrowthCurves:
         assert not mc.plateaued(grid, np.linspace(1, 2, 10))
         assert mc.plateaued(grid, np.zeros(10))
 
+    def test_short_grid_compares_the_last_two_points(self):
+        # the last quarter of a 3-point grid holds only its last point, so
+        # the point before it is the base
+        assert not mc.plateaued([1, 2, 3], [0.1, 0.5, 1.0])
+        assert mc.plateaued([1, 2, 3], [0.1, 1.0, 1.001])
+        assert not mc.plateaued([1, 2], [1.0, 2.0])
+
     def test_plateau_reads_the_grid_in_time_order(self):
         # the growth curves take unsorted grids; the means follow their times
         assert not mc.plateaued([50, 5, 10, 20, 40],
@@ -220,6 +227,16 @@ class TestMomentSamples:
         # a sample that is not finite has no variance to estimate
         with pytest.raises(ValueError, match=f"must be finite, got {bad}$"):
             mc.variance_standard_error(samples)
+
+    def test_variance_standard_error_on_overflowing_samples(self):
+        # the error scales as x², so it is taken on x / max|x| when the
+        # powers of x overflow; no warning either way
+        x = np.array([1.0, -1.0, 0.0, 0.5, 2.0])
+        for s in (1e100, 1e150):
+            assert mc.variance_standard_error(x * s) == pytest.approx(
+                mc.variance_standard_error(x) * s * s, rel=1e-12)
+        assert mc.variance_standard_error([1e200, -1e200, 0.0]) == 0.0
+        assert mc.variance_standard_error(x * 1e200) == np.inf
 
     def test_presence_probabilities(self):
         spec = random_explicit_spec(np.random.default_rng(75), n_edges=6)

@@ -11,7 +11,7 @@ from scipy.stats import chi2
 
 from edgeproc import montecarlo as mc
 from edgeproc import process
-from edgeproc.measure import explicit
+from edgeproc.measure import explicit, power_law_product
 from edgeproc.montecarlo import _replica_seed_words
 from edgeproc.process import (
     arrival_order,
@@ -30,6 +30,7 @@ from conftest import (
     random_explicit_spec,
     random_trajectories,
     single_edge_spec,
+    sorted_stream_arrivals,
     triangle_spec,
     two_edge_spec,
 )
@@ -455,6 +456,78 @@ class TestArrivalOrder:
         assert times.tobytes() == np.take_along_axis(
             want, first, axis=1).tobytes()
         assert streams.tolist() == (first // n).tolist()
+
+    @pytest.mark.parametrize("rates, n, size, bad", [
+        ([1.0, 0.0], 2, 3, "rates must be positive, got 0.0"),
+        ([1.0, -1.0], 2, 3, "rates must be positive, got -1.0"),
+        ([np.nan, 1.0], 2, 3, "rates must be positive, got nan"),
+        ([], 2, 3, "rates must be a non-empty 1-d array"),
+        ([[1.0, 2.0]], 2, 3, "rates must be a non-empty 1-d array"),
+        ([1.0, 2.0], 0, 3, "n must be positive"),
+        ([1.0, 2.0], 2.5, 3, "n 2.5 is not an integer"),
+        ([1.0, 2.0], 2, 0, "size must be positive"),
+        ([1.0, 2.0], 2, -1, "size must be positive")],
+        ids=["zero", "negative", "nan", "empty", "2-d", "n=0", "n=2.5",
+             "size=0", "size=-1"])
+    def test_full_stream_arrivals_refuse_degenerate_input(self, rates, n,
+                                                          size, bad):
+        with pytest.raises(ValueError, match=bad):
+            process.full_stream_arrivals(rates, n, size,
+                                         replica_rng(3504, 0))
+
+
+def _merged(times):
+    """``_merge_streams`` on a copy, checked against the sort oracle bit
+    for bit."""
+    times = np.asarray(times, dtype=float)
+    got_t, got_k = process._merge_streams(times.copy())
+    want_t, want_k = sorted_stream_arrivals(times)
+    assert got_t.tobytes() == want_t.tobytes()
+    assert got_k.tolist() == want_k.tolist()
+    return got_t, got_k
+
+
+class TestMergeStreams:
+    def test_equal_times_go_to_the_lower_stream(self):
+        t, k = _merged([[[1.0, 2.0], [1.0, 2.0], [0.5, 2.0]],
+                        [[3.0, 3.0], [3.0, 3.0], [3.0, 3.0]]])
+        assert k.tolist() == [[2, 0], [0, 0]]
+
+    def test_zero_gaps_within_a_stream(self):
+        t, k = _merged([[[0.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
+                        [[2.0, 2.0, 2.0], [1.0, 2.0, 2.0]]])
+        assert k.tolist() == [[0, 0, 0], [1, 0, 0]]
+
+    def test_rows_that_are_all_inf(self):
+        t, k = _merged(np.full((3, 4, 2), np.inf))
+        assert k.tolist() == [[0, 0]] * 3 and np.all(t == np.inf)
+
+    def test_nan_ranks_after_inf(self):
+        # a 0.0 draw at scale inf is NaN, and stays NaN in the sums
+        nan, inf = np.nan, np.inf
+        t, k = _merged([[[nan, nan], [inf, inf]],
+                        [[inf, nan], [nan, nan]],
+                        [[nan, nan], [nan, nan]],
+                        [[nan, nan], [2.0, inf]]])
+        assert k.tolist() == [[1, 1], [0, 0], [0, 0], [1, 1]]
+
+    def test_random_streams_with_ties_infs_and_nans(self):
+        rng = np.random.default_rng(3505)
+        for _ in range(300):
+            shape = rng.integers(1, 6, size=3)
+            times = rng.choice([0.0, 1.0, 2.0, np.inf, np.nan], size=shape)
+            _merged(np.sort(times, axis=2))  # np.sort puts NaN last
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_depoissonize_is_the_sorted_route(self, n):
+        spec = power_law_product(2.5, 300)
+        traj = depoissonize(spec, n, replica_rng(3506, n))
+        gaps = replica_rng(3506, n).standard_exponential((1, len(spec.w), n))
+        gaps *= process.exponential_scales(spec.w)[:, None]
+        (times,), (ks,) = sorted_stream_arrivals(np.cumsum(gaps, axis=2))
+        assert traj.time.tobytes() == times.tobytes()
+        assert traj.i.tolist() == spec.ei[ks].tolist()
+        assert traj.j.tolist() == spec.ej[ks].tolist()
 
 
 class TestNewVertexCounts:

@@ -5,6 +5,7 @@ Each log is the stdout of one ``python3 perfbench/run.py --workload W
 result line.  The file gives, per workload and end-to-end metric, the
 median and quartiles over the runs, and lists every run's commit, source
 hash and seed, so a reader can check that all of them ran the same code.
+The output must be a new file.
 
     python3 tools/bench_file.py BENCH_21.json logs/change-*.txt
 """
@@ -49,8 +50,18 @@ def summarize(paths):
 
 
 def main(argv):
+    """Writes the summary of the logs to a new file.  It refuses to run
+    without logs and to replace a file, so a call that names only a BENCH
+    file leaves that file as it was."""
+    if len(argv) < 2:
+        sys.exit("usage: bench_file.py OUT.json RUN_LOG [RUN_LOG ...]")
     out, *logs = argv
-    Path(out).write_text(json.dumps(summarize(logs), indent=1) + "\n")
+    text = json.dumps(summarize(logs), indent=1) + "\n"
+    try:
+        with open(out, "x") as fh:
+            fh.write(text)
+    except FileExistsError:
+        sys.exit(f"bench_file.py: {out} exists; name a new file")
 
 
 if __name__ == "__main__":
