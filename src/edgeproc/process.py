@@ -325,8 +325,8 @@ def full_stream_arrivals(rates, n, size, rng):
     n cumulative exponential waits per stream are enough: standard
     exponential draws scaled in place by ``exponential_scales``, as
     ``_arrived`` scales them, then summed in place one position at a time
-    (the sequential sum of ``np.cumsum``; a sum past the largest float is
-    inf, a clock that never rings).  Each stream's times are then in
+    (the sequential sum of ``np.cumsum``; a wait or sum past the largest
+    float is inf, a clock that never rings).  Each stream's times are then in
     order, so ``_merge_streams`` takes the first n of a row without a
     sort; ties go to the lower stream, as in a stable sort."""
     rates = np.asarray(rates, dtype=float)
@@ -342,8 +342,8 @@ def full_stream_arrivals(rates, n, size, rng):
     if size <= 0:
         raise ValueError("size must be positive")
     times = rng.standard_exponential((size, len(rates), n))
-    times *= exponential_scales(rates)[:, None]
     with np.errstate(over="ignore"):
+        times *= exponential_scales(rates)[:, None]
         for a in range(1, n):
             times[:, :, a] += times[:, :, a - 1]
     return _merge_streams(times)

@@ -518,6 +518,20 @@ class TestMergeStreams:
             times = rng.choice([0.0, 1.0, 2.0, np.inf, np.nan], size=shape)
             _merged(np.sort(times, axis=2))  # np.sort puts NaN last
 
+    def test_waits_summing_past_the_largest_float_are_inf(self):
+        # scale 1e308: a wait above 1.8e308, or a sum of two waits, is
+        # silently inf
+        rates, n = np.array([1e-308, 1e-308, 5e-324]), 3
+        times, ks = process.full_stream_arrivals(rates, n, 200,
+                                                 replica_rng(3507, 0))
+        gaps = replica_rng(3507, 0).standard_exponential((200, 3, n))
+        with np.errstate(over="ignore"):
+            gaps *= process.exponential_scales(rates)[:, None]
+            want_t, want_k = sorted_stream_arrivals(np.cumsum(gaps, axis=2))
+        assert np.isinf(want_t).any()
+        assert times.tobytes() == want_t.tobytes()
+        assert ks.tolist() == want_k.tolist()
+
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_depoissonize_is_the_sorted_route(self, n):
         spec = power_law_product(2.5, 300)
