@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import edge
+from .measure import _chunks, edge
 
 __all__ = [
     "SeriesReport",
@@ -99,14 +99,27 @@ _FINITE_FAMILIES = {"explicit", "isolated_edges", "first_rank"}
 
 
 def _edge_masses(spec, inside=slice(None)):
-    """(mu_e, M_e) over the support edges selected by ``inside``.  M_e is a
-    new array the caller may overwrite; mu_e may be a view of ``spec.w``."""
+    """mu_e over the support edges selected by ``inside``, and a function
+    that yields (s, M_e[s]) over their chunk slices s.  mu_e may be a view
+    of ``spec.w``; each M_e chunk is a new array the caller may overwrite."""
     ei, ej, w = spec.ei[inside], spec.ej[inside], spec.w[inside]
     marg = spec.marginals.M
-    Me = marg[ei]
-    Me += marg[ej]
-    Me -= w
-    return w, Me
+
+    def chunks():
+        for s in _chunks(len(w)):
+            Me = marg[ei[s]]
+            Me += marg[ej[s]]
+            Me -= w[s]
+            yield s, Me
+    return w, chunks
+
+
+def _ratios(w, chunks):
+    """mu_e / M_e, one new array filled one chunk at a time."""
+    ratio = np.empty(len(w))
+    for s, Me in chunks():
+        np.divide(w[s], Me, out=ratio[s])
+    return ratio
 
 
 def connectedness_series(spec, window=None):
@@ -123,8 +136,8 @@ def connectedness_series(spec, window=None):
     if window < spec.n_max:
         inside = spec.ej <= window  # ei < ej
         residue += float(spec.w[~inside].sum())
-    w, Me = _edge_masses(spec, inside)
-    partial = float(np.sum(np.divide(w, Me, out=Me)))
+    w, chunks = _edge_masses(spec, inside)
+    partial = float(np.sum(_ratios(w, chunks)))
     if spec.family == "power_law_product":
         gamma = spec.params["gamma"]
         if gamma > 2:
@@ -180,19 +193,20 @@ def variance_sandwich(spec, t):
     connectedness partial sum instead.
     """
     lower = urn_variance(spec, t)
-    w, Mij = _edge_masses(spec)
-    # two edge-length arrays in all, both rewritten in place
-    ratio = w / Mij
-    upper = lower + float(np.sum(ratio))
-    arrived = np.negative(w, out=ratio)  # -expm1(-w t) = P(e arrived)
-    arrived *= t
-    np.expm1(arrived, out=arrived)
-    np.negative(arrived, out=arrived)
-    cov = np.negative(Mij, out=Mij)
-    cov *= t
-    np.exp(cov, out=cov)
-    cov *= arrived
-    exact = lower + 2.0 * float(np.sum(cov))
+    w, chunks = _edge_masses(spec)
+    # one edge-length buffer: the ratios, then the covariance terms; each
+    # sum runs over the whole buffer, as a sum of chunk sums rounds otherwise
+    buf = _ratios(w, chunks)
+    upper = lower + float(np.sum(buf))
+    for s, Mij in chunks():
+        arrived = np.negative(w[s], out=buf[s])  # -expm1(-w t) = P(e arrived)
+        arrived *= t
+        np.expm1(arrived, out=arrived)
+        np.negative(arrived, out=arrived)
+        np.negative(Mij, out=Mij)
+        Mij *= t
+        arrived *= np.exp(Mij, out=Mij)
+    exact = lower + 2.0 * float(np.sum(buf))
     return lower, exact, upper
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.special import zeta
 
@@ -221,12 +221,17 @@ class MeasureSpec:
         return tab
 
     def sample_edge_indices(self, n, rng):
-        """n i.i.d. support-edge indices via the alias table."""
+        """n i.i.d. support-edge indices via the alias table.  The draws
+        of k and u come whole, in that order; the rejected k are then
+        replaced by their aliases in place, one chunk at a time."""
         J, q = self._alias()
-        K = len(q)
-        kk = rng.integers(0, K, size=n)
-        accept = rng.random(n) < q[kk]
-        return np.where(accept, kk, J[kk])
+        kk = rng.integers(0, len(q), size=n)
+        u = rng.random(n)
+        for s in _chunks(n):
+            k = kk[s]
+            alias = np.flatnonzero(u[s] >= q[k])
+            k[alias] = J[k[alias]]
+        return kk
 
     # -- support topology ------------------------------------------------
 
@@ -234,17 +239,21 @@ class MeasureSpec:
         """Connectivity verdict over the support edges within the window.
 
         The verdict is truncation-relative: connectedness of the untruncated
-        infinite support cannot be decided from a finite window.  The
-        stored arrays, sorted by (i, j), are the graph's CSR rows as they
-        stand: row i holds the j of its edges, found by a binary search of
-        ei, and no COO copy is built for csgraph to convert.
+        infinite support cannot be decided from a finite window.  The edges
+        are unioned one chunk of ``_CHUNK`` at a time: a chunk's edges join
+        the current component labels of their ends, csgraph finds the
+        components of that graph over the n_max + 1 ids, and those become
+        the new labels.  So its scratch is O(n_max) plus a chunk.
         """
         a, b = self.ei, self.ej
         n = self.n_max + 1
-        indptr = a.searchsorted(np.arange(n + 1))
-        # scipy stores the indices as int32 whenever they fit
-        graph = csr_matrix((np.ones(len(a)), b, indptr), shape=(n, n))
-        n_comp = connected_components(graph, directed=False)[0]
+        label, n_comp = np.arange(n), n
+        for s in _chunks(len(a)):
+            i, j = label[a[s]], label[b[s]]
+            graph = coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+            c, new = connected_components(graph, directed=False)
+            # an id that is no component's label stands alone in the graph
+            label, n_comp = new[label], c - (n - n_comp)
         touched = np.zeros(n, dtype=bool)
         touched[a] = True
         touched[b] = True
@@ -297,46 +306,50 @@ def _build_alias(q):
     1e-16 absolute however large X grows.  The largest heavy item goes
     last: it absorbs the rounding residue of sum(q) != K.
 
-    Besides J and the index lists of light and heavy items, the only O(K)
-    arrays are the two prefix sums.  Every pass over them runs in chunks of
-    ``_CHUNK`` items, so the lights' search keys, their heavy indices and
-    all other scratch exist one chunk at a time.
+    Besides J, the only O(K) arrays are the heavy items' indices, X and
+    their deficit pairs.  The lights stream: they are found in q one chunk
+    of ``_CHUNK`` items at a time, and D runs on over them by one step of
+    ``_prefix_sum`` per chunk, so their indices, deficits, search keys and
+    heavy indices exist one chunk at a time.
     """
     K = len(q)
     q *= K
     J = np.arange(K)
-    light = np.flatnonzero(q < 1.0)
     heavy = np.flatnonzero(q >= 1.0)
-    if len(light) == 0 or len(heavy) == 0:
+    H = len(heavy)
+    if H in (0, K):
         q[:] = 1.0  # every item is 1 up to rounding
         return J, q
     top = np.argmax(q[heavy])
     heavy[[top, -1]] = heavy[[-1, top]]
-    H = len(heavy)
-    # D[l] is the deficit handed out before light l, X[k] the excess up to
-    # and including heavy k, each a pair hi + lo
-    d_hi = np.zeros(len(light) + 1)
-    d_lo = np.zeros(len(light) + 1)
+    # X[k] is the excess up to and including heavy k, and Dk[k] the deficit
+    # handed out up to heavy k's last light, each a pair hi + lo: numpy
+    # orders complex numbers lexicographically, so (hi, lo) pairs compare
+    # as the exact sums they stand for
     X = np.empty(H, dtype=complex)
-    for s in _chunks(len(light)):
-        d_hi[1:][s] = 1.0 - q[light[s]]
     for s in _chunks(H):
         X.real[s] = q[heavy[s]] - 1.0
-    _prefix_sum(d_hi[1:], d_lo[1:])
     _prefix_sum(X.real, X.imag)
-    count = np.zeros(H, dtype=np.int64)  # lights per heavy
-    for s in _chunks(len(light)):
-        # numpy orders complex numbers lexicographically: (hi, lo) pairs
-        # compare as the exact sums they stand for
-        k = X.searchsorted(d_hi[:-1][s] + 1j * d_lo[:-1][s])
+    Dk = np.empty(H, dtype=complex)
+    done, carry, D = 0, (0.0, 0.0), np.zeros(1, dtype=complex)
+    for s in _chunks(K):
+        light = s.start + np.flatnonzero(q[s] < 1.0)
+        if not len(light):
+            continue
+        # D[l] is the deficit handed out before the chunk's light l
+        D = np.append(D[-1:], np.empty(len(light), dtype=complex))
+        D.real[1:], D.imag[1:], carry = _prefix_step(1.0 - q[light], carry)
+        k = X.searchsorted(D[:-1])
         np.minimum(k, H - 1, out=k)  # rounding overshoot at the end
-        J[light[s]] = heavy[k]
-        count[k[0]:k[-1] + 1] += np.bincount(k - k[0])  # k is sorted
-    # the deficit handed out up to heavy k's last light is D[end[k]]
-    end = np.cumsum(count, out=count)
+        J[light] = heavy[k]
+        # a heavy with no light keeps the pair of the heavy before it
+        Dk[done:k[0]] = D[0]
+        Dk[k[0]:k[-1] + 1] = D[k.searchsorted(np.arange(k[0], k[-1] + 1),
+                                              side="right")]  # k is sorted
+        done = k[-1] + 1
+    Dk[done:] = D[-1]
     for s in _chunks(H - 1):
-        e = end[s]
-        left = 1.0 + (X.real[s] - d_hi[e]) + (X.imag[s] - d_lo[e])
+        left = 1.0 + (X.real[s] - Dk.real[s]) + (X.imag[s] - Dk.imag[s])
         q[heavy[s]] = np.clip(left, 0.0, 1.0)
     J[heavy[:-1]] = heavy[1:]
     q[heavy[-1]] = 1.0
@@ -349,28 +362,32 @@ def _prefix_sum(hi, lo):
 
     ``np.cumsum`` adds in sequence; the error of each addition is recovered
     exactly (Knuth's TwoSum) and accumulated separately.  The sums run in
-    chunks of ``_CHUNK`` items: each chunk's first addend gets the running
-    sum and the raw running error of the chunks before it, so every
-    addition rounds as in one pass over the whole array.
+    chunks of ``_CHUNK`` items, one ``_prefix_step`` each.
     """
-    hi0 = lo0 = 0.0  # running sum and raw error after the previous chunk
+    carry = (0.0, 0.0)
     for s in _chunks(len(hi)):
-        a = hi[s]
-        h = a.copy()
-        if s.start:
-            h[0] += hi0
-        np.cumsum(h, out=h)
-        prev = np.empty_like(h)
-        prev[0] = hi0
-        prev[1:] = h[:-1]
-        b = h - prev
-        e = (prev - (h - b)) + (a - b)
-        if s.start:
-            e[0] += lo0
-        np.cumsum(e, out=e)
-        hi0, lo0 = h[-1], e[-1]
-        hi[s] = h + e
-        lo[s] = e - (hi[s] - h)
+        hi[s], lo[s], carry = _prefix_step(hi[s], carry)
+
+
+def _prefix_step(a, carry):
+    """One chunk of ``_prefix_sum``: the pairs (hi, lo) of the prefix sums
+    of a non-empty array a, which follows items whose running sum and raw
+    running error are the pair ``carry``, and that pair after a.  The first
+    addend gets the carry, so every addition rounds as in one pass over
+    all the items."""
+    hi0, lo0 = carry
+    h = a.copy()
+    h[0] += hi0
+    np.cumsum(h, out=h)
+    prev = np.empty_like(h)
+    prev[0] = hi0
+    prev[1:] = h[:-1]
+    b = h - prev
+    e = (prev - (h - b)) + (a - b)
+    e[0] += lo0
+    np.cumsum(e, out=e)
+    hi = h + e
+    return hi, e - (hi - h), (h[-1], e[-1])
 
 
 def _canonical_arrays(ei, ej, w):

@@ -10,8 +10,9 @@ arrival brought.
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +20,7 @@ from numpy.random.bit_generator import ISeedSequence
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from .measure import _integer
+from .measure import _chunks, _integer
 
 __all__ = [
     "ArrivalEvent",
@@ -47,7 +48,8 @@ def replica_rng(master_seed, replica_index):
     The PCG64 is seeded with k's words from ``_replica_seed_words``, the one
     hashing path, which the replica blocks of ``montecarlo`` use too: the
     words of replicas k - k % 64 up to the next multiple of 64 are hashed
-    at once and memoized, for the last 64 such blocks.  It takes the same
+    at once and memoized, for the last 64 such blocks, with the words
+    function of each of the last 16 seeds.  It takes the same
     seeds and k as the blocks, and refuses others alike.  Its
     ``bit_generator.seed_seq`` holds k's words, a read-only row of a shared
     block, not a SeedSequence, so the generator cannot ``spawn``.
@@ -150,13 +152,16 @@ def _replica_seed_words(seed):
 
 # replicas per memoized block of replica_rng's words (2 KiB a block)
 _SEED_BLOCK = 64
+# replica_rng's words function of each of the last 16 int seeds: a new block
+# of a memoized seed hashes its keys alone, not the seed's pool again
+_seed_words = lru_cache(maxsize=16)(_replica_seed_words)
 
 
 @lru_cache(maxsize=64)
 def _seed_block(seed, a):
     """The words of replicas a..a + _SEED_BLOCK - 1 (up to 2^32 - 1) of an
     int seed, read-only: ``replica_rng`` hands out its rows."""
-    block = _replica_seed_words(seed)(a, min(a + _SEED_BLOCK, 1 << 32))
+    block = _seed_words(seed)(a, min(a + _SEED_BLOCK, 1 << 32))
     block.flags.writeable = False
     return block
 
@@ -181,8 +186,10 @@ def _arrived(tau, rates, t_max, c):
     row-major order.  This is the one rule that turns a stream's draws into
     arrivals: single trajectories, urn fills and the replica blocks of
     ``montecarlo`` all take theirs from it, so a single trajectory is a
-    one-row block by construction."""
-    tau *= exponential_scales(rates)
+    one-row block by construction.  A wait past the largest float is inf,
+    a clock that never rings, with no warning."""
+    with np.errstate(over="ignore"):
+        tau *= exponential_scales(rates)
     at = np.flatnonzero(tau <= t_max)  # np.nonzero on 2-d arrays is slower
     rows, ks = np.divmod(at, tau.shape[1])
     ks += c
@@ -269,13 +276,11 @@ class Trajectory:
     def __len__(self):
         return len(self.time)
 
-    @cached_property
+    @property
     def events(self):
-        """The arrivals as ``ArrivalEvent`` records, built on first use."""
-        nv = self.new_vertices.tolist()
-        return list(map(ArrivalEvent._make, zip(
-            range(1, len(nv) + 1), self.time.tolist(),
-            zip(self.i.tolist(), self.j.tolist()), nv, [v == 2 for v in nv])))
+        """The arrivals as a read-only sequence of ``ArrivalEvent`` records,
+        each built as it is read."""
+        return _Events(self)
 
     def to_csv(self, path, header_lines=()):
         nv = self.new_vertices.tolist()
@@ -285,6 +290,36 @@ class Trajectory:
                     zip(range(1, len(nv) + 1), map(repr, self.time.tolist()),
                         self.i.tolist(), self.j.tolist(), nv,
                         [int(v == 2) for v in nv]))
+
+
+class _Events(Sequence):
+    """A trajectory's arrivals as ``ArrivalEvent`` records, built as they
+    are read: an index or a slice builds what it names, and iteration
+    builds one chunk of ``_CHUNK`` records at a time."""
+
+    def __init__(self, trajectory):
+        self._traj = trajectory
+
+    def __len__(self):
+        return len(self._traj)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(self._records(k))
+        k = range(len(self))[k]  # an IndexError past either end
+        return next(self._records(slice(k, k + 1)))
+
+    def __iter__(self):
+        for s in _chunks(len(self)):
+            yield from self._records(s)
+
+    def _records(self, s):
+        """The records of the arrivals in slice s, one by one."""
+        t = self._traj
+        nv = t.new_vertices[s].tolist()
+        return map(ArrivalEvent._make, zip(
+            range(1, len(t) + 1)[s], t.time[s].tolist(),
+            zip(t.i[s].tolist(), t.j[s].tolist()), nv, [v == 2 for v in nv]))
 
 
 def run_discrete(spec, n_steps, rng):

@@ -9,6 +9,7 @@ from scipy.cluster.hierarchy import DisjointSet
 
 from edgeproc.measure import edge, explicit
 from edgeproc.process import (
+    ArrivalEvent,
     depoissonize,
     replica_rng,
     run_continuous,
@@ -71,6 +72,16 @@ def sorted_stream_arrivals(times):
     flat = times.reshape(size, -1)
     first = np.argsort(flat, axis=1, kind="stable")[:, :n]
     return np.take_along_axis(flat, first, axis=1), first // n
+
+
+def event_list(traj):
+    """A trajectory's arrivals as a list of ``ArrivalEvent`` records, built
+    whole: the oracle of ``Trajectory.events``, which builds them as they
+    are read."""
+    nv = traj.new_vertices.tolist()
+    return list(map(ArrivalEvent._make, zip(
+        range(1, len(nv) + 1), traj.time.tolist(),
+        zip(traj.i.tolist(), traj.j.tolist()), nv, [v == 2 for v in nv])))
 
 
 def random_trajectories(seed, count):

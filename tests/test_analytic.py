@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgeproc import measure
 from edgeproc.analytic import (
     check_exp_bound,
     check_ratio_of_sums,
@@ -511,3 +512,44 @@ class TestAuxiliaryInequalities:
             return
         lo, ratio, hi, ok = check_ratio_of_sums(a, b)
         assert ok
+
+
+class TestEdgePassScratch:
+    """The O(E) passes hold one edge-length array and a chunk's scratch,
+    and their chunking changes no bit."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        spec = power_law_product(2.5, 1500)  # 1,124,250 edges
+        assert spec.n_edges >= 1 << 20
+        spec.marginals  # built and cached before tracing
+        return spec
+
+    @pytest.mark.parametrize("call", [
+        lambda spec: connectedness_series(spec),
+        lambda spec: variance_sandwich(spec, 1e6)],
+        ids=["connectedness_series", "variance_sandwich"])
+    def test_one_edge_length_buffer(self, big, call):
+        # M_e, a gather temporary and the ratios took 137 chunk items more
+        tracemalloc.start()
+        try:
+            call(big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * big.n_edges + 48 * measure._CHUNK
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunks_change_no_bit(self, monkeypatch, chunk):
+        specs = [power_law_product(1.5, 40), factorial_max(9),
+                 explicit([((1, 2), 1e-300), ((2, 3), 3.0), ((1, 3), 0.5),
+                           ((4, 9), 7.0)])]
+        want = [(connectedness_series(s).partial_sum,
+                 connectedness_series(s, s.n_max - 1).partial_sum,
+                 variance_sandwich(s, 2.5)) for s in specs]
+        monkeypatch.setattr(measure, "_CHUNK", chunk)
+        got = [(connectedness_series(s).partial_sum,
+                connectedness_series(s, s.n_max - 1).partial_sum,
+                variance_sandwich(s, 2.5)) for s in specs]
+        assert [float.hex(v) for g in got for v in (*g[:2], *g[2])] \
+            == [float.hex(v) for w in want for v in (*w[:2], *w[2])]

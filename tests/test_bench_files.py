@@ -1,9 +1,11 @@
 """BENCH_*.json files: the benchmark's own workloads and end-to-end metrics,
-with their units, and summaries that are ordered quartiles; and the tool
-that writes them."""
+with their units, and summaries that are ordered quartiles; the tool that
+writes them, and the tools that read perfbench's checks and records."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -256,3 +258,28 @@ def test_src_lines_counts_code_apart_from_docstrings_and_comments(tmp_path):
 def test_src_lines_refuses_a_missing_directory(tmp_path):
     with pytest.raises(ValueError, match="is not a directory"):
         _src_lines_tool().counts(tmp_path / "missing")
+
+
+def test_phase_peaks_name_every_phase_and_check():
+    # a subprocess: the tool wraps the package's functions where it runs
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "phase_peaks.py"),
+         "wide_window", "--scale", "min"],
+        capture_output=True, text=True, check=True, timeout=300).stdout
+    lines = out.splitlines()
+    assert lines[0] == ("wide_window seed 1 scale min: tracemalloc peak "
+                        "above the live size")
+    assert lines[1].split() == ["phase", "name", "live_mb", "peak_mb"]
+    rows = [line.split() for line in lines[2:]]
+    assert all(len(r) == 4 and float(r[2]) >= 0 and float(r[3]) >= 0
+               for r in rows)
+    setup = [name for phase, name, *_ in rows if phase == "setup"]
+    checks = [name for phase, name, *_ in rows if phase == "check"]
+    for name in ("measure.power_law_product", "measure.first_rank",
+                 "setup.alias_build", "measure.support_connected"):
+        assert name in setup
+    assert checks == [
+        "sandwich_series[power_law_2.5]", "vertex_mean[power_law_2.5]",
+        "edge12_freq[power_law_2.5]", "sandwich_series[first_rank_i^-2]",
+        "vertex_mean[first_rank_i^-2]", "edge12_freq[first_rank_i^-2]",
+        "discrete_replay[power_law_2.5]"]

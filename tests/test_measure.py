@@ -779,3 +779,71 @@ class TestConfigFiles:
         c = power_law_product(2.6, 20)
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+
+
+def traced_peak(call):
+    """call() and the tracemalloc peak of the allocations it made."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedScratch:
+    """On a measure of over 2^20 edges the support check, the sampler and
+    the alias sweep hold no O(E) array beyond what they return."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        spec = power_law_product(2.5, 1500)  # 1,124,250 edges
+        assert spec.n_edges >= 1 << 20
+        spec.marginals
+        spec.sample_edge_indices(1, replica_rng(0, 0))  # builds the table
+        return spec
+
+    def test_support_connected_scratch_is_n_max_and_chunks(self, big):
+        # the whole-edge CSR build peaked at 411 chunk items beyond the ids
+        got, peak = traced_peak(big.support_connected)
+        assert got == "connected-on-truncation"
+        assert peak <= 64 * (big.n_max + 1) + 96 * measure._CHUNK
+
+    def test_sampler_scratch_is_its_draws_and_chunks(self, big):
+        # k and u take 8 bytes a draw each; np.where took 144 chunk items
+        # more
+        n = 1 << 20
+        kk, peak = traced_peak(
+            lambda: big.sample_edge_indices(n, replica_rng(37, 0)))
+        assert len(kk) == n
+        assert peak <= 16 * n + 48 * measure._CHUNK
+
+    def test_alias_sweep_with_few_heavy_items_holds_j_and_chunks(self):
+        # 1,749 heavy items; the whole light list and deficit sums took
+        # 432 chunk items beyond J
+        K = 1 << 20
+        w = np.exp(np.random.default_rng(34).normal(0, 8, K))
+        probs = w / w.sum()
+        del w
+        (J, q), peak = traced_peak(lambda: measure._build_alias(probs))
+        assert peak <= 8 * K + 128 * measure._CHUNK
+        assert q is probs and len(J) == K
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_support_chunks_give_the_same_verdicts(self, monkeypatch, chunk):
+        rng = np.random.default_rng(36)
+        specs = [random_explicit_spec(rng, max_vertex=12,
+                                      n_edges=int(rng.integers(1, 20)))
+                 for _ in range(60)]
+        want = [spec.support_connected() for spec in specs]
+        assert set(want) == {"connected-on-truncation", "disconnected"}
+        monkeypatch.setattr(measure, "_CHUNK", chunk)
+        assert [spec.support_connected() for spec in specs] == want
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_sampler_chunks_give_the_same_draws(self, monkeypatch, chunk):
+        spec = power_law_product(1.5, 30)
+        want = spec.sample_edge_indices(500, replica_rng(38, 0))
+        monkeypatch.setattr(measure, "_CHUNK", chunk)
+        got = spec.sample_edge_indices(500, replica_rng(38, 0))
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.cluster.hierarchy import DisjointSet
 from scipy.stats import chi2
 
+from edgeproc import measure
 from edgeproc import montecarlo as mc
 from edgeproc import process
 from edgeproc.measure import explicit, power_law_product
@@ -27,6 +28,7 @@ from edgeproc.urns import run_urn
 
 from conftest import (
     block_arrivals,
+    event_list,
     random_explicit_spec,
     random_trajectories,
     single_edge_spec,
@@ -374,6 +376,40 @@ class TestReplicaRngMemo:
         assert empty_memo.cache_info().currsize == 0
 
 
+class TestSeedWordsMemo:
+    """replica_rng hashes a seed's pool once while the seed is memoized."""
+
+    @pytest.fixture
+    def empty_words(self, empty_memo):
+        process._seed_words.cache_clear()
+        yield process._seed_words
+        process._seed_words.cache_clear()
+
+    def test_second_block_builds_no_seed_sequence(self, empty_words,
+                                                  monkeypatch):
+        want = [_seed_sequence_rng(1211, k) for k in (0, B)]
+        assert_same_stream(replica_rng(1211, 0), want[0])
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        real = np.random.SeedSequence
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        assert_same_stream(replica_rng(1211, B), want[1])
+        assert built == []
+        assert empty_words.cache_info().hits == 1
+
+    @pytest.mark.parametrize("k", [0, B + 1])
+    def test_negative_seed_leaves_no_words(self, empty_words, k):
+        with pytest.raises(Exception) as want:
+            np.random.SeedSequence(-1)
+        with pytest.raises(want.type, match=str(want.value)):
+            replica_rng(-1, k)
+        assert empty_words.cache_info().currsize == 0
+
+
 class TestTrajectoryExport:
     def test_csv_columns(self, tmp_path, triangle):
         traj = run_continuous(triangle, 10.0, replica_rng(15, 0))
@@ -639,3 +675,61 @@ class TestGoldenCsv:
             "1,1.0,1,2,2,1", "2,2.0,2,3,1,0", "3,3.0,1,3,0,0",
             "4,4.0,1,2,0,0", "5,5.0,2,3,0,0", "6,6.0,2,3,0,0",
             "7,7.0,1,3,0,0", "8,8.0,1,2,0,0"])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda spec: run_continuous(spec, 1.0, replica_rng(0, 0)),
+    lambda spec: mc.vertex_count_samples(spec, [1.0], 8, 0),
+    lambda spec: run_urn([1e-308, 1.0], 1.0, replica_rng(0, 0))],
+    ids=["run_continuous", "vertex_count_samples", "run_urn"])
+def test_overflowing_wait_is_a_silent_inf(call):
+    # 1 / 1e-308 is finite, but a draw above 1.8 scales past the largest
+    # float: that clock never rings, and no warning is raised
+    out = call(explicit([((1, 2), 1e-308)]))
+    if isinstance(out, process.Trajectory):
+        assert len(out) == 0
+    elif out.dtype == float:
+        assert out[0] == np.inf and out[1] < np.inf
+    else:
+        assert not out.any()
+
+
+class TestEventsAreBuiltAsRead:
+    """Trajectory.events against the whole list the records once were."""
+
+    def trajectories(self):
+        spec = power_law_product(1.5, 12)
+        rng = replica_rng(42, 0)
+        return [run_discrete(spec, 40, rng), run_continuous(spec, 50.0, rng),
+                depoissonize(spec, 30, rng)]
+
+    @pytest.mark.parametrize("chunk", [3, 1 << 16])
+    def test_reads_are_the_lists(self, monkeypatch, chunk):
+        monkeypatch.setattr(measure, "_CHUNK", chunk)
+        for traj in self.trajectories():
+            want = event_list(traj)
+            events = traj.events
+            assert len(events) == len(want) == len(traj) > 3
+            # repr tells a numpy scalar from a Python number
+            assert repr(events[2]) == repr(want[2])
+            assert repr(events[-1]) == repr(want[-1])
+            assert repr(events[-len(want)]) == repr(want[0])
+            for s in (slice(1, 7), slice(None, None, -3), slice(-5, None),
+                      slice(4, 2)):
+                assert repr(events[s]) == repr(want[s])
+            assert repr(list(events)) == repr(want)
+            assert repr(list(events)) == repr(want)  # a second iteration
+            for k in (len(want), -len(want) - 1):
+                with pytest.raises(IndexError):
+                    events[k]
+
+    def test_empty_trajectory(self):
+        traj = run_continuous(single_edge_spec(1e-9), 1e-9, replica_rng(0, 0))
+        assert len(traj.events) == 0 and list(traj.events) == []
+        assert traj.events[:] == []
+
+    def test_events_are_read_only(self):
+        events = self.trajectories()[0].events
+        with pytest.raises(TypeError):
+            events[0] = events[1]
