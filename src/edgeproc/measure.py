@@ -229,8 +229,7 @@ class MeasureSpec:
         u = rng.random(n)
         for s in _chunks(n):
             k = kk[s]
-            alias = np.flatnonzero(u[s] >= q[k])
-            k[alias] = J[k[alias]]
+            np.copyto(k, J[k], where=u[s] >= q[k])
         return kk
 
     # -- support topology ------------------------------------------------
