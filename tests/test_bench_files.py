@@ -1,6 +1,6 @@
 """BENCH_*.json files: the benchmark's own workloads and end-to-end metrics,
-with their units, and summaries that are ordered quartiles; the tool that
-writes them, and the tools that read perfbench's checks and records."""
+with their units, and summaries that are ordered quartiles; and the tool
+that writes them."""
 
 import importlib.util
 import json
