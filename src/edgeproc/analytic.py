@@ -6,6 +6,7 @@ layer provides the independent empirical cross-checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,17 @@ def _ratios(w, chunks):
     return ratio
 
 
+def _series_sum(spec):
+    """The sum of mu_e / M_e over the whole support, computed once per
+    measure and kept in its cache beside the marginals.  ``normalize()``
+    does not carry it over: mu/T over M/T rounds otherwise than mu/M."""
+    total = spec._cache.get("series")
+    if total is None:
+        total = float(np.sum(_ratios(*_edge_masses(spec))))
+        spec._cache["series"] = total
+    return total
+
+
 def connectedness_series(spec, window=None):
     """Partial sum of mass(e) / M_e over support edges within the window.
 
@@ -132,12 +144,14 @@ def connectedness_series(spec, window=None):
     the edges left out: those past the window, stored or not.
     """
     window = spec.window(window)
-    inside, residue = slice(None), spec.off_window_mass
+    residue = spec.off_window_mass
     if window < spec.n_max:
         inside = spec.ej <= window  # ei < ej
         residue += float(spec.w[~inside].sum())
-    w, chunks = _edge_masses(spec, inside)
-    partial = float(np.sum(_ratios(w, chunks)))
+        w, chunks = _edge_masses(spec, inside)
+        terms, partial = len(w), float(np.sum(_ratios(w, chunks)))
+    else:
+        terms, partial = spec.n_edges, _series_sum(spec)
     if spec.family == "power_law_product":
         gamma = spec.params["gamma"]
         if gamma > 2:
@@ -148,7 +162,7 @@ def connectedness_series(spec, window=None):
         verdict, basis = "converges-analytic", "finite support"
     else:
         verdict, basis = "inconclusive", "no analytic criterion for this family"
-    return SeriesReport(partial_sum=partial, terms_used=len(w),
+    return SeriesReport(partial_sum=partial, terms_used=terms,
                         window=window, verdict=verdict, verdict_basis=basis,
                         truncation_residue=residue)
 
@@ -175,14 +189,25 @@ def urn_variance(spec, t):
     return float(np.sum(q * -np.expm1(-M * t)))
 
 
+def _rung(rate, t):
+    """P(a clock of the given rate has rung by t), 1 - e^{-rate t}: 0.0 for
+    a zero rate, whose clock never rings, at every t including inf."""
+    return -math.expm1(-rate * t) if rate > 0 else 0.0
+
+
 def prob_both_vertices(spec, i, j, t):
-    """P(both i and j present at t): 1 - e^{-M_i t} - e^{-M_j t} + e^{-M_ij t}."""
+    """P(both i and j present at t), in positive terms:
+    (1 - e^{-M_i t})(1 - e^{-M_j t}) + e^{-M_e t}(1 - e^{-mu_e t}) for the
+    pair e = {i, j}.  It equals 1 - e^{-M_i t} - e^{-M_j t} + e^{-M_e t},
+    whose terms cancel to below zero or to nothing."""
     _check_time(t)
     i, j = edge(i, j)
     m = spec.marginals
-    Mij = spec.edge_mass((i, j))
-    return float(1.0 - np.exp(-m[i] * t) - np.exp(-m[j] * t)
-                 + np.exp(-Mij * t))
+    Mi, Mj, mu = m[i], m[j], spec.mass((i, j))
+    both = _rung(Mi, t) * _rung(Mj, t)
+    if mu > 0:
+        both += math.exp(-(Mi + Mj - mu) * t) * _rung(mu, t)
+    return both
 
 
 def variance_sandwich(spec, t):
@@ -190,14 +215,15 @@ def variance_sandwich(spec, t):
 
     lower is the urn variance; exact adds the pairwise presence covariances
     (ordered pairs i != j, i.e. each support edge twice); upper adds the
-    connectedness partial sum instead.
+    connectedness partial sum instead, the measure's cached series sum, so
+    a call makes one pass over the edges, for the covariances.
     """
     lower = urn_variance(spec, t)
+    upper = lower + _series_sum(spec)
     w, chunks = _edge_masses(spec)
-    # one edge-length buffer: the ratios, then the covariance terms; each
-    # sum runs over the whole buffer, as a sum of chunk sums rounds otherwise
-    buf = _ratios(w, chunks)
-    upper = lower + float(np.sum(buf))
+    # one edge-length buffer of covariance terms, summed whole, as a sum of
+    # chunk sums rounds otherwise
+    buf = np.empty(len(w))
     for s, Mij in chunks():
         arrived = np.negative(w[s], out=buf[s])  # -expm1(-w t) = P(e arrived)
         arrived *= t

@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -292,6 +293,11 @@ class Trajectory:
                         [int(v == 2) for v in nv]))
 
 
+# ArrivalEvent._make without its Python frame and length check: every
+# record _Events builds has the five fields
+_new_event = partial(tuple.__new__, ArrivalEvent)
+
+
 class _Events(Sequence):
     """A trajectory's arrivals as ``ArrivalEvent`` records, built as they
     are read: an index or a slice builds what it names, and iteration
@@ -310,14 +316,14 @@ class _Events(Sequence):
         return next(self._records(slice(k, k + 1)))
 
     def __iter__(self):
-        for s in _chunks(len(self)):
-            yield from self._records(s)
+        return chain.from_iterable(map(self._records, _chunks(len(self))))
 
     def _records(self, s):
-        """The records of the arrivals in slice s, one by one."""
+        """The records of the arrivals in slice s, one by one, each built
+        by C-level ``tuple.__new__``: no Python frame runs per record."""
         t = self._traj
         nv = t.new_vertices[s].tolist()
-        return map(ArrivalEvent._make, zip(
+        return map(_new_event, zip(
             range(1, len(t) + 1)[s], t.time[s].tolist(),
             zip(t.i[s].tolist(), t.j[s].tolist()), nv, [v == 2 for v in nv]))
 
@@ -392,9 +398,12 @@ def _merge_streams(times):
 
     A merge: each of n rounds takes every row's earliest stream head, the
     first minimum, so ties go to the lower stream and then to the earlier
-    position, as in the stable sort, and advances that stream's head.
+    position, as in the stable sort, and advances that stream's head.  One
+    stream (E = 1) is already in that order and is returned as it stands.
     """
     size, E, n = times.shape
+    if E == 1:  # one stream is its own merge
+        return times.reshape(size, n), np.zeros((size, n), dtype=np.intp)
     heads = times[:, :, 0].copy()
     at = np.arange(0, times.size, n)  # each head's flat index in times
     row = np.arange(0, heads.size, E)

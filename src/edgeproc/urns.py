@@ -106,8 +106,8 @@ class CouplingEngine:
 
     ``step`` and ``run`` share one epoch routine.  ``step`` looks the table
     up on every call, since the masks may have been written since the last
-    one; ``run`` owns its state, so it carries the table from epoch to
-    epoch.  Edge outcomes are found by a binary search of the edge
+    one, and not again for the state it leaves unless it records; ``run``
+    owns its state, so it carries the table from epoch to epoch.  Edge outcomes are found by a binary search of the edge
     cumulative sum as a list of the same float64 values.
     """
 
@@ -164,7 +164,8 @@ class CouplingEngine:
     def step(self, state, rng, record=False):
         """One exp(3) epoch; mutates and returns the state."""
         wait = rng.exponential(1.0 / 3.0)
-        self._epoch(state, self.epoch_table(state), wait, rng, record)
+        self._epoch(state, self.epoch_table(state), wait, rng, record,
+                    carry=False)
         return state
 
     def run(self, horizon_t, rng, record=False):
@@ -181,10 +182,12 @@ class CouplingEngine:
                 return state
             tab = self._epoch(state, tab, wait, rng, record)
 
-    def _epoch(self, state, tab, wait, rng, record):
+    def _epoch(self, state, tab, wait, rng, record, carry=True):
         """One epoch of the given wait from the state, whose table is tab.
         Returns the table of the state it leaves: tab again after a null
-        outcome, which leaves (V, U) as they were."""
+        outcome, which leaves (V, U) as they were.  Unless carry or record
+        is set, that table is not looked up after an urn or edge outcome,
+        and tab is returned, stale."""
         state.clock += wait
         state.step += 1
         eta = rng.random()
@@ -199,7 +202,7 @@ class CouplingEngine:
             kind, value = "edge", f"{i}-{j}"
         else:
             kind, value, color = "null", "", ""
-        if kind != "null":
+        if kind != "null" and (carry or record):
             tab = self.epoch_table(state)
         if record:
             state.log.append((state.step, state.clock, kind, value, color)

@@ -1,6 +1,7 @@
 """Closed-form probabilities, series verdicts, moments and inequalities."""
 
 import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeproc import measure
+from edgeproc import analytic, measure
 from edgeproc.analytic import (
     check_exp_bound,
     check_ratio_of_sums,
@@ -26,6 +27,7 @@ from edgeproc.measure import (
     double_exp,
     explicit,
     factorial_max,
+    first_rank,
     power_law_product,
 )
 from edgeproc.process import replica_rng
@@ -553,3 +555,164 @@ class TestEdgePassScratch:
                 variance_sandwich(s, 2.5)) for s in specs]
         assert [float.hex(v) for g in got for v in (*g[:2], *g[2])] \
             == [float.hex(v) for w in want for v in (*w[:2], *w[2])]
+
+
+class TestPresenceOfBothVertices:
+    """prob_both_vertices in positive terms: no cancellation below zero or
+    to nothing, and a zero rate never rings, at t = inf too."""
+
+    TIMES = (1e-12, 0.98, 1.0, np.inf)
+
+    def test_a_vertex_without_edges_is_never_present(self):
+        # vertices 5 and 6 are in the window with no edge, 9 is past it;
+        # (2, 6) at t = 0.98 read -5.55e-17
+        spec = explicit([((1, 2), 0.3), ((2, 3), 0.45), ((3, 4), 0.1)],
+                        n_max=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in self.TIMES:
+                for i, j in [(2, 6), (6, 2), (5, 6), (1, 5), (1, 9),
+                             (6, 9), (9, 12)]:
+                    got = prob_both_vertices(spec, i, j, t)
+                    assert got == 0.0 and type(got) is float
+
+    def test_no_cancellation_at_small_times(self):
+        # (1 - e^{-0.3 t})(1 - e^{-0.1 t}) at t = 1e-9, which read 0.0
+        spec = explicit([((1, 2), 0.3), ((2, 3), 0.45), ((3, 4), 0.1)],
+                        n_max=6)
+        assert prob_both_vertices(spec, 1, 4, 1e-9) \
+            == pytest.approx(3.0e-20, rel=1e-8, abs=0.0)
+
+    def test_infinite_time(self):
+        # (1, 5) read NaN (0 * inf)
+        spec = explicit([((1, 2), 0.5), ((2, 3), 0.5)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert prob_both_vertices(spec, 1, 5, np.inf) == 0.0
+            assert prob_both_vertices(spec, 1, 3, np.inf) == 1.0
+            assert prob_both_vertices(spec, 1, 2, np.inf) == 1.0
+
+    def test_no_edge_between_is_the_product_of_the_marginals(self):
+        rng = np.random.default_rng(3801)
+        pairs = 0
+        for _ in range(20):
+            spec = random_explicit_spec(rng, max_vertex=7)
+            m = spec.marginals
+            for i, j in itertools.combinations(range(1, 9), 2):
+                if spec.mass((i, j)) > 0:
+                    continue
+                pairs += 1
+                for t in (0.0, 1e-12, 0.3, 2.0, 40.0, np.inf):
+                    want = [-math.expm1(-m[v] * t) if m[v] > 0 else 0.0
+                            for v in (i, j)]
+                    got = prob_both_vertices(spec, i, j, t)
+                    assert got.hex() == (want[0] * want[1]).hex()
+        assert pairs > 100
+
+    def test_a_probability_that_matches_the_cancelling_form(self):
+        rng = np.random.default_rng(3802)
+        for _ in range(40):
+            spec = random_explicit_spec(rng, max_vertex=6,
+                                        min_mass=float(rng.choice(
+                                            [1e-9, 0.05])))
+            m = spec.marginals
+            for i, j in itertools.combinations(range(1, 8), 2):
+                Me = m[i] + m[j] - spec.mass((i, j))
+                for t in (0.0, 1e-9, 0.5, 3.0, 1e3, np.inf):
+                    got = prob_both_vertices(spec, i, j, t)
+                    assert 0.0 <= got <= 1.0
+                    if t < np.inf:
+                        old = (1.0 - np.exp(-m[i] * t) - np.exp(-m[j] * t)
+                               + np.exp(-Me * t))
+                        assert got == pytest.approx(old, abs=1e-15)
+
+
+class TestSeriesSumOncePerMeasure:
+    """The whole-support series sum is computed once per measure and read
+    by connectedness_series and variance_sandwich's upper bound."""
+
+    @staticmethod
+    def count_ratio_passes(monkeypatch):
+        passes, ratios = [], analytic._ratios
+
+        def spy(w, chunks):
+            passes.append(len(w))
+            return ratios(w, chunks)
+        monkeypatch.setattr(analytic, "_ratios", spy)
+        return passes
+
+    @staticmethod
+    def hexes(spec, calls):
+        out = []
+        for call in calls:
+            got = call(spec)
+            if isinstance(got, tuple):
+                out += [v.hex() for v in got]
+            else:
+                out += [got.partial_sum.hex(), got.truncation_residue.hex(),
+                        str(got.terms_used)]
+        return out
+
+    CALLS = [lambda s: connectedness_series(s),
+             lambda s: variance_sandwich(s, 0.5),
+             lambda s: variance_sandwich(s, 7.0),
+             lambda s: variance_sandwich(s, 1e6),
+             lambda s: connectedness_series(s, s.n_max)]
+
+    @pytest.mark.parametrize("build", [
+        lambda: power_law_product(2.5, 300),
+        lambda: first_rank(1.0 / np.arange(1, 61) ** 1.2),
+        lambda: explicit([((1, 2), 1e-300), ((2, 3), 3.0), ((1, 3), 0.5),
+                          ((4, 9), 7.0)])],
+        ids=["power_law", "first_rank", "explicit"])
+    def test_one_ratio_pass_per_measure(self, monkeypatch, build):
+        # each value alone on a fresh spec, before the spy
+        want = [self.hexes(build(), [call]) for call in self.CALLS]
+        passes = self.count_ratio_passes(monkeypatch)
+        for order in (self.CALLS, self.CALLS[::-1]):
+            spec = build()
+            assert self.hexes(spec, order) \
+                == [h for call in order for h in want[self.CALLS.index(call)]]
+            assert passes == [spec.n_edges]
+            del passes[:]
+
+    def test_a_windowed_series_sums_its_window(self, monkeypatch):
+        spec = power_law_product(1.5, 60)
+        connectedness_series(spec)
+        passes = self.count_ratio_passes(monkeypatch)
+        inside = spec.ej <= 45
+        w = spec.w[inside]
+        M = spec.marginals.M
+        Me = M[spec.ei[inside]] + M[spec.ej[inside]] - w
+        for _ in range(2):
+            rep = connectedness_series(spec, 45)
+            assert rep.partial_sum.hex() == float(np.sum(w / Me)).hex()
+            assert rep.terms_used == len(w) == np.count_nonzero(inside)
+        assert passes == [len(w)] * 2
+        assert rep.partial_sum < connectedness_series(spec).partial_sum
+
+    def test_a_normalized_copy_sums_its_own_series(self):
+        # mu/T over M/T rounds otherwise than mu/M: here by one ulp
+        sigma = 1.0 / np.arange(1, 21) ** 1.2
+        raw = first_rank(sigma)
+        fresh = first_rank(sigma, normalize=True)
+        raw_sum = connectedness_series(raw).partial_sum
+        fresh_sum = connectedness_series(fresh).partial_sum
+        assert raw_sum != fresh_sum
+        norm = raw.normalize()
+        assert "series" not in norm._cache
+        assert connectedness_series(norm).partial_sum.hex() == fresh_sum.hex()
+        lower, _, upper = variance_sandwich(norm, 2.0)
+        assert upper == lower + fresh_sum
+        assert connectedness_series(raw).partial_sum == raw_sum
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunks_change_no_bit_of_a_fresh_sum(self, monkeypatch, chunk):
+        builds = [lambda: power_law_product(1.5, 40), lambda: factorial_max(9)]
+        want = [(connectedness_series(b()).partial_sum,
+                 variance_sandwich(b(), 2.5)) for b in builds]
+        monkeypatch.setattr(measure, "_CHUNK", chunk)
+        got = [(connectedness_series(b()).partial_sum,
+                variance_sandwich(b(), 2.5)) for b in builds]
+        assert [(s.hex(), [v.hex() for v in v3]) for s, v3 in got] \
+            == [(s.hex(), [v.hex() for v in v3]) for s, v3 in want]

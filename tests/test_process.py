@@ -15,6 +15,7 @@ from edgeproc import process
 from edgeproc.measure import explicit, power_law_product
 from edgeproc.montecarlo import _replica_seed_words
 from edgeproc.process import (
+    ArrivalEvent,
     arrival_order,
     component_merges,
     depoissonize,
@@ -568,6 +569,27 @@ class TestMergeStreams:
         assert times.tobytes() == want_t.tobytes()
         assert ks.tolist() == want_k.tolist()
 
+    def test_one_stream_is_its_own_merge(self):
+        rng = np.random.default_rng(3801)
+        for _ in range(300):
+            size, n = rng.integers(1, 7, size=2)
+            times = rng.choice([0.0, 1.0, 2.0, np.inf, np.nan],
+                               size=(size, 1, n))
+            t, k = _merged(np.sort(times, axis=2))
+            assert t.shape == k.shape == (size, n) and k.dtype == np.intp
+            assert not k.any()
+
+    @pytest.mark.parametrize("rate", [1.0, 1e-308, 5e-324])
+    def test_one_rate_is_the_sorted_route(self, rate):
+        times, ks = process.full_stream_arrivals([rate], 3, 50,
+                                                 replica_rng(3801, 0))
+        gaps = replica_rng(3801, 0).standard_exponential((50, 1, 3))
+        with np.errstate(over="ignore"):
+            gaps *= process.exponential_scales([rate])[:, None]
+            want_t, want_k = sorted_stream_arrivals(np.cumsum(gaps, axis=2))
+        assert times.tobytes() == want_t.tobytes()
+        assert ks.tolist() == want_k.tolist()
+
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_depoissonize_is_the_sorted_route(self, n):
         spec = power_law_product(2.5, 300)
@@ -723,6 +745,18 @@ class TestEventsAreBuiltAsRead:
             for k in (len(want), -len(want) - 1):
                 with pytest.raises(IndexError):
                     events[k]
+
+    def test_records_are_arrival_events(self):
+        for traj in self.trajectories():
+            want = event_list(traj)
+            for got in (list(traj.events), traj.events[:], [
+                    traj.events[k] for k in range(len(traj))]):
+                assert got == want
+                for ev, w in zip(got, want):
+                    assert type(ev) is ArrivalEvent
+                    assert ev._fields == ArrivalEvent._fields
+                    assert ev._asdict() == w._asdict()
+                    assert ev.new_component is (ev.new_vertices == 2)
 
     def test_empty_trajectory(self):
         traj = run_continuous(single_edge_spec(1e-9), 1e-9, replica_rng(0, 0))

@@ -439,6 +439,32 @@ class TestEpochTable:
             assert len(lookups) <= changed + 1
         assert nulls > 0
 
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("name", sorted(RUN_SPECS))
+    def test_step_looks_up_the_table_it_leaves_only_to_record(self, name,
+                                                              record):
+        # the next step looks the state up anyway
+        eng = CouplingEngine(self.RUN_SPECS[name]())
+        lookups, lookup = [], eng.epoch_table
+
+        def spy(state):
+            lookups.append(state.step)
+            return lookup(state)
+        eng.epoch_table = spy
+        changes = 0
+        for r in range(20):
+            state, rng = eng.new_state(), replica_rng(81, r)
+            for _ in range(30):
+                before = state.in_v.tobytes() + state.in_u.tobytes()
+                del lookups[:]
+                eng.step(state, rng, record=record)
+                changes += before != state.in_v.tobytes() + state.in_u.tobytes()
+                if record:
+                    assert len(lookups) == 1 + (state.log[-1][2] != "null")
+                else:
+                    assert len(lookups) == 1
+        assert changes > 0
+
     def test_direct_mask_writes_between_steps(self):
         # writes to the public masks must reach the next epoch exactly as a
         # fresh state with the same masks on a fresh engine sees them
