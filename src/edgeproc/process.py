@@ -402,7 +402,7 @@ def _merge_streams(times):
     stream (E = 1) is already in that order and is returned as it stands.
     """
     size, E, n = times.shape
-    if E == 1:  # one stream is its own merge
+    if E == 1:
         return times.reshape(size, n), np.zeros((size, n), dtype=np.intp)
     heads = times[:, :, 0].copy()
     at = np.arange(0, times.size, n)  # each head's flat index in times

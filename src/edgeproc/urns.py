@@ -107,8 +107,9 @@ class CouplingEngine:
     ``step`` and ``run`` share one epoch routine.  ``step`` looks the table
     up on every call, since the masks may have been written since the last
     one, and not again for the state it leaves unless it records; ``run``
-    owns its state, so it carries the table from epoch to epoch.  Edge outcomes are found by a binary search of the edge
-    cumulative sum as a list of the same float64 values.
+    owns its state, so it carries the table from epoch to epoch.  Edge
+    outcomes are found by a binary search of the edge cumulative sum as a
+    list of the same float64 values.
     """
 
     def __init__(self, spec):
